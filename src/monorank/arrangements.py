@@ -236,53 +236,61 @@ def _random_distortion(rng: np.random.Generator) -> MonotoneDistortion:
 
 
 # ---------------------------------------------------------------------------
-# topes of realized arrangements (candidate-by-candidate separation LPs)
+# topes of realized arrangements (incremental search over sign prefixes)
 
 
-def _max_margin(rows: np.ndarray, signs: np.ndarray, affine: bool) -> float:
-    """Largest t with sign_i (row_i · h - theta) >= t over the box
-    ||(h, theta)||_inf <= 1 (theta present only in the affine case)."""
-    k, d = rows.shape
-    cols = d + 1 + (1 if affine else 0)
-    a_ub = np.zeros((k, cols))
-    a_ub[:, :d] = -signs[:, None] * rows
-    if affine:
-        a_ub[:, d] = signs
-    a_ub[:, -1] = 1.0
-    c = np.zeros(cols)
+def _max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest t with sign_i (row_i · x) >= t over the box ||x||_inf <= 1,
+    and an x attaining it."""
+    k, cols = rows.shape
+    a_ub = np.empty((k, cols + 1))
+    a_ub[:, :cols] = -signs[:, None] * rows
+    a_ub[:, cols] = 1.0
+    c = np.zeros(cols + 1)
     c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * (cols - 1) + [(None, None)]
+    bounds = [(-1.0, 1.0)] * cols + [(None, None)]
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
     if res.status != 0:
         raise DomainError(f"separation LP failed: {res.message}")
-    return -res.fun
+    return -res.fun, res.x[:-1]
 
 
-def _enumerate_topes(
-    rows: np.ndarray, affine: bool, margin: float, threads: int
-) -> SignVectorSet:
+def _enumerate_topes(rows: np.ndarray, margin: float) -> SignVectorSet:
+    """Sign vectors s with some ||x||_inf <= 1 giving s_i (row_i · x) > margin
+    for every row, found by extending sign prefixes one element at a time.
+
+    Element 1 is fixed to + (the set is negation-closed).  A prefix is kept
+    only if its separation LP has margin above `margin`; the prefix LP drops
+    constraints of every extension over the same box, so no tope is pruned.
+    Each kept prefix carries a solution x with margin t > `margin` on its
+    rows.  Of its two children, the one agreeing with sign(row · x) keeps x,
+    with margin min(t, |row · x|), and needs no LP when |row · x| > margin;
+    the other child gets one LP.  In general position the search takes one
+    LP per kept prefix: sum_{k<m} T_k / 2 for T_k topes on the first k
+    elements, against 2^(m-1) for testing every sign half.
+    """
     m = rows.shape[0]
-    half = [mask | (1 << (m - 1)) for mask in range(1 << (m - 1))]
-
-    def check(pos_mask: int) -> bool:
-        signs = np.array(
-            [1.0 if pos_mask >> i & 1 else -1.0 for i in range(m)], dtype=float
-        )
-        return _max_margin(rows, signs, affine) > margin
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(check, half))
-    else:
-        flags = [check(p) for p in half]
+    # x = sign(row) solves the one-row LP, with margin ||row||_1
+    level = [(np.ones(1), np.sign(rows[0]))] if np.abs(rows[0]).sum() > margin else []
+    for k in range(1, m):
+        grown = []
+        for signs, x in level:
+            value = float(rows[k] @ x)
+            for sign in (1.0, -1.0):
+                child = np.append(signs, sign)
+                if sign * value > margin:
+                    grown.append((child, x))
+                    continue
+                t, x_child = _max_margin(rows[: k + 1], child)
+                if t > margin:
+                    grown.append((child, x_child))
+        level = grown
     full = (1 << m) - 1
     members: list[SignVector] = []
-    for pos_mask, ok in zip(half, flags):
-        if ok:
-            members.append(SignVector(m, pos_mask, full & ~pos_mask))
-            members.append(SignVector(m, full & ~pos_mask, pos_mask))
+    for signs, _ in level:
+        pos = sum(1 << i for i in np.flatnonzero(signs > 0).tolist())
+        members.append(SignVector(m, pos, full & ~pos))
+        members.append(SignVector(m, full & ~pos, pos))
     return SignVectorSet(m, members, negation_closed=True)
 
 
@@ -291,14 +299,21 @@ def point_topes(
     *,
     max_points: int = DEFAULT_ENUM_GUARD,
     margin: float = _SEPARATION_MARGIN,
-    threads: int = 1,
 ) -> SignVectorSet:
     """All zero-free sign vectors realized by an affine hyperplane strictly
-    separating the + points from the - points."""
+    separating the + points from the - points.
+
+    Searched incrementally over sign prefixes (see `_enumerate_topes`): for m
+    points in general position in R^d that takes
+    sum_{0<k<m} sum_{i<=d} C(k-1, i) LPs (92 for 9 planar points) instead of
+    2^(m-1).
+    """
     m = len(arrangement)
     if m > max_points:
         raise ResourceLimitError(f"{m} points exceeds enumeration guard {max_points}")
-    return _enumerate_topes(arrangement.points, affine=True, margin=margin, threads=threads)
+    # p · h - theta as one inner product with the lifted point (p, -1)
+    lifted = np.hstack([arrangement.points, -np.ones((m, 1))])
+    return _enumerate_topes(lifted, margin)
 
 
 def hyperplane_topes(
@@ -306,14 +321,19 @@ def hyperplane_topes(
     *,
     max_normals: int = DEFAULT_ENUM_GUARD,
     margin: float = _SEPARATION_MARGIN,
-    threads: int = 1,
 ) -> SignVectorSet:
     """All zero-free sign vectors realized by a point strictly off every
-    hyperplane of the central arrangement."""
+    hyperplane of the central arrangement.
+
+    Searched incrementally over sign prefixes (see `_enumerate_topes`): for n
+    normals in general position in R^d that takes
+    sum_{0<k<n} sum_{i<d} C(k-1, i) LPs (36 for 9 planar normals) instead of
+    2^(n-1).
+    """
     n = len(arrangement)
     if n > max_normals:
         raise ResourceLimitError(f"{n} normals exceeds enumeration guard {max_normals}")
-    return _enumerate_topes(arrangement.normals, affine=False, margin=margin, threads=threads)
+    return _enumerate_topes(arrangement.normals, margin)
 
 
 def point_circuits(

@@ -4,8 +4,8 @@ Subcommands: analyze, generate, hadamard, encode, isrank2, complete, sweep.
 JSON goes to stdout; structured errors go to stderr with exit codes 2
 (input format), 3 (genericity), 4 (resource guard).
 
-Guard overrides: MONORANK_MAX_GROUND (completion-search ground set, default
-10) and MONORANK_MAX_ENUM (tope-enumeration size, default 20).
+Guard override: MONORANK_MAX_GROUND (completion-search ground set, default
+10).
 """
 
 from __future__ import annotations
@@ -17,20 +17,15 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import arrangements as arr
 from . import omatroid, report, signs, spectral
 from .errors import MonorankError
-from .matrices import format_matrix_csv, parse_matrix, perturb_ties
+from .matrices import check_generic, format_matrix_csv, parse_matrix, perturb_ties
 
 
 def _ground_guard() -> int:
     return int(os.environ.get("MONORANK_MAX_GROUND", omatroid.DEFAULT_GROUND_GUARD))
-
-
-def _enum_guard() -> int:
-    return int(os.environ.get("MONORANK_MAX_ENUM", arr.DEFAULT_ENUM_GUARD))
 
 
 def _emit(payload: dict) -> None:
@@ -68,22 +63,19 @@ def main():
 @click.option("--topes", is_flag=True, help="Include the tope sets.")
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Parallel inner searches; never changes the output.")
-@click.option("--perturb-ties", is_flag=True,
+@click.option("--perturb-ties", "perturb", is_flag=True,
               help="Break tied column entries by row order (deterministic "
                    "jitter) instead of failing; exploratory use only.")
 @click.option("--tol", type=float, default=0.0, show_default=True,
               help="Tie tolerance for the genericity check.")
 @_handle_errors
-def analyze(matrix_file, complete_d_max, d_max, svd, topes, threads, perturb_ties, tol):
+def analyze(matrix_file, complete_d_max, d_max, svd, topes, threads, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
     matrix = parse_matrix(Path(matrix_file).read_text())
     perturbed = False
-    if perturb_ties:
-        from .matrices import check_generic
-
-        if not check_generic(matrix, tol).is_generic:
-            matrix = perturb_ties_matrix(matrix)
-            perturbed = True
+    if perturb and not check_generic(matrix, tol).is_generic:
+        matrix = perturb_ties(matrix)
+        perturbed = True
     cap = complete_d_max if complete_d_max is not None else d_max
     rep = report.build_report(
         matrix,
@@ -96,10 +88,6 @@ def analyze(matrix_file, complete_d_max, d_max, svd, topes, threads, perturb_tie
         perturbed=perturbed,
     )
     _emit(rep.as_dict())
-
-
-def perturb_ties_matrix(matrix: np.ndarray) -> np.ndarray:
-    return perturb_ties(matrix)
 
 
 @main.command()

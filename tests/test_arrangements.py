@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from monorank import (
     AllowableSequence,
@@ -24,6 +25,8 @@ from monorank import (
     validate_allowable,
     vc_dimension,
 )
+
+from monorank import arrangements
 
 from .fixtures import DISTORTION_A, DISTORTION_B, NORMALS_B, POINTS_B
 
@@ -151,6 +154,112 @@ def test_tope_guard():
     pts = PointArrangement(1, np.arange(25.0).reshape(-1, 1))
     with pytest.raises(ResourceLimitError):
         point_topes(pts)
+
+
+# -- tope enumeration against the all-halves reference -------------------------
+
+_FLIP = str.maketrans("+-", "-+")
+
+
+def reference_topes(rows, affine, margin=1e-7):
+    """Tope strings from one separation LP per sign half (last element +):
+    the largest t with s_i (row_i · h - theta) >= t over the box
+    ||(h, theta)||_inf <= 1 must exceed `margin`."""
+    m, d = rows.shape
+    cols = d + 1 + (1 if affine else 0)
+    c = np.zeros(cols)
+    c[-1] = -1.0
+    bounds = [(-1.0, 1.0)] * (cols - 1) + [(None, None)]
+    found = set()
+    for rest in itertools.product((1.0, -1.0), repeat=m - 1):
+        signs = np.array(rest + (1.0,))
+        a_ub = np.zeros((m, cols))
+        a_ub[:, :d] = -signs[:, None] * rows
+        if affine:
+            a_ub[:, d] = signs
+        a_ub[:, -1] = 1.0
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
+        assert res.status == 0
+        if -res.fun > margin:
+            tope = "".join("+" if s > 0 else "-" for s in signs)
+            found |= {tope, tope.translate(_FLIP)}
+    return found
+
+
+def _random_arrangements(d):
+    rng = np.random.default_rng(100 + d)
+    for m in (2, 5, 8):
+        yield PointArrangement(d, rng.standard_normal((m, d)))
+        yield HyperplaneArrangement(d, rng.standard_normal((m, d)))
+
+
+def _topes(arrangement):
+    if isinstance(arrangement, PointArrangement):
+        return point_topes(arrangement)
+    return hyperplane_topes(arrangement)
+
+
+def _rows(arrangement):
+    if isinstance(arrangement, PointArrangement):
+        return arrangement.points, True
+    return arrangement.normals, False
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_topes_match_reference_random(d):
+    for arrangement in _random_arrangements(d):
+        expected = reference_topes(*_rows(arrangement))
+        assert set(_topes(arrangement).strings()) == expected
+
+
+@pytest.mark.parametrize(
+    "arrangement",
+    [
+        PointArrangement(1, [[0.0], [1.0], [2.0]]),
+        PointArrangement(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        HyperplaneArrangement(2, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        HyperplaneArrangement(3, [[1.0, 2.0, 0.5], [0.0, 1.0, 0.0], [1.0, 2.0, 0.5]]),
+    ],
+    ids=["collinear-triple", "square", "coincident-planar", "coincident-3d"],
+)
+def test_topes_match_reference_degenerate(arrangement):
+    assert set(_topes(arrangement).strings()) == reference_topes(*_rows(arrangement))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tope_search_lp_count(monkeypatch, d):
+    # general position: at most 1 + sum_{k<m} T_k / 2 LPs for T_k topes on k elements
+    for arrangement in _random_arrangements(d):
+        solved = []
+
+        def counting_linprog(*args, **kwargs):
+            solved.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(arrangements, "linprog", counting_linprog)
+        _topes(arrangement)
+        monkeypatch.undo()
+        kind = type(arrangement)
+        rows, _ = _rows(arrangement)
+        prefix_halves = sum(
+            len(_topes(kind(d, rows[:k]))) // 2 for k in range(1, len(rows))
+        )
+        assert len(solved) <= 1 + prefix_halves
+
+
+def test_planar_point_topes_are_sweep_prefixes():
+    # LP-free oracle: a line cuts off exactly the prefixes of some sweep order
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        pts = PointArrangement(2, rng.standard_normal((7, 2)))
+        positives = {
+            frozenset(i + 1 for i, s in enumerate(tope) if s == "+")
+            for tope in point_topes(pts).strings()
+        }
+        prefixes = {
+            frozenset(perm[:j]) for perm in sweep_permutations(pts) for j in range(8)
+        }
+        assert positives == prefixes
 
 
 # -- circuits ------------------------------------------------------------------
