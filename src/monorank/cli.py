@@ -61,15 +61,13 @@ def main():
               help="Synonym for --complete (ignored when both are given).")
 @click.option("--svd", is_flag=True, help="Include singular values.")
 @click.option("--topes", is_flag=True, help="Include the tope sets.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Parallel inner searches; never changes the output.")
 @click.option("--perturb-ties", "perturb", is_flag=True,
               help="Break tied column entries by row order (deterministic "
                    "jitter) instead of failing; exploratory use only.")
 @click.option("--tol", type=float, default=0.0, show_default=True,
               help="Tie tolerance for the genericity check.")
 @_handle_errors
-def analyze(matrix_file, complete_d_max, d_max, svd, topes, threads, perturb, tol):
+def analyze(matrix_file, complete_d_max, d_max, svd, topes, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
     matrix = parse_matrix(Path(matrix_file).read_text())
     perturbed = False
@@ -82,7 +80,6 @@ def analyze(matrix_file, complete_d_max, d_max, svd, topes, threads, perturb, to
         complete_d_max=cap,
         with_svd=svd,
         with_topes=topes,
-        threads=max(1, threads),
         max_ground=_ground_guard(),
         tie_tolerance=tol,
         perturbed=perturbed,

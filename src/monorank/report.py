@@ -122,6 +122,8 @@ def build_report(
 
     Raises GenericityError when the matrix has tied column entries; callers
     wanting to proceed anyway perturb first (see matrices.perturb_ties).
+    `threads` is ignored: every search runs on the calling thread.  It
+    stays for callers that still pass it.
     """
     a = np.asarray(matrix, dtype=float)
     ties = check_generic(a, tie_tolerance)
@@ -129,8 +131,8 @@ def build_report(
         raise GenericityError(ties.describe(), ties=ties.ties)
     thresh = threshold_topes(a)
     diff = difference_topes(a)
-    radon = vc_dimension(thresh, threads=threads) - 1
-    vcr = vc_dimension(diff, threads=threads)
+    radon = vc_dimension(thresh) - 1
+    vcr = vc_dimension(diff)
     f_thresh = forster_bound(sign_matrix_with_columns(thresh))
     f_diff = forster_bound(sign_matrix_with_rows(diff)) if len(diff) else 0.0
     rank2 = is_rank2_topes(diff) if len(diff) else True

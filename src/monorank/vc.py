@@ -1,6 +1,13 @@
 """Exact VC dimension of zero-free sign-vector sets, and the two derived
 matrix bounds: Radon rank (threshold side, minus one) and VC rank
 (difference side).  Both lower-bound the monotone rank.
+
+The VC dimension is found by a depth-first search over index sets in
+increasing element order.  Each node carries the partition of the family
+by sign pattern on its index set, as member bitsets; adding an element
+splits every class in two, and the set stays shattered while no piece is
+empty.  The search stops at the largest size the family's cardinality
+allows, and skips extensions too short to beat the best set found.
 """
 
 from __future__ import annotations
@@ -40,12 +47,23 @@ def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
     return len({p & mask for p in patterns}) == 1 << len(idx)
 
 
-def vc_dimension(vectors: SignVectorSet, threads: int = 1) -> int:
-    """Largest size of a shattered index set, found level by level.
+def vc_dimension(vectors: SignVectorSet) -> int:
+    """Largest size of a shattered index set, by depth-first class splitting.
 
-    A k-set is only tested once all its (k-1)-subsets are known shattered,
-    and only when the family has at least 2^k members; this Sauer-style
-    pruning keeps the exact search feasible at desk-scale ground sets.
+    Member j of the family is bit j of every class bitset, and `cols[i]`
+    holds the members that are + at element i.  A search node is an index
+    set t, grown in increasing element order, with its 2^|t| classes: the
+    members showing each sign pattern on t.  Adding an element i above
+    max(t) splits every class into its + and - part; t + i is shattered
+    iff no part is empty, and the split stops at the first empty part.
+    Shattering is hereditary, so every shattered set is reached through
+    its shattered prefixes.
+
+    Two cut-offs bound the search.  A shattered k-set needs 2^k members,
+    so the search ends once it finds a set of size floor(log2 |F|) (or n).
+    A k-set t is not extended by element i (counted from 0) once
+    k + (n - i) <= best: even t plus every element from i on would be no
+    larger than the largest shattered set found so far.
     An empty family has VC dimension 0 by convention.
     """
     patterns = _zero_free_patterns(vectors)
@@ -53,53 +71,47 @@ def vc_dimension(vectors: SignVectorSet, threads: int = 1) -> int:
         return 0
     n = vectors.ground_size
     count = len(patterns)
-    shattered: set[int] = {0}
-    level = [0]
-    dim = 0
-    while True:
-        candidates = []
-        seen = set()
-        for t in level:
-            for i in range(n):
-                bit = 1 << i
-                if t & bit:
-                    continue
-                t2 = t | bit
-                if t2 in seen:
-                    continue
-                seen.add(t2)
-                if count < 1 << (dim + 1):
-                    continue
-                if all((t2 & ~b) in shattered for b in _bits(t2)):
-                    candidates.append(t2)
-        check = lambda t2: len({p & t2 for p in patterns}) == 1 << (dim + 1)
-        if threads > 1 and len(candidates) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                flags = list(pool.map(check, candidates))
-            nxt = [t2 for t2, ok in zip(candidates, flags) if ok]
-        else:
-            nxt = [t2 for t2 in candidates if check(t2)]
-        if not nxt:
-            return dim
-        shattered.update(nxt)
-        dim += 1
-        level = nxt
-
-
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
+    cols = [0] * n
+    for j, p in enumerate(patterns):
+        member = 1 << j
+        while p:
+            low = p & -p
+            cols[low.bit_length() - 1] |= member
+            p ^= low
+    ceiling = min(n, count.bit_length() - 1)
+    best = 0
+    # (|t|, next element to try on t, classes of t); a child goes on top
+    # of its parent, which resumes at its next element once the child's
+    # subtree is done
+    stack = [(0, 0, [(1 << count) - 1])]
+    while stack:
+        k, i, classes = stack.pop()
+        while k + n - i > best:
+            col = cols[i]
+            i += 1
+            split = []
+            for cls in classes:
+                plus = cls & col
+                if not plus or plus == cls:
+                    break
+                split.append(plus)
+                split.append(cls ^ plus)
+            else:
+                stack.append((k, i, classes))
+                stack.append((k + 1, i, split))
+                if k + 1 > best:
+                    best = k + 1
+                    if best == ceiling:
+                        return best
+                break
+    return best
 
 
-def radon_rank(matrix: np.ndarray, threads: int = 1) -> int:
+def radon_rank(matrix: np.ndarray) -> int:
     """VC dimension of the threshold topes, minus one."""
-    return vc_dimension(threshold_topes(matrix), threads=threads) - 1
+    return vc_dimension(threshold_topes(matrix)) - 1
 
 
-def vc_rank(matrix: np.ndarray, threads: int = 1) -> int:
+def vc_rank(matrix: np.ndarray) -> int:
     """VC dimension of the difference topes."""
-    return vc_dimension(difference_topes(matrix), threads=threads)
+    return vc_dimension(difference_topes(matrix))

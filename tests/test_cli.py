@@ -86,13 +86,6 @@ def test_analyze_byte_deterministic(runner, tmp_path):
     assert first.output == second.output
 
 
-def test_analyze_threads_do_not_change_output(runner, tmp_path):
-    path = write(tmp_path, "a4.csv", a4_csv())
-    serial = invoke(runner, "analyze", path)
-    parallel = invoke(runner, "analyze", path, "--threads", "4")
-    assert serial.output == parallel.output
-
-
 def test_analyze_format_error_exit_2(runner, tmp_path):
     path = write(tmp_path, "bad.csv", "1,2\n3\n")
     result = runner.invoke(main, ["analyze", path])

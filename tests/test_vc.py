@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorank import (
     DomainError,
     GenericityError,
+    SignVector,
     SignVectorSet,
     difference_topes,
     radon_rank,
@@ -30,6 +33,35 @@ def brute_force_vc(vectors: SignVectorSet) -> int:
             if len({p & mask for p in patterns}) == 1 << k:
                 best = k
     return best
+
+
+def levelwise_vc(vectors: SignVectorSet) -> int:
+    """Reference oracle, level by level: a k-set is tested, by projecting
+    every pattern onto it, only once all its (k-1)-subsets are known
+    shattered and the family has at least 2^k members."""
+    patterns = [v.pos for v in vectors]
+    if not patterns:
+        return 0
+    n = vectors.ground_size
+    shattered = {0}
+    level = [0]
+    dim = 0
+    while len(patterns) >= 1 << (dim + 1):
+        candidates = set()
+        for t in level:
+            for i in range(n):
+                t2 = t | 1 << i
+                subsets = (t2 & ~(1 << j) for j in range(n) if t2 >> j & 1)
+                if t2 != t and all(s in shattered for s in subsets):
+                    candidates.add(t2)
+        size = 1 << (dim + 1)
+        nxt = [t2 for t2 in candidates if len({p & t2 for p in patterns}) == size]
+        if not nxt:
+            break
+        shattered.update(nxt)
+        dim += 1
+        level = nxt
+    return dim
 
 
 def brute_force_shatters(vectors: SignVectorSet, subset) -> bool:
@@ -98,14 +130,46 @@ def test_vc_matches_brute_force_on_random_families():
 
 
 def _zero_free(n, pos, full):
-    from monorank import SignVector
-
     return SignVector(n, pos, full & ~pos)
 
 
-def test_vc_threads_match_serial():
-    topes = threshold_topes(DISTORTION_A)
-    assert vc_dimension(topes, threads=4) == vc_dimension(topes)
+zero_free_families = st.integers(1, 10).flatmap(
+    lambda n: st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=200).map(
+        lambda masks: SignVectorSet(n, [_zero_free(n, p, (1 << n) - 1) for p in masks])
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_free_families)
+def test_vc_matches_levelwise_on_random_families(family):
+    assert vc_dimension(family) == levelwise_vc(family)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("shape", [(5, 7), (9, 9), (12, 10), (16, 16)])
+def test_vc_matches_levelwise_on_matrix_topes(shape, d):
+    m, n = shape
+    for seed in range(3):
+        a = random_representation(m, n, d, seed=seed).matrix
+        for topes in (threshold_topes(a), difference_topes(a)):
+            assert vc_dimension(topes) == levelwise_vc(topes)
+
+
+def test_vc_single_vector_is_zero():
+    assert vc_dimension(SignVectorSet.from_strings(["+-+-+"])) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vc_full_cube_is_n(n):
+    full = (1 << n) - 1
+    cube = SignVectorSet(n, [_zero_free(n, p, full) for p in range(1 << n)])
+    assert vc_dimension(cube) == n
+
+
+def test_vc_rejects_zeros():
+    with pytest.raises(DomainError):
+        vc_dimension(SignVectorSet.from_strings(["++-", "+0-", "--+"]))
 
 
 def test_vc_monotone_under_subsets():
