@@ -57,27 +57,25 @@ def main():
 @click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--complete", "complete_d_max", type=int, default=None,
               help="Also run the completion-rank search up to this rank.")
-@click.option("--d-max", "d_max", type=int, default=None,
-              help="Synonym for --complete (ignored when both are given).")
 @click.option("--svd", is_flag=True, help="Include singular values.")
 @click.option("--topes", is_flag=True, help="Include the tope sets.")
 @click.option("--perturb-ties", "perturb", is_flag=True,
-              help="Break tied column entries by row order (deterministic "
-                   "jitter) instead of failing; exploratory use only.")
+              help="Break tied column entries (at --tol) by row order "
+                   "(deterministic jitter) instead of failing; exploratory "
+                   "use only.")
 @click.option("--tol", type=float, default=0.0, show_default=True,
               help="Tie tolerance for the genericity check.")
 @_handle_errors
-def analyze(matrix_file, complete_d_max, d_max, svd, topes, perturb, tol):
+def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
     matrix = parse_matrix(Path(matrix_file).read_text())
     perturbed = False
     if perturb and not check_generic(matrix, tol).is_generic:
-        matrix = perturb_ties(matrix)
+        matrix = perturb_ties(matrix, tol)
         perturbed = True
-    cap = complete_d_max if complete_d_max is not None else d_max
     rep = report.build_report(
         matrix,
-        complete_d_max=cap,
+        complete_d_max=complete_d_max,
         with_svd=svd,
         with_topes=topes,
         max_ground=_ground_guard(),

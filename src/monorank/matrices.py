@@ -141,18 +141,24 @@ def column_permutations(matrix: np.ndarray) -> list[Permutation]:
     return perms
 
 
-def perturb_ties(matrix: np.ndarray) -> np.ndarray:
-    """Deterministic rank-order jitter: break ties within each column by row
-    index, moving each entry by a negligible fraction of the column's
-    smallest nonzero gap.  For exploratory use only; distinct entries keep
-    their strict order.
+def perturb_ties(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Deterministic tie breaking by row order, for exploratory use only.
+
+    Each column is walked in increasing order, tied entries by row index.
+    An entry within `tol` of the one before it is raised to the next float
+    more than `tol` above it, so the result passes check_generic at `tol`;
+    entries already further apart stay put, and distinct entries keep their
+    strict order.
     """
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
     a = np.asarray(matrix, dtype=float).copy()
-    m, n = a.shape
-    for j in range(n):
+    for j in range(a.shape[1]):
         col = a[:, j]
-        gaps = np.diff(np.unique(col))
-        scale = gaps.min() if gaps.size else max(1.0, abs(col[0]))
-        eps = scale * 1e-9
-        a[:, j] = col + eps * np.arange(m)
+        below = -np.inf
+        for i in np.argsort(col, kind="stable"):
+            x = col[i]
+            while x - below <= tol:
+                x = np.nextafter(max(x, below + tol), np.inf)
+            col[i] = below = x
     return a

@@ -1,10 +1,9 @@
 """Spectral kernels and sign-matrix constructions.
 
-The kernels are deliberately dependency-free: a deterministic power
-iteration for the spectral norm and a one-sided Jacobi sweep for the full
-singular spectrum.  On top of them sit the Forster sign-rank bound, the
-recursive Hadamard family, and the encoding that plants a set of sign
-vectors inside the threshold topes of a small integer matrix.
+The spectral norm and the singular spectrum come from numpy's LAPACK SVD.
+On top of them sit the Forster sign-rank bound, the recursive Hadamard
+family, and the encoding that plants a set of sign vectors inside the
+threshold topes of a small integer matrix.
 """
 
 from __future__ import annotations
@@ -16,82 +15,28 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .signs import SignVectorSet
 
-_POWER_REL_TOL = 1e-12
-_POWER_MAX_ITER = 100_000
-_JACOBI_TOL = 1e-9
-_JACOBI_MAX_SWEEPS = 60
 _HADAMARD_MAX = 20
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value via power iteration on the smaller Gram matrix.
+    """Largest singular value, ``np.linalg.norm(a, 2)`` from LAPACK's SVD.
 
-    The start vector is a deterministic graded ramp rather than all-ones:
-    sign matrices built from a ± pair of vectors have the all-ones vector
-    exactly in the Gram null space, which would stall the iteration.  A
-    start that still lands in the null space is replaced by the first basis
-    vector with a nonzero Gram column.  Converged when successive Rayleigh
-    quotients differ by less than 1e-12 relative.
+    forster_bound divides by this norm, so a value below the true norm
+    would make that bound unsound; the SVD is backward stable and accurate
+    to a few ulps of the norm.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise DomainError("spectral_norm requires a nonempty matrix")
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    k = gram.shape[0]
-    v = 1.0 + np.arange(k) / (2.0 * k)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            live = np.nonzero(np.any(gram != 0.0, axis=0))[0]
-            if live.size == 0:
-                return 0.0
-            w = gram[:, live[0]].copy()
-            norm = float(np.linalg.norm(w))
-        v = w / norm
-        lam_next = float(v @ (gram @ v))
-        if abs(lam_next - lam) <= _POWER_REL_TOL * max(abs(lam_next), 1e-300):
-            lam = lam_next
-            break
-        lam = lam_next
-    return math.sqrt(max(lam, 0.0))
+    return float(np.linalg.norm(a, 2))
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """All min(m, n) singular values, descending, by one-sided Jacobi.
-
-    Column pairs are rotated until every normalized inner product falls
-    below 1e-9; the singular values are then the column norms.
-    """
+    """All min(m, n) singular values, descending, from LAPACK's SVD."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise DomainError("singular_values requires a nonempty matrix")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    a = a.copy()
-    n = a.shape[1]
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci = a[:, i]
-                cj = a[:, j]
-                aa = float(ci @ ci)
-                bb = float(cj @ cj)
-                cc = float(ci @ cj)
-                if aa * bb == 0.0 or abs(cc) <= _JACOBI_TOL * math.sqrt(aa * bb):
-                    continue
-                rotated = True
-                zeta = (bb - aa) / (2.0 * cc)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                a[:, i], a[:, j] = cs * ci - sn * cj, sn * ci + cs * cj
-        if not rotated:
-            break
-    return np.sort(np.linalg.norm(a, axis=0))[::-1]
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def ensure_sign_matrix(matrix: np.ndarray) -> np.ndarray:

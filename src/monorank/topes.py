@@ -39,23 +39,26 @@ def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVecto
 def threshold_topes(matrix: np.ndarray) -> SignVectorSet:
     """All cut vectors of all columns, with negations, deduplicated.
 
-    Thresholds are realized as midpoints between consecutive sorted column
-    entries plus one below the minimum and one above the maximum; any other
-    threshold in the same open gap yields the same vector.
+    Each column is argsorted once.  Starting from the all-+ cut below the
+    minimum, moving the cut past each sorted entry in turn flips that
+    entry's row to -.  These m cuts and their negations (the all-+ cut is
+    the negation of the last) are all of the column's cut vectors: any
+    threshold in the same open gap between consecutive entries yields the
+    same vector.
     """
     a = _require_generic(matrix)
-    m, n = a.shape
-    vecs: list[SignVector] = []
-    for j in range(n):
-        col = np.sort(a[:, j])
-        thetas = [col[0] - 1.0]
-        thetas += [(col[t] + col[t + 1]) / 2.0 for t in range(m - 1)]
-        thetas.append(col[-1] + 1.0)
-        for theta in thetas:
-            v = threshold_vector(a, j + 1, theta)
-            vecs.append(v)
-            vecs.append(-v)
-    return SignVectorSet(m, vecs, negation_closed=True)
+    m = a.shape[0]
+    full = (1 << m) - 1
+    cuts: set[int] = set()
+    for order in np.argsort(a, axis=0).T.tolist():
+        pos = full
+        for i in order:
+            pos ^= 1 << i
+            cuts.add(pos)
+    cuts |= {full ^ pos for pos in cuts}
+    return SignVectorSet(
+        m, (SignVector(m, pos, full ^ pos) for pos in cuts), negation_closed=True
+    )
 
 
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:

@@ -72,13 +72,6 @@ def test_analyze_bound_consistency_invariant(runner, tmp_path):
     assert "singular_values" in report and "threshold_topes" in report
 
 
-def test_analyze_d_max_synonym(runner, tmp_path):
-    path = write(tmp_path, "a4.csv", a4_csv())
-    via_complete = invoke(runner, "analyze", path, "--complete", "3")
-    via_dmax = invoke(runner, "analyze", path, "--d-max", "3")
-    assert via_complete.output == via_dmax.output
-
-
 def test_analyze_byte_deterministic(runner, tmp_path):
     path = write(tmp_path, "a1.csv", a1_csv())
     first = invoke(runner, "analyze", path, "--svd", "--topes")
@@ -106,6 +99,14 @@ def test_analyze_genericity_exit_3(runner, tmp_path):
 def test_analyze_perturb_ties(runner, tmp_path):
     path = write(tmp_path, "tied.csv", "1,1\n1,2\n")
     result = invoke(runner, "analyze", path, "--perturb-ties")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["perturbed_ties"] is True
+
+
+def test_analyze_perturb_ties_at_tolerance(runner, tmp_path):
+    path = write(tmp_path, "near.csv", "1,3\n1.05,2\n2,1\n")
+    assert runner.invoke(main, ["analyze", path, "--tol", "0.1"]).exit_code == 3
+    result = invoke(runner, "analyze", path, "--tol", "0.1", "--perturb-ties")
     assert result.exit_code == 0
     assert json.loads(result.output)["perturbed_ties"] is True
 

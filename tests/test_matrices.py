@@ -118,3 +118,23 @@ def test_perturb_ties_breaks_ties_preserving_order():
     assert fixed[2, 0] > fixed[0, 0] and fixed[0, 1] > fixed[1, 1]
     # ties break upward by row index
     assert fixed[1, 0] > fixed[0, 0]
+
+
+def test_perturb_ties_below_one_ulp_of_a_relative_gap():
+    # the smallest gap is 1 and the entries near 1.6e9, where one ulp is 2.4e-7
+    m = np.array([[1600000000.0], [1600000000.0], [1600000001.0]])
+    fixed = perturb_ties(m)
+    assert check_generic(fixed).is_generic
+    assert fixed[0, 0] < fixed[1, 0] < fixed[2, 0]
+
+
+def test_perturb_ties_separates_near_ties_at_tolerance():
+    m = np.array([[1.0, 4.0], [1.05, 4.0], [1.08, 4.0], [3.0, 0.0]])
+    fixed = perturb_ties(m, tol=0.1)
+    assert check_generic(fixed, tol=0.1).is_generic
+    for j in range(m.shape[1]):
+        assert column_permutations(fixed)[j] == tuple(
+            int(i) + 1 for i in np.argsort(m[:, j], kind="stable")
+        )
+    # entries already more than tol above their predecessor stay put
+    assert fixed[0, 0] == 1.0 and fixed[3, 0] == 3.0 and fixed[3, 1] == 0.0

@@ -7,9 +7,11 @@ from monorank import (
     DomainError,
     ResourceLimitError,
     SignVectorSet,
+    difference_topes,
     encode_signs_as_matrix,
     forster_bound,
     hadamard,
+    random_representation,
     sign_matrix_with_columns,
     sign_matrix_with_rows,
     singular_values,
@@ -60,6 +62,10 @@ def test_singular_values_diagonal():
     assert np.allclose(singular_values(np.diag([3.0, 2.0, 1.0])), [3.0, 2.0, 1.0])
 
 
+def smaller_gram(a: np.ndarray) -> np.ndarray:
+    return a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
+
+
 def test_singular_values_match_numpy_oracle():
     rng = np.random.default_rng(4)
     for _ in range(30):
@@ -70,6 +76,11 @@ def test_singular_values_match_numpy_oracle():
         assert ours.shape == ref.shape
         scale = max(ref[0], 1e-12)
         assert np.max(np.abs(ours - ref)) <= 1e-8 * scale
+        # checks that do not go through an SVD routine
+        assert np.all(np.diff(ours) <= 0)
+        assert np.sum(ours**2) == pytest.approx(np.sum(mat**2), rel=1e-12)
+        eig = np.linalg.eigvalsh(smaller_gram(mat))[::-1]
+        assert np.max(np.abs(ours**2 - eig)) <= 1e-12 * scale**2
 
 
 def test_spectral_norm_matches_max_singular_value():
@@ -78,7 +89,25 @@ def test_spectral_norm_matches_max_singular_value():
         m, n = rng.integers(1, 9, size=2)
         mat = rng.standard_normal((m, n))
         top = singular_values(mat)[0]
-        assert spectral_norm(mat) == pytest.approx(top, rel=1e-8)
+        norm = spectral_norm(mat)
+        assert norm == pytest.approx(top, rel=1e-8)
+        # ||A|| is the largest stretch of any unit vector
+        for v in rng.standard_normal((20, n)):
+            assert np.linalg.norm(mat @ v) <= norm * np.linalg.norm(v) * (1 + 1e-13)
+        assert norm**2 == pytest.approx(np.linalg.eigvalsh(smaller_gram(mat))[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9, 9, 2, 57), (8, 8, 3, 13)])
+def test_tope_matrix_norm_is_not_underestimated(shape):
+    # forster_bound divides by the norm, so it must not come out low;
+    # eigvalsh is a different LAPACK driver from the SVD behind the norm
+    rep = random_representation(*shape)
+    for mat in (
+        sign_matrix_with_columns(threshold_topes(rep.matrix)),
+        sign_matrix_with_rows(difference_topes(rep.matrix)),
+    ):
+        top = np.linalg.eigvalsh(smaller_gram(mat))[-1]
+        assert spectral_norm(mat) ** 2 >= top * (1 - 1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -4,14 +4,48 @@ import pytest
 from monorank import (
     GenericityError,
     SignVector,
+    SignVectorSet,
     column_permutations,
     difference_topes,
     difference_vector,
+    random_representation,
     threshold_topes,
     threshold_vector,
 )
 
 from .fixtures import DIFFERENCE_TOPES_A, DISTORTION_A, THRESHOLD_TOPES_A
+
+
+def midpoint_threshold_topes(matrix: np.ndarray) -> SignVectorSet:
+    """Reference oracle: one threshold_vector per gap of each sorted column,
+    at the midpoint of each pair of consecutive entries plus one below the
+    minimum and one above the maximum."""
+    a = np.asarray(matrix, dtype=float)
+    m, n = a.shape
+    vecs = []
+    for j in range(n):
+        col = np.sort(a[:, j])
+        thetas = [col[0] - 1.0]
+        thetas += [(col[t] + col[t + 1]) / 2.0 for t in range(m - 1)]
+        thetas.append(col[-1] + 1.0)
+        for theta in thetas:
+            v = threshold_vector(a, j + 1, theta)
+            vecs += [v, -v]
+    return SignVectorSet(m, vecs)
+
+
+def test_threshold_topes_match_midpoint_reference():
+    mats = [DISTORTION_A, DISTORTION_A[:1], DISTORTION_A[:, :1]]
+    rng = np.random.default_rng(6)
+    mats += [rng.standard_normal((1, n)) for n in (1, 2, 5)]
+    mats += [rng.standard_normal((m, 1)) for m in (2, 5, 16)]
+    for d in (2, 3, 4):
+        for size in (4, 9, 16):
+            for seed in range(3):
+                mats.append(random_representation(size, size, d, seed).matrix)
+        mats.append(random_representation(16, 7, d, 100 + d).matrix)
+    for mat in mats:
+        assert threshold_topes(mat) == midpoint_threshold_topes(mat)
 
 
 def test_threshold_topes_a1_exact():
