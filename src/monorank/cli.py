@@ -175,7 +175,11 @@ def isrank2(signs_file):
 @click.argument("rank", type=int)
 @_handle_errors
 def complete(signs_file, rank):
-    """Run the uniform completion search at one rank."""
+    """Run the uniform completion search at one rank.
+
+    The JSON carries the outcome and `nodes`, the number of candidate
+    circuits the search placed.
+    """
     vectors = signs.parse_sign_file(Path(signs_file).read_text())
     result = omatroid.uniform_completion(vectors, rank, max_ground=_ground_guard())
     payload: dict = {"rank": rank, "feasible": result.feasible}
@@ -185,6 +189,7 @@ def complete(signs_file, rank):
         payload["violation"] = result.violation.as_dict()
     if result.missing_support is not None:
         payload["missing_support"] = sorted(result.missing_support)
+    payload["nodes"] = result.nodes
     _emit(payload)
 
 

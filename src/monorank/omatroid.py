@@ -14,11 +14,19 @@ Z+ ⊆ (X+ ∪ Y+) \\ e and Z- ⊆ (X- ∪ Y-) \\ e.  For negation-closed sets t
 is equivalent to the one-sided axiom.  Checks are ordered by the support of
 the required eliminant (colexicographically), then by canonical vector
 order, which pins down the reported violation witness deterministically.
+
+Supports are placed in sorted order, so the placed ones are always a
+prefix of the sorted support list.  A check therefore waits in the bucket
+of the last support its eliminant could sit on (its trigger) and fires
+when that support is placed, and the search backtracks through an undo
+log instead of copying its state (see _EliminationScan).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -112,7 +120,7 @@ class CompletionResult:
     feasible implies a witness; infeasible with violation=None and
     missing_support set means some support admitted no potential circuit.
     timed_out marks an exhausted node budget, in which case infeasibility
-    is not certified.
+    is not certified.  nodes counts the candidate circuits placed.
     """
 
     feasible: bool
@@ -120,6 +128,7 @@ class CompletionResult:
     violation: AxiomViolation | None = None
     missing_support: frozenset[int] | None = None
     timed_out: bool = False
+    nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -149,29 +158,59 @@ def potential_circuits(vectors: SignVectorSet, rank: int) -> SignVectorSet:
     _check_topes(vectors)
     if rank + 1 > n:
         raise DomainError(f"support size {rank + 1} exceeds ground set size {n}")
-    members = list(vectors)
     out: list[SignVector] = []
     for support in itertools.combinations(range(n), rank + 1):
-        for v in _support_pair_reps(n, support):
-            if all(v.orthogonal(y) for y in members):
-                out.append(v)
-                out.append(-v)
+        for pair in _orthogonal_pairs(vectors, _mask(support)):
+            out.extend(pair)
     return SignVectorSet(n, out, negation_closed=True)
 
 
-def _support_pair_reps(n: int, support: Sequence[int]) -> Iterable[SignVector]:
-    """One representative per ± pair on the given 0-based support: the sign
-    at the smallest element is fixed to +."""
-    head, *rest = support
-    for bits in range(1 << len(rest)):
-        pos = 1 << head
-        neg = 0
-        for idx, i in enumerate(rest):
-            if bits >> idx & 1:
-                neg |= 1 << i
-            else:
-                pos |= 1 << i
-        yield SignVector(n, pos, neg)
+def _orthogonal_pairs(
+    vectors: SignVectorSet, support: int
+) -> list[tuple[SignVector, SignVector]]:
+    """The ± pairs (v, -v) on the support bitmask that are orthogonal to
+    every member of the zero-free, negation-closed input set, in the order
+    of _support_pairs.
+
+    A vector v on support S fails against a zero-free y exactly when it
+    agrees with y or with -y on all of S.  With -y in the set as well, that
+    is when v+ is the restriction y+ ∩ S of some member y.
+    """
+    taken = {y.pos & support for y in vectors}
+    return [
+        pair
+        for pair in _support_pairs(vectors.ground_size, support)
+        if pair[0].pos not in taken
+    ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _support_pairs(n: int, support: int) -> tuple[tuple[SignVector, SignVector], ...]:
+    """Every ± pair on the support bitmask as (v, -v), v with + at the
+    smallest element, in canonical order of v.
+
+    Cached because the completion search draws every circuit from here:
+    searches on the same ground set then share one object per circuit,
+    and the witnesses they return hold no copies.
+    """
+    head = support & -support
+    rest = support ^ head
+    pairs = []
+    sub = 0
+    while True:
+        pos = head | sub
+        neg = support ^ pos
+        pairs.append((SignVector(n, pos, neg), SignVector(n, neg, pos)))
+        if sub == rest:
+            return tuple(pairs)
+        sub = (sub - rest) & rest  # next subset of rest in increasing order
+
+
+def _mask(elements: Iterable[int]) -> int:
+    mask = 0
+    for i in elements:
+        mask |= 1 << i
+    return mask
 
 
 def _check_topes(vectors: SignVectorSet) -> None:
@@ -186,86 +225,111 @@ def _check_topes(vectors: SignVectorSet) -> None:
 
 
 class _EliminationScan:
-    """Support-by-support C4 scanning with deferred checks.
+    """C4 checks scheduled by the support that decides them, with undo.
 
-    Supports enter in colexicographic order.  When a support's circuits are
-    placed, pairs involving the new circuits are scanned in canonical order;
-    a check fires only once every support that could host the eliminant is
-    present (otherwise it is deferred), so the completion search and the
-    standalone checker report identical first violations.
+    Supports receive one ± pair each, in sorted (colexicographic) order, so
+    the placed supports are always a prefix of `supports`.  A check
+    (X, Y, e) asks for a placed circuit inside its zone (supp X ∪ supp Y)
+    \\ e; it is decisive once every support inside the zone is placed, that
+    is once the prefix reaches the zone's trigger, the index of the largest
+    support inside it.  The trigger and the supports inside are memoised
+    per zone as zones occur.
+
+    Placing a pair scans its checks against the placed circuits in
+    canonical order (X over the pool, Y over the new pair, e ascending).  A
+    decisive check fires at once; any other is filed in the bucket of its
+    trigger.  Then the bucket of the support just placed fires, in filing
+    order.  This fires the same checks in the same order as re-testing
+    every deferred check after each placement, so the first violation is
+    the same, and after the last support every check has fired.
+
+    Circuits are integer keys pos << n | neg: numeric order is the
+    canonical (pos, neg) order, and Z+ ⊆ A+ with Z- ⊆ A- reads
+    z & ~a == 0.  Each placement logs the buckets it filed into; undo()
+    drops the latest placement, its pool entries and those filings, so
+    the completion search backtracks without copying state.
     """
 
     def __init__(self, ground_size: int, supports: Sequence[int]):
-        self.ground_size = ground_size
+        self.n = ground_size
         self.supports = sorted(supports)
-        self.placed_supports: set[int] = set()
-        self.pool: list[SignVector] = []
-        self.deferred: list[tuple[SignVector, SignVector, int]] = []
+        self.placed: list[tuple[int, int]] = []
+        self.pool: list[int] = []
+        self.buckets: list[list[tuple[int, int, int, tuple[int, ...]]]] = [
+            [] for _ in self.supports
+        ]
+        self._filed: list[list[int]] = []
+        self._zones: dict[int, tuple[int, tuple[int, ...]]] = {}
 
-    def snapshot(self):
-        return (set(self.placed_supports), list(self.pool), list(self.deferred))
+    def _zone(self, zone: int) -> tuple[int, tuple[int, ...]]:
+        inside = tuple(i for i, t in enumerate(self.supports) if t & ~zone == 0)
+        entry = (inside[-1] if inside else -1, inside)
+        self._zones[zone] = entry
+        return entry
 
-    def restore(self, state) -> None:
-        self.placed_supports, self.pool, self.deferred = state
+    def _has_eliminant(self, u: int, e: int, inside: tuple[int, ...]) -> bool:
+        """Some placed circuit on a support inside the zone has no sign
+        outside u = X | Y (as keys) and none at e."""
+        forbidden = ~u | e << self.n | e
+        placed = self.placed
+        for i in inside:
+            a, b = placed[i]
+            if not (a & forbidden and b & forbidden):
+                return True
+        return False
 
-    def _decisive(self, x: SignVector, y: SignVector, e_bit: int) -> bool:
-        zone = (x.support_mask | y.support_mask) & ~e_bit
-        return all(
-            t in self.placed_supports for t in self.supports if t & ~zone == 0
-        )
+    def _violation(self, x: int, y: int, e: int) -> AxiomViolation:
+        return AxiomViolation("C4", self._vector(x), self._vector(y), element=e.bit_length())
 
-    def _eliminant_exists(self, x: SignVector, y: SignVector, e_bit: int) -> bool:
-        allowed_pos = (x.pos | y.pos) & ~e_bit
-        allowed_neg = (x.neg | y.neg) & ~e_bit
-        return any(
-            z.pos & ~allowed_pos == 0 and z.neg & ~allowed_neg == 0
-            for z in self.pool
-        )
+    def _vector(self, key: int) -> SignVector:
+        return SignVector(self.n, key >> self.n, key & ((1 << self.n) - 1))
 
-    def _fire(self, x, y, e_bit) -> AxiomViolation | None:
-        if self._eliminant_exists(x, y, e_bit):
-            return None
-        return AxiomViolation("C4", x, y, element=e_bit.bit_length())
-
-    def place(
-        self, support: int, members: Sequence[SignVector]
-    ) -> AxiomViolation | None:
-        """Add a support's circuits; return the first C4 violation, if any."""
-        new = sorted(members, key=SignVector.sort_key)
-        self.pool = sorted(self.pool + new, key=SignVector.sort_key)
-        self.placed_supports.add(support)
-        for x in self.pool:
+    def place(self, rep: SignVector) -> AxiomViolation | None:
+        """Place rep and -rep on the next support; return the first C4
+        violation, if any.  Every call is logged, violation or not."""
+        n = self.n
+        full = (1 << n) - 1
+        k = len(self.placed)
+        a = rep.pos << n | rep.neg
+        b = rep.neg << n | rep.pos
+        new = (a, b) if a < b else (b, a)
+        filed: list[int] = []
+        self._filed.append(filed)
+        self.placed.append(new)
+        pool = self.pool
+        insort(pool, a)
+        insort(pool, b)
+        zones = self._zones
+        buckets = self.buckets
+        for x in pool:
+            if x == a or x == b:
+                continue
             for y in new:
-                if x == y or x == -y:
-                    continue
-                sep = x.separator_mask(y)
+                sep = (x >> n & y) | (x & y >> n)  # X+ ∩ Y- ∪ X- ∩ Y+
+                u = x | y
+                spread = (u >> n | u) & full  # supp X ∪ supp Y
                 while sep:
-                    e_bit = sep & -sep
-                    sep ^= e_bit
-                    if not self._decisive(x, y, e_bit):
-                        self.deferred.append((x, y, e_bit))
+                    e = sep & -sep
+                    sep ^= e
+                    trigger, inside = zones.get(spread ^ e) or self._zone(spread ^ e)
+                    if trigger > k:
+                        buckets[trigger].append((x, y, e, inside))
+                        filed.append(trigger)
                         continue
-                    violation = self._fire(x, y, e_bit)
-                    if violation is not None:
-                        return violation
-        still: list[tuple[SignVector, SignVector, int]] = []
-        for x, y, e_bit in self.deferred:
-            if self._decisive(x, y, e_bit):
-                violation = self._fire(x, y, e_bit)
-                if violation is not None:
-                    return violation
-            else:
-                still.append((x, y, e_bit))
-        self.deferred = still
+                    if not self._has_eliminant(u, e, inside):
+                        return self._violation(x, y, e)
+        for x, y, e, inside in buckets[k]:
+            if not self._has_eliminant(x | y, e, inside):
+                return self._violation(x, y, e)
         return None
 
-    def final_sweep(self) -> AxiomViolation | None:
-        for x, y, e_bit in self.deferred:
-            violation = self._fire(x, y, e_bit)
-            if violation is not None:
-                return violation
-        self.deferred = []
-        return None
+    def undo(self) -> None:
+        """Drop the latest placement and everything it filed."""
+        for trigger in self._filed.pop():
+            self.buckets[trigger].pop()
+        pool = self.pool
+        for key in self.placed.pop():
+            del pool[bisect_left(pool, key)]
 
 
 def check_circuit_axioms(
@@ -287,24 +351,21 @@ def check_circuit_axioms(
         if -v not in index:
             return AxiomReport(False, AxiomViolation("C2", v))
     ordered = sorted(index, key=SignVector.sort_key)
-    for i, x in enumerate(ordered):
-        for y in ordered[i + 1 :]:
-            if x == -y:
-                continue
-            sx, sy = x.support_mask, y.support_mask
-            if sx & ~sy == 0 or sy & ~sx == 0:
-                return AxiomReport(False, AxiomViolation("C3", x, y))
-    by_support: dict[int, list[SignVector]] = {}
+    masks = [(v.pos, v.neg, v.support_mask) for v in ordered]
+    for i, (xp, xn, sx) in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            yp, yn, sy = masks[j]
+            if (sx & ~sy == 0 or sy & ~sx == 0) and (xp != yn or xn != yp):
+                return AxiomReport(False, AxiomViolation("C3", ordered[i], ordered[j]))
+    # after C1-C3 every support carries exactly one ± pair
+    by_support: dict[int, SignVector] = {}
     for v in ordered:
-        by_support.setdefault(v.support_mask, []).append(v)
+        by_support.setdefault(v.support_mask, v)
     scan = _EliminationScan(ground, list(by_support))
     for support in scan.supports:
-        violation = scan.place(support, by_support[support])
+        violation = scan.place(by_support[support])
         if violation is not None:
             return AxiomReport(False, violation)
-    violation = scan.final_sweep()
-    if violation is not None:
-        return AxiomReport(False, violation)
     return AxiomReport(True, None)
 
 
@@ -326,6 +387,10 @@ def uniform_completion(
     circuits; C1-C3 hold by construction and C4 is enforced incrementally.
     A support with no potential circuit makes completion immediately
     infeasible.  Infeasible results carry the first C4 violation seen.
+
+    The search is depth first over the supports in sorted order, on an
+    explicit stack of candidate positions, so its depth is not bounded by
+    the interpreter's recursion limit.
     """
     n = vectors.ground_size
     _check_topes(vectors)
@@ -335,75 +400,54 @@ def uniform_completion(
         )
     if not 1 <= rank <= n - 1:
         raise DomainError(f"completion rank must be in [1, {n - 1}], got {rank}")
-    members = list(vectors)
-    supports: list[int] = []
-    candidates: dict[int, list[SignVector]] = {}
+    candidates: dict[int, list[tuple[SignVector, SignVector]]] = {}
     for support in itertools.combinations(range(n), rank + 1):
-        mask = 0
-        for i in support:
-            mask |= 1 << i
-        reps = [
-            v
-            for v in _support_pair_reps(n, support)
-            if all(v.orthogonal(y) for y in members)
-        ]
-        if not reps:
+        mask = _mask(support)
+        pairs = _orthogonal_pairs(vectors, mask)
+        if not pairs:
             return CompletionResult(
                 feasible=False,
                 missing_support=frozenset(i + 1 for i in support),
             )
-        supports.append(mask)
-        candidates[mask] = sorted(
-            (SignVector(n, v.pos, v.neg) for v in reps), key=SignVector.sort_key
-        )
-    supports.sort()
-    scan = _EliminationScan(n, supports)
-    first_violation: list[AxiomViolation | None] = [None]
-    nodes = [0]
-
-    def place(k: int) -> bool:
-        if k == len(supports):
-            state = scan.snapshot()
-            violation = scan.final_sweep()
-            if violation is None:
-                return True
-            if first_violation[0] is None:
-                first_violation[0] = violation
-            scan.restore(state)
-            return False
-        support = supports[k]
-        for rep in candidates[support]:
-            nodes[0] += 1
-            if max_nodes is not None and nodes[0] > max_nodes:
-                raise _NodeBudget
-            state = scan.snapshot()
-            violation = scan.place(support, [rep, -rep])
-            if violation is None:
-                if place(k + 1):
-                    return True
-            elif first_violation[0] is None:
-                first_violation[0] = violation
-            scan.restore(state)
-        return False
-
-    try:
-        feasible = place(0)
-    except _NodeBudget:
-        return CompletionResult(feasible=False, timed_out=True)
-    if not feasible:
-        return CompletionResult(feasible=False, violation=first_violation[0])
+        candidates[mask] = pairs
+    scan = _EliminationScan(n, list(candidates))
+    choices = [candidates[support] for support in scan.supports]
+    first_violation: AxiomViolation | None = None
+    nodes = 0
+    # tried[k]: how many candidates of support k the current branch has tried
+    tried = [0] * len(choices)
+    k = 0
+    while k < len(choices):
+        if tried[k] == len(choices[k]):
+            if k == 0:
+                return CompletionResult(
+                    feasible=False, violation=first_violation, nodes=nodes
+                )
+            tried[k] = 0
+            k -= 1
+            scan.undo()
+            continue
+        if max_nodes is not None and nodes >= max_nodes:
+            return CompletionResult(feasible=False, timed_out=True, nodes=nodes)
+        nodes += 1
+        violation = scan.place(choices[k][tried[k]][0])
+        tried[k] += 1
+        if violation is None:
+            k += 1
+            continue
+        if first_violation is None:
+            first_violation = violation
+        scan.undo()
+    placed = [v for pairs, i in zip(choices, tried) for v in pairs[i - 1]]
     witness = CircuitCandidateSet(
         ground_size=n,
-        circuits=SignVectorSet(n, scan.pool, negation_closed=True),
+        circuits=SignVectorSet(n, placed, negation_closed=True),
         uniform_rank=rank,
     )
+    members = list(vectors)
     assert all(c.orthogonal(y) for c in witness for y in members)
     assert check_circuit_axioms(witness).ok
-    return CompletionResult(feasible=True, witness=witness)
-
-
-class _NodeBudget(Exception):
-    pass
+    return CompletionResult(feasible=True, witness=witness, nodes=nodes)
 
 
 def om_rank_lower_bound(
@@ -460,18 +504,36 @@ def om_completion_rank_of_matrix(
 ) -> MatrixCompletionRank:
     from .topes import difference_topes, threshold_topes
 
-    thresh = om_rank_lower_bound(
-        threshold_topes(matrix), d_max + 1, max_ground=max_ground, max_nodes=max_nodes
+    return _completion_rank_of_topes(
+        threshold_topes(matrix),
+        difference_topes(matrix),
+        d_max,
+        max_ground=max_ground,
+        max_nodes=max_nodes,
     )
-    diff = om_rank_lower_bound(
-        difference_topes(matrix), d_max, max_ground=max_ground, max_nodes=max_nodes
+
+
+def _completion_rank_of_topes(
+    thresh: SignVectorSet,
+    diff: SignVectorSet,
+    d_max: int,
+    *,
+    max_ground: int = DEFAULT_GROUND_GUARD,
+    max_nodes: int | None = None,
+) -> MatrixCompletionRank:
+    """om_completion_rank_of_matrix from a matrix's threshold and difference
+    topes, for callers that have built them already."""
+    thresh_bound = om_rank_lower_bound(
+        thresh, d_max + 1, max_ground=max_ground, max_nodes=max_nodes
     )
-    value = max(diff.value, thresh.value - 1)
+    diff_bound = om_rank_lower_bound(
+        diff, d_max, max_ground=max_ground, max_nodes=max_nodes
+    )
     return MatrixCompletionRank(
-        value=value,
-        exceeds=thresh.exceeds or diff.exceeds,
-        threshold=thresh,
-        difference=diff,
+        value=max(diff_bound.value, thresh_bound.value - 1),
+        exceeds=thresh_bound.exceeds or diff_bound.exceeds,
+        threshold=thresh_bound,
+        difference=diff_bound,
     )
 
 

@@ -21,8 +21,8 @@ from .omatroid import (
     DEFAULT_GROUND_GUARD,
     MatrixCompletionRank,
     OmRankBound,
+    _completion_rank_of_topes,
     is_rank2_topes,
-    om_completion_rank_of_matrix,
 )
 from .signs import SignVectorSet
 from .spectral import (
@@ -31,7 +31,7 @@ from .spectral import (
     sign_matrix_with_rows,
     singular_values,
 )
-from .topes import difference_topes, threshold_topes
+from .topes import _difference_topes, _threshold_topes
 from .vc import vc_dimension
 
 _CEIL_GUARD = 1e-6
@@ -129,8 +129,8 @@ def build_report(
     ties = check_generic(a, tie_tolerance)
     if not ties.is_generic:
         raise GenericityError(ties.describe(), ties=ties.ties)
-    thresh = threshold_topes(a)
-    diff = difference_topes(a)
+    thresh = _threshold_topes(a)
+    diff = _difference_topes(a)
     radon = vc_dimension(thresh) - 1
     vcr = vc_dimension(diff)
     f_thresh = forster_bound(sign_matrix_with_columns(thresh))
@@ -138,8 +138,8 @@ def build_report(
     rank2 = is_rank2_topes(diff) if len(diff) else True
     completion = None
     if complete_d_max is not None:
-        completion = om_completion_rank_of_matrix(
-            a, complete_d_max, max_ground=max_ground
+        completion = _completion_rank_of_topes(
+            thresh, diff, complete_d_max, max_ground=max_ground
         )
     candidates = [
         radon,

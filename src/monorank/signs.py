@@ -11,6 +11,7 @@ Text form: one character per entry, '+', '-' or '0', no separators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, FormatError
@@ -114,10 +115,10 @@ class SignVector:
         """True iff supports are disjoint, or the vectors both agree and
         oppose somewhere on the common support."""
         _check_lengths(self, other)
-        if not self.support_mask & other.support_mask:
+        sp, sn, op, on = self.pos, self.neg, other.pos, other.neg
+        if not (sp | sn) & (op | on):
             return True
-        agree = (self.pos & other.pos) | (self.neg & other.neg)
-        return bool(agree) and bool(self.separator_mask(other))
+        return bool((sp & op) | (sn & on)) and bool((sp & on) | (sn & op))
 
     def restrict_mask(self, mask: int) -> tuple[int, int]:
         """(pos, neg) masked to the given element bitmask."""
@@ -195,7 +196,7 @@ class SignVectorSet:
     serialized output is deterministic.
     """
 
-    __slots__ = ("ground_size", "_members", "_index")
+    __slots__ = ("ground_size", "_members")
 
     def __init__(
         self,
@@ -212,8 +213,7 @@ class SignVectorSet:
             seen.add(v)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "_members", tuple(sorted(seen, key=SignVector.sort_key)))
-        object.__setattr__(self, "_index", frozenset(seen))
-        if negation_closed and not self.is_negation_closed():
+        if negation_closed and not all(-v in seen for v in seen):
             raise ValueError("set declared negation-closed but is not")
 
     def __setattr__(self, name, value):
@@ -234,8 +234,12 @@ class SignVectorSet:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __contains__(self, v: SignVector) -> bool:
-        return v in self._index
+    def __contains__(self, v: object) -> bool:
+        if not isinstance(v, SignVector):
+            return False
+        members = self._members
+        i = bisect_left(members, v.sort_key(), key=SignVector.sort_key)
+        return i < len(members) and members[i] == v
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,7 +263,8 @@ class SignVectorSet:
         return SignVectorSet(self.ground_size, (*self._members, *extra))
 
     def is_negation_closed(self) -> bool:
-        return all(-v in self._index for v in self._members)
+        members = set(self._members)
+        return all(-v in members for v in members)
 
     def is_zero_free(self) -> bool:
         return all(v.is_zero_free() for v in self._members)

@@ -46,7 +46,11 @@ def threshold_topes(matrix: np.ndarray) -> SignVectorSet:
     threshold in the same open gap between consecutive entries yields the
     same vector.
     """
-    a = _require_generic(matrix)
+    return _threshold_topes(_require_generic(matrix))
+
+
+def _threshold_topes(a: np.ndarray) -> SignVectorSet:
+    """threshold_topes of a float matrix already checked to be generic."""
     m = a.shape[0]
     full = (1 << m) - 1
     cuts: set[int] = set()
@@ -81,7 +85,11 @@ def difference_topes(matrix: np.ndarray) -> SignVectorSet:
     Negation-closed by construction (swapping the pair negates the vector).
     A single-row matrix yields the empty set.
     """
-    a = _require_generic(matrix)
+    return _difference_topes(_require_generic(matrix))
+
+
+def _difference_topes(a: np.ndarray) -> SignVectorSet:
+    """difference_topes of a float matrix already checked to be generic."""
     m, n = a.shape
     vecs: list[SignVector] = []
     for i in range(1, m + 1):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from monorank import parse_matrix
+from monorank import parse_matrix, threshold_topes
 from monorank.cli import main
 
-from .fixtures import RANK2_CYCLE, RANK3_REJECT, a1_csv, a4_csv
+from .fixtures import RAD_STRICT, RANK2_CYCLE, RANK3_REJECT, a1_csv, a4_csv
 
 
 @pytest.fixture
@@ -179,6 +179,21 @@ def test_complete_command_infeasible(runner, tmp_path):
     path = write(tmp_path, "s52.txt", "\n".join(RANK3_REJECT.strings()) + "\n")
     payload = json.loads(invoke(runner, "complete", path, "2").output)
     assert payload["feasible"] is False
+
+
+def test_complete_command_reports_nodes(runner, tmp_path):
+    path = write(tmp_path, "s7.txt", "\n".join(RANK2_CYCLE.strings()) + "\n")
+    payload = json.loads(invoke(runner, "complete", path, "2").output)
+    assert payload["nodes"] == 1
+    path = write(tmp_path, "a4.txt", "\n".join(threshold_topes(RAD_STRICT).strings()) + "\n")
+    payload = json.loads(invoke(runner, "complete", path, "3").output)
+    assert payload["feasible"] is False and payload["nodes"] == 3
+
+
+def test_analyze_report_has_no_node_counts(runner, tmp_path):
+    path = write(tmp_path, "a4.csv", a4_csv())
+    text = invoke(runner, "analyze", path, "--complete", "3").output
+    assert "nodes" not in text
 
 
 def test_encode_command_json_report(runner, tmp_path):

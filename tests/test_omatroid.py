@@ -1,9 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from monorank import (
+    AxiomReport,
+    AxiomViolation,
+    CircuitCandidateSet,
+    CompletionResult,
     DomainError,
     PointArrangement,
     ResourceLimitError,
@@ -309,3 +314,421 @@ def test_is_rank2_linear_scaling(monkeypatch):
     double_n = measure(1000, 400)
     assert 1.0 <= double_m / base <= 3.0
     assert double_n == base
+
+
+# -- reference scan (test oracle) ---------------------------------------------
+# The snapshot-based scan and the recursive search that the trigger-bucket
+# scan and the iterative search replaced.  Decisiveness scans every support,
+# every deferred check is re-tested after each placement, and backtracking
+# restores copies of the whole state.  The library must report exactly what
+# these report.
+
+
+class ReferenceScan:
+    def __init__(self, ground_size, supports):
+        self.ground_size = ground_size
+        self.supports = sorted(supports)
+        self.placed_supports = set()
+        self.pool = []
+        self.deferred = []
+
+    def snapshot(self):
+        return (set(self.placed_supports), list(self.pool), list(self.deferred))
+
+    def restore(self, state):
+        self.placed_supports, self.pool, self.deferred = state
+
+    def _decisive(self, x, y, e_bit):
+        zone = (x.support_mask | y.support_mask) & ~e_bit
+        return all(t in self.placed_supports for t in self.supports if t & ~zone == 0)
+
+    def _fire(self, x, y, e_bit):
+        allowed_pos = (x.pos | y.pos) & ~e_bit
+        allowed_neg = (x.neg | y.neg) & ~e_bit
+        if any(
+            z.pos & ~allowed_pos == 0 and z.neg & ~allowed_neg == 0 for z in self.pool
+        ):
+            return None
+        return AxiomViolation("C4", x, y, element=e_bit.bit_length())
+
+    def place(self, support, members):
+        new = sorted(members, key=SignVector.sort_key)
+        self.pool = sorted(self.pool + new, key=SignVector.sort_key)
+        self.placed_supports.add(support)
+        for x in self.pool:
+            for y in new:
+                if x == y or x == -y:
+                    continue
+                sep = x.separator_mask(y)
+                while sep:
+                    e_bit = sep & -sep
+                    sep ^= e_bit
+                    if not self._decisive(x, y, e_bit):
+                        self.deferred.append((x, y, e_bit))
+                        continue
+                    violation = self._fire(x, y, e_bit)
+                    if violation is not None:
+                        return violation
+        still = []
+        for x, y, e_bit in self.deferred:
+            if self._decisive(x, y, e_bit):
+                violation = self._fire(x, y, e_bit)
+                if violation is not None:
+                    return violation
+            else:
+                still.append((x, y, e_bit))
+        self.deferred = still
+        return None
+
+    def final_sweep(self):
+        for x, y, e_bit in self.deferred:
+            violation = self._fire(x, y, e_bit)
+            if violation is not None:
+                return violation
+        self.deferred = []
+        return None
+
+
+def reference_check_circuit_axioms(circuits):
+    members = list(circuits)
+    for v in members:
+        if v.support_mask == 0:
+            return AxiomReport(False, AxiomViolation("C1", v))
+    index = set(members)
+    for v in members:
+        if -v not in index:
+            return AxiomReport(False, AxiomViolation("C2", v))
+    ordered = sorted(index, key=SignVector.sort_key)
+    for i, x in enumerate(ordered):
+        for y in ordered[i + 1 :]:
+            if x == -y:
+                continue
+            sx, sy = x.support_mask, y.support_mask
+            if sx & ~sy == 0 or sy & ~sx == 0:
+                return AxiomReport(False, AxiomViolation("C3", x, y))
+    by_support = {}
+    for v in ordered:
+        by_support.setdefault(v.support_mask, []).append(v)
+    scan = ReferenceScan(circuits.ground_size, list(by_support))
+    for support in scan.supports:
+        violation = scan.place(support, by_support[support])
+        if violation is not None:
+            return AxiomReport(False, violation)
+    violation = scan.final_sweep()
+    if violation is not None:
+        return AxiomReport(False, violation)
+    return AxiomReport(True, None)
+
+
+def support_pair_reps(n, support):
+    """One vector per ± pair on a 0-based support, + at its smallest element."""
+    head, *rest = support
+    for bits in range(1 << len(rest)):
+        pos, neg = 1 << head, 0
+        for idx, i in enumerate(rest):
+            if bits >> idx & 1:
+                neg |= 1 << i
+            else:
+                pos |= 1 << i
+        yield SignVector(n, pos, neg)
+
+
+def orthogonal_candidates(vectors, rank):
+    """(support mask, 0-based support, sorted orthogonal reps) per (rank+1)-
+    support in combinations order, by pairwise orthogonality."""
+    n = vectors.ground_size
+    members = list(vectors)
+    out = []
+    for support in itertools.combinations(range(n), rank + 1):
+        reps = [
+            v for v in support_pair_reps(n, support)
+            if all(v.orthogonal(y) for y in members)
+        ]
+        mask = sum(1 << i for i in support)
+        out.append((mask, support, sorted(reps, key=SignVector.sort_key)))
+    return out
+
+
+def reference_uniform_completion(vectors, rank, max_nodes=None):
+    n = vectors.ground_size
+    candidates = {}
+    for mask, support, reps in orthogonal_candidates(vectors, rank):
+        if not reps:
+            return CompletionResult(
+                feasible=False, missing_support=frozenset(i + 1 for i in support)
+            )
+        candidates[mask] = reps
+    supports = sorted(candidates)
+    scan = ReferenceScan(n, supports)
+    first_violation = [None]
+    nodes = [0]
+
+    class Budget(Exception):
+        pass
+
+    def place(k):
+        if k == len(supports):
+            state = scan.snapshot()
+            violation = scan.final_sweep()
+            if violation is None:
+                return True
+            if first_violation[0] is None:
+                first_violation[0] = violation
+            scan.restore(state)
+            return False
+        support = supports[k]
+        for rep in candidates[support]:
+            if max_nodes is not None and nodes[0] >= max_nodes:
+                raise Budget
+            nodes[0] += 1
+            state = scan.snapshot()
+            violation = scan.place(support, [rep, -rep])
+            if violation is None:
+                if place(k + 1):
+                    return True
+            elif first_violation[0] is None:
+                first_violation[0] = violation
+            scan.restore(state)
+        return False
+
+    try:
+        feasible = place(0)
+    except Budget:
+        return CompletionResult(feasible=False, timed_out=True, nodes=nodes[0])
+    if not feasible:
+        return CompletionResult(feasible=False, violation=first_violation[0], nodes=nodes[0])
+    witness = CircuitCandidateSet(
+        n, SignVectorSet(n, scan.pool, negation_closed=True), uniform_rank=rank
+    )
+    return CompletionResult(feasible=True, witness=witness, nodes=nodes[0])
+
+
+def summary(result):
+    return {
+        "feasible": result.feasible,
+        "timed_out": result.timed_out,
+        "witness": result.witness.circuits.strings() if result.witness else None,
+        "violation": result.violation.as_dict() if result.violation else None,
+        "missing_support": result.missing_support,
+        "nodes": result.nodes,
+    }
+
+
+def random_sign_set(rng, n, pairs):
+    """`pairs` distinct ± pairs of zero-free vectors on n elements."""
+    full = (1 << n) - 1
+    reps = rng.choice(1 << (n - 1), size=pairs, replace=False)
+    vecs = []
+    for pos in (int(p) for p in reps):
+        vecs += [SignVector(n, pos, full & ~pos), SignVector(n, full & ~pos, pos)]
+    return SignVectorSet(n, vecs, negation_closed=True)
+
+
+def outcome_kind(result):
+    if result.timed_out:
+        return "timed_out"
+    if result.feasible:
+        return "feasible"
+    return "missing_support" if result.missing_support is not None else "C4"
+
+
+def test_completion_matches_reference_scan_on_random_sets():
+    rng = np.random.default_rng(41)
+    cases = [
+        (n, rank, pairs)
+        for n in range(4, 8)
+        for rank in range(1, min(4, n - 1) + 1)
+        for pairs in (1, 2, 3, 4, 5, 6, 8) * 2
+        if pairs <= 1 << (n - 1)
+    ]
+    # the strata that end in C4 violations after backtracking most often
+    cases += [(n, 2, 3) for n in (5, 6, 7)] * 4 + [(7, 3, 8)] * 4
+    kinds = []
+    for n, rank, pairs in cases:
+        sset = random_sign_set(rng, n, pairs)
+        got = uniform_completion(sset, rank, max_nodes=100)
+        want = reference_uniform_completion(sset, rank, max_nodes=100)
+        assert summary(got) == summary(want), (n, rank, sset.strings())
+        kinds.append(outcome_kind(got))
+    assert set(kinds) == {"feasible", "C4", "missing_support", "timed_out"}
+    assert kinds.count("C4") >= 8
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        threshold_topes(RAD_STRICT),
+        difference_topes(RAD_STRICT),
+        RANK2_CYCLE,
+        RANK3_REJECT,
+        full_cube(3),
+        SignVectorSet.from_strings(["+++++", "-----"]),
+    ],
+    ids=["rad_strict_thresh", "rad_strict_diff", "rank2_cycle", "rank3_reject",
+         "cube3", "constant_pair"],
+)
+def test_completion_matches_reference_scan_on_examples(vectors):
+    for rank in range(1, vectors.ground_size):
+        got = uniform_completion(vectors, rank)
+        assert summary(got) == summary(reference_uniform_completion(vectors, rank))
+
+
+def test_completion_matches_reference_scan_on_matrix_topes():
+    from .fixtures import DISTORTION_A, DISTORTION_B
+
+    mats = [DISTORTION_A, DISTORTION_B]
+    mats += [random_representation(6, 6, d, seed=s).matrix for d in (2, 3) for s in (1, 2)]
+    for a in mats:
+        for topes in (threshold_topes(a), difference_topes(a)):
+            for rank in range(1, min(4, topes.ground_size - 1) + 1):
+                got = uniform_completion(topes, rank)
+                assert summary(got) == summary(reference_uniform_completion(topes, rank))
+
+
+def random_uniform_selection(rng, n, rank):
+    """One random ± pair on every (rank+1)-support."""
+    vecs = []
+    for support in itertools.combinations(range(n), rank + 1):
+        reps = list(support_pair_reps(n, support))
+        v = reps[rng.integers(len(reps))]
+        vecs += [v, -v]
+    return SignVectorSet(n, vecs, negation_closed=True)
+
+
+def random_antichain_circuits(rng, n):
+    """Random ± pairs on an antichain of supports of mixed sizes."""
+    supports = []
+    for mask in rng.permutation(np.arange(1, 1 << n)).tolist():
+        if all(mask & ~t and t & ~mask for t in supports):
+            supports.append(mask)
+        if len(supports) >= 2 * n:
+            break
+    vecs = []
+    for mask in supports:
+        neg = mask & int(rng.integers(0, 1 << n))
+        v = SignVector(n, mask & ~neg, neg)
+        vecs += [v, -v]
+    return SignVectorSet(n, vecs, negation_closed=True)
+
+
+def test_axiom_check_matches_reference_scan():
+    rng = np.random.default_rng(5)
+    sets = []
+    for n in range(3, 8):
+        for rank in range(1, min(4, n - 1) + 1):
+            sets += [random_uniform_selection(rng, n, rank) for _ in range(4)]
+            sets.append(potential_circuits(random_sign_set(rng, n, 2), rank))
+        sets += [random_antichain_circuits(rng, n) for _ in range(6)]
+    for sset in list(sets[::7]):
+        members = list(sset)
+        if members:
+            sets.append(SignVectorSet(sset.ground_size, members[1:]))
+            sets.append(sset.with_members([SignVector(sset.ground_size, 0, 0)]))
+    for n, rank, pairs in ((6, 2, 2), (7, 3, 3), (7, 4, 4), (5, 2, 1)):
+        result = uniform_completion(random_sign_set(rng, n, pairs), rank)
+        assert result.feasible
+        sets.append(result.witness.circuits)
+    axioms = []
+    for sset in sets:
+        got = check_circuit_axioms(sset)
+        want = reference_check_circuit_axioms(sset)
+        assert got.ok == want.ok
+        assert (got.violation and got.violation.as_dict()) == (
+            want.violation and want.violation.as_dict()
+        ), sset.strings()
+        axioms.append(got.violation.axiom if got.violation else "ok")
+    assert {"ok", "C1", "C2", "C3", "C4"} <= set(axioms)
+
+
+def brute_force_completion(vectors, rank):
+    """The first choice of one orthogonal pair per support, in sorted
+    support order and canonical candidate order, that passes
+    check_circuit_axioms; None if none does."""
+    n = vectors.ground_size
+    by_support = sorted(
+        (mask, reps) for mask, _, reps in orthogonal_candidates(vectors, rank)
+    )
+    for choice in itertools.product(*(reps for _, reps in by_support)):
+        circuits = SignVectorSet(n, [u for v in choice for u in (v, -v)])
+        if check_circuit_axioms(circuits).ok:
+            return circuits
+    return None
+
+
+def test_completion_matches_brute_force_for_small_ground_sets():
+    rng = np.random.default_rng(17)
+    checked = feasible = 0
+    for n in (3, 4, 5):
+        for rank in range(1, n):
+            for pairs in range(1, min(6, 1 << (n - 1)) + 1):
+                sset = random_sign_set(rng, n, pairs)
+                sizes = [len(reps) for _, _, reps in orthogonal_candidates(sset, rank)]
+                if math.prod(sizes) > 4096:
+                    continue
+                witness = brute_force_completion(sset, rank)
+                result = uniform_completion(sset, rank)
+                assert result.feasible == (witness is not None), (rank, sset.strings())
+                if witness is not None:
+                    # depth-first order finds the first passing choice
+                    assert result.witness.circuits == witness
+                    feasible += 1
+                checked += 1
+    assert checked >= 40 and 0 < feasible < checked
+
+
+def test_completion_search_is_not_bounded_by_recursion_limit():
+    # 126 supports of size 4 on 9 elements: a recursive search would need
+    # more than 126 frames beyond the current depth
+    import inspect
+    import sys
+
+    vectors = SignVectorSet.from_strings(["+" * 9, "-" * 9])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        result = uniform_completion(vectors, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.feasible
+    assert len({c.support_mask for c in result.witness}) == math.comb(9, 4)
+
+
+def test_completion_counts_nodes():
+    # RANK2_CYCLE places one candidate per support with no backtracking
+    result = uniform_completion(RANK2_CYCLE, 2)
+    assert result.nodes == 1
+    assert uniform_completion(full_cube(3), 2).nodes == 0
+    # RAD_STRICT at rank 3 tries three candidates before its C4 violation;
+    # a budget of exactly three nodes is enough, two is not
+    topes = threshold_topes(RAD_STRICT)
+    full = uniform_completion(topes, 3)
+    assert full.violation is not None and full.nodes == 3
+    assert uniform_completion(topes, 3, max_nodes=3) == full
+    short = uniform_completion(topes, 3, max_nodes=2)
+    assert short.timed_out and short.violation is None and short.nodes == 2
+
+
+def test_report_completion_matches_matrix_completion():
+    from monorank import build_report
+
+    for a in (RAD_STRICT, random_representation(6, 5, 2, seed=3).matrix):
+        report = build_report(a, complete_d_max=3)
+        assert report.om_completion == om_completion_rank_of_matrix(a, 3)
+
+
+def test_report_checks_genericity_once(monkeypatch):
+    import monorank.report
+    import monorank.topes
+    from monorank import build_report
+
+    calls = []
+    for module in (monorank.report, monorank.topes):
+        original = module.check_generic
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "check_generic", counted)
+    build_report(RAD_STRICT, complete_d_max=3)
+    assert len(calls) == 1

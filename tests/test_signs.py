@@ -99,6 +99,14 @@ def test_orthogonality_symmetries(pair):
     assert x.orthogonal(y) == y.orthogonal(x) == (-x).orthogonal(y)
 
 
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(sign_vectors(n), sign_vectors(n))))
+def test_orthogonality_matches_entrywise_definition(pair):
+    # orthogonal iff the entrywise products are all 0, or include both +1 and -1
+    x, y = pair
+    products = {x.sign(i) * y.sign(i) for i in range(1, len(x) + 1)}
+    assert x.orthogonal(y) == (products <= {0} or {1, -1} <= products)
+
+
 @given(
     st.integers(1, 7).flatmap(
         lambda n: st.tuples(sign_vectors(n), sign_vectors(n), sign_vectors(n))
@@ -125,6 +133,41 @@ def test_negation_closed_flag_verified():
     with pytest.raises(ValueError):
         SignVectorSet(2, [sv("+-")], negation_closed=True)
     SignVectorSet(2, [sv("+-"), sv("-+")], negation_closed=True)
+
+
+def test_set_membership_non_member():
+    sset = SignVectorSet.from_strings(["+-0", "-+0", "++-"])
+    assert sv("+-0") in sset and sv("++-") in sset
+    assert sv("--+") not in sset
+    assert sv("+-+") not in sset
+    assert "+-0" not in sset
+
+
+def test_set_membership_other_length():
+    # the same (pos, neg) masks on a longer vector are a different vector
+    sset = SignVectorSet.from_strings(["+-", "-+"])
+    assert SignVector(2, 1, 2) in sset
+    assert SignVector(3, 1, 2) not in sset
+    assert SignVector(1, 1, 0) not in sset
+
+
+def test_set_membership_empty():
+    empty = SignVectorSet(3, [])
+    assert sv("+-0") not in empty
+    assert empty.is_negation_closed()
+    assert SignVectorSet(3, [], negation_closed=True) == empty
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(sign_vectors(n), max_size=12)))
+def test_set_membership_matches_list(vectors):
+    n = vectors[0].length if vectors else 1
+    sset = SignVectorSet(n, vectors)
+    full = (1 << n) - 1
+    for pos in range(1 << n):
+        for neg in (0, full & ~pos):
+            v = SignVector(n, pos, neg)
+            assert (v in sset) == (v in vectors)
+    assert sset.is_negation_closed() == all(-v in vectors for v in vectors)
 
 
 def test_length_mismatch_in_set():
