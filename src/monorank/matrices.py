@@ -97,19 +97,25 @@ class TieReport:
 
 
 def check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
-    """Scan every column for entry pairs with |a_ij - a_kj| <= tol."""
+    """Scan every column for entry pairs with |a_ij - a_kj| <= tol.
+
+    One sort of all columns gives the adjacent gaps; a column holds a tie
+    iff one of its sorted adjacent gaps is <= tol, since every wider pair
+    spans one of them.  Tied pairs are listed only for those columns.
+    """
     a = np.asarray(matrix, dtype=float)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     m, n = a.shape
+    s = np.sort(a, axis=0)
     ties = []
-    for j in range(n):
+    for j in np.flatnonzero((s[1:] - s[:-1] <= tol).any(axis=0)).tolist():
         col = a[:, j]
-        order = np.argsort(col, kind="stable")
-        # sorted adjacent scan finds all tied pairs at tol=0; for tol>0 widen
+        rows = np.argsort(col, kind="stable").tolist()
+        # every pair within tol of a sorted entry follows it in the sort
         for ai in range(m):
             for ak in range(ai + 1, m):
-                i, k = int(order[ai]), int(order[ak])
+                i, k = rows[ai], rows[ak]
                 if abs(col[k] - col[i]) <= tol:
                     ties.append((j + 1, min(i, k) + 1, max(i, k) + 1))
                 else:

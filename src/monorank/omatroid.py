@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .signs import SignVector, SignVectorSet
+from .signs import SignVector, SignVectorSet, _negation_closure
 
 DEFAULT_GROUND_GUARD = 10
 DEFAULT_RANK_GUARD = 4
@@ -543,32 +543,37 @@ def _completion_rank_of_topes(
 
 def is_rank2_topes(vectors: SignVectorSet) -> bool:
     """Decide whether some rank-two oriented matroid contains every given
-    zero-free vector among its topes, in O(mn) time.
-
-    The topes of a rank-two matroid sit in a circular order in which each
-    coordinate flips exactly once per half-turn.  Starting from the
-    canonically smallest vector X*, the candidates are bucket-sorted by
-    |sep(X, X*)| and greedily chained while the separator stays nested;
-    the set is completable iff the chain reaches one of each ± pair.
+    zero-free vector among its topes, in O(mn) time.  Adapter onto
+    _is_rank2_masks.
 
     Degenerate ground sets (n <= 2) are always completable; this matches
     the completion-rank convention that rank min(2, n) suffices there.
     """
     if not vectors.is_zero_free():
         raise DomainError("rank-two recognition requires zero-free vectors")
-    if len(vectors) == 0:
+    return _is_rank2_masks(vectors.ground_size, [v.pos for v in vectors])
+
+
+def _is_rank2_masks(n: int, masks: list[int]) -> bool:
+    """is_rank2_topes on the positive masks of zero-free vectors on n
+    elements.  Two such vectors are separated exactly where their masks
+    differ, so a separator is x ^ y and a negation is full ^ x.
+
+    The topes of a rank-two matroid sit in a circular order in which each
+    coordinate flips exactly once per half-turn.  Starting from the
+    canonically smallest vector X*, the candidates are bucket-sorted by
+    |sep(X, X*)| and greedily chained while the separator stays nested;
+    the set is completable iff the chain reaches one of each ± pair.
+    """
+    if not masks:
         return True
-    n = vectors.ground_size
-    plus_minus: set[SignVector] = set()
-    for v in vectors:
-        plus_minus.add(v)
-        plus_minus.add(-v)
-    ordered = sorted(plus_minus, key=SignVector.sort_key)
+    full = (1 << n) - 1
+    ordered = _negation_closure(masks, n)
     xstar = ordered[0]
-    neg_xstar = -xstar
-    buckets: list[list[SignVector]] = [[] for _ in range(n + 1)]
+    neg_xstar = full ^ xstar
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]
     for v in ordered:
-        buckets[v.separator_mask(xstar).bit_count()].append(v)
+        buckets[(v ^ xstar).bit_count()].append(v)
     chain = [xstar]
     chain_set = {xstar}
     for bucket in buckets:
@@ -576,7 +581,7 @@ def is_rank2_topes(vectors: SignVectorSet) -> bool:
             last = chain[-1]
             if v == last:
                 continue
-            if last.separator_mask(v) | v.separator_mask(neg_xstar) == last.separator_mask(neg_xstar):
+            if (last ^ v) | (v ^ neg_xstar) == last ^ neg_xstar:
                 chain.append(v)
                 chain_set.add(v)
-    return all(v in chain_set or -v in chain_set for v in plus_minus)
+    return all(v in chain_set or full ^ v in chain_set for v in ordered)

@@ -6,6 +6,11 @@ bounds: Radon rank, VC rank, the two Forster-derived bounds (threshold side
 minus one), and the completion rank when that search is enabled.  Forster
 bounds are floats; their integer contribution is ceil with a tiny guard
 against float noise just below an integer.
+
+build_report works on the positive masks of the two tope sets from end
+to end (topes, VC search, ±1 matrices, rank-two recognition, tope
+strings) and creates no SignVector; it builds SignVectorSets only for the
+completion search.
 """
 
 from __future__ import annotations
@@ -22,17 +27,17 @@ from .omatroid import (
     MatrixCompletionRank,
     OmRankBound,
     _completion_rank_of_topes,
-    is_rank2_topes,
+    _is_rank2_masks,
 )
-from .signs import SignVectorSet
+from .signs import SignVectorSet, _zero_free_set, _zero_free_strings
 from .spectral import (
+    _sign_matrix,
     forster_bound,
     sign_matrix_with_columns,
-    sign_matrix_with_rows,
     singular_values,
 )
-from .topes import _difference_topes, _threshold_topes
-from .vc import vc_dimension
+from .topes import _difference_masks, _threshold_masks
+from .vc import _vc_of_masks
 
 _CEIL_GUARD = 1e-6
 
@@ -42,7 +47,7 @@ def ceil_bound(x: float) -> int:
     return math.ceil(x - _CEIL_GUARD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankReport:
     shape: tuple[int, int]
     generic: bool
@@ -129,17 +134,21 @@ def build_report(
     ties = check_generic(a, tie_tolerance)
     if not ties.is_generic:
         raise GenericityError(ties.describe(), ties=ties.ties)
-    thresh = _threshold_topes(a)
-    diff = _difference_topes(a)
-    radon = vc_dimension(thresh) - 1
-    vcr = vc_dimension(diff)
-    f_thresh = forster_bound(sign_matrix_with_columns(thresh))
-    f_diff = forster_bound(sign_matrix_with_rows(diff)) if len(diff) else 0.0
-    rank2 = is_rank2_topes(diff) if len(diff) else True
+    m, n = a.shape
+    thresh = _threshold_masks(a)
+    diff = _difference_masks(a)
+    radon = _vc_of_masks(m, thresh) - 1
+    vcr = _vc_of_masks(n, diff)
+    f_thresh = forster_bound(_sign_matrix(thresh, m).T)
+    f_diff = forster_bound(_sign_matrix(diff, n)) if diff else 0.0
+    rank2 = _is_rank2_masks(n, diff)
     completion = None
     if complete_d_max is not None:
         completion = _completion_rank_of_topes(
-            thresh, diff, complete_d_max, max_ground=max_ground
+            _zero_free_set(m, thresh),
+            _zero_free_set(n, diff),
+            complete_d_max,
+            max_ground=max_ground,
         )
     candidates = [
         radon,
@@ -150,7 +159,7 @@ def build_report(
     if completion is not None:
         candidates.append(completion.value)
     report = RankReport(
-        shape=(a.shape[0], a.shape[1]),
+        shape=(m, n),
         generic=True,
         radon_rank=radon,
         vc_rank=vcr,
@@ -160,8 +169,8 @@ def build_report(
         monotone_rank_lower_bound=max(candidates),
         om_completion=completion,
         singular_values=tuple(float(s) for s in singular_values(a)) if with_svd else None,
-        threshold_tope_strings=tuple(thresh.strings()) if with_topes else None,
-        difference_tope_strings=tuple(diff.strings()) if with_topes else None,
+        threshold_tope_strings=tuple(_zero_free_strings(thresh, m)) if with_topes else None,
+        difference_tope_strings=tuple(_zero_free_strings(diff, n)) if with_topes else None,
         perturbed_ties=perturbed,
     )
     return report

@@ -7,12 +7,20 @@ separators and orthogonality tests are word-parallel.  Ground elements are
 combinatorics convention; only raw entry sequences are 0-indexed.
 
 Text form: one character per entry, '+', '-' or '0', no separators.
+
+A zero-free vector is determined by its positive mask alone, so the bulk
+kernels (topes, VC dimension, sign matrices, rank-two recognition) work on
+lists of positive masks and convert between those and 0/1 numpy rows with
+the packing helpers below.  Sorted ascending, such a list is in the
+canonical SignVectorSet order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DimensionMismatchError, FormatError
 
@@ -178,6 +186,45 @@ def _check_lengths(x: SignVector, y: SignVector) -> None:
         raise DimensionMismatchError(
             f"sign vectors of length {x.length} and {y.length} do not match"
         )
+
+
+def _masks_from_bits(bits: np.ndarray) -> list[int]:
+    """One int per row of a 2-D 0/1 array: entry [k, i] becomes bit i of
+    mask k.  Rows of any width pack exactly, with no word-size limit."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    w = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(len(bits))]
+
+
+def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
+    """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _negation_closure(masks: Iterable[int], width: int) -> list[int]:
+    """The distinct masks with their complements, sorted ascending: the
+    canonical SignVectorSet order of the zero-free vectors they encode."""
+    full = (1 << width) - 1
+    closed = set(masks)
+    closed |= {full ^ p for p in closed}
+    return sorted(closed)
+
+
+def _zero_free_strings(masks: list[int], width: int) -> list[str]:
+    """Text form of the zero-free vectors with these positive masks."""
+    chars = np.where(_bits_from_masks(masks, width), ord("+"), ord("-"))
+    raw = chars.astype(np.uint8).tobytes().decode("ascii")
+    return [raw[k * width : (k + 1) * width] for k in range(len(masks))]
+
+
+def _zero_free_set(width: int, masks: Iterable[int]) -> SignVectorSet:
+    """The SignVectorSet of the zero-free vectors with these positive masks."""
+    full = (1 << width) - 1
+    return SignVectorSet(width, (SignVector(width, p, full ^ p) for p in masks))
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

@@ -4,6 +4,11 @@ The spectral norm and the singular spectrum come from numpy's LAPACK SVD.
 On top of them sit the Forster sign-rank bound, the recursive Hadamard
 family, and the encoding that plants a set of sign vectors inside the
 threshold topes of a small integer matrix.
+
+±1 matrices of zero-free vectors are built by _sign_matrix from their
+positive masks, which build_report passes directly;
+sign_matrix_with_columns and sign_matrix_with_rows read the masks off a
+SignVectorSet.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .signs import SignVectorSet
+from .signs import SignVectorSet, _bits_from_masks
 
 _HADAMARD_MAX = 20
 
@@ -71,17 +76,20 @@ def hadamard(n: int) -> np.ndarray:
 
 def sign_matrix_with_columns(vectors: SignVectorSet) -> np.ndarray:
     """±1 matrix whose columns are the given zero-free vectors, in canonical
-    set order."""
+    set order.  Adapter onto _sign_matrix."""
     if not vectors.is_zero_free():
         raise DomainError("sign matrix requires zero-free vectors")
-    m = vectors.ground_size
-    cols = [[1.0 if v.pos >> i & 1 else -1.0 for i in range(m)] for v in vectors]
-    return np.array(cols, dtype=float).T
+    return _sign_matrix([v.pos for v in vectors], vectors.ground_size).T
 
 
 def sign_matrix_with_rows(vectors: SignVectorSet) -> np.ndarray:
     """±1 matrix whose rows are the given zero-free vectors."""
     return sign_matrix_with_columns(vectors).T
+
+
+def _sign_matrix(masks: list[int], width: int) -> np.ndarray:
+    """±1 matrix with one row per positive mask: +1 at its set bits."""
+    return np.where(_bits_from_masks(masks, width), 1.0, -1.0)
 
 
 def encode_signs_as_matrix(vectors: SignVectorSet) -> np.ndarray:

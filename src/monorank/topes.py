@@ -5,6 +5,11 @@ Threshold topes record which rows sit above each cut through a column;
 difference topes record the row-vs-row comparison outcome across columns.
 Both are negation-closed, zero-free, and invariant under strictly
 increasing per-column distortion.
+
+Both are built by a numpy kernel (_threshold_masks, _difference_masks)
+that returns the sorted positive masks of the tope set; build_report
+works on these masks directly.  threshold_topes and difference_topes
+check genericity and wrap the masks in a SignVectorSet.
 """
 
 from __future__ import annotations
@@ -13,7 +18,13 @@ import numpy as np
 
 from .errors import GenericityError
 from .matrices import check_generic
-from .signs import SignVector, SignVectorSet
+from .signs import (
+    SignVector,
+    SignVectorSet,
+    _masks_from_bits,
+    _negation_closure,
+    _zero_free_set,
+)
 
 
 def _require_generic(matrix: np.ndarray) -> np.ndarray:
@@ -39,30 +50,30 @@ def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVecto
 def threshold_topes(matrix: np.ndarray) -> SignVectorSet:
     """All cut vectors of all columns, with negations, deduplicated.
 
-    Each column is argsorted once.  Starting from the all-+ cut below the
-    minimum, moving the cut past each sorted entry in turn flips that
-    entry's row to -.  These m cuts and their negations (the all-+ cut is
-    the negation of the last) are all of the column's cut vectors: any
-    threshold in the same open gap between consecutive entries yields the
-    same vector.
+    Any threshold in the same open gap between two consecutive entries of
+    a column yields the same vector, so each column has m + 1 cut vectors,
+    two of them constant.  Adapter onto _threshold_masks.
     """
-    return _threshold_topes(_require_generic(matrix))
+    a = _require_generic(matrix)
+    return _zero_free_set(a.shape[0], _threshold_masks(a))
 
 
-def _threshold_topes(a: np.ndarray) -> SignVectorSet:
-    """threshold_topes of a float matrix already checked to be generic."""
+def _threshold_masks(a: np.ndarray) -> list[int]:
+    """Sorted positive masks of threshold_topes, for a float matrix already
+    checked to be generic.
+
+    Each column is argsorted once.  Moving the cut past the t+1 smallest
+    entries leaves + exactly the rows of rank above t, so comparing the
+    rank of every row with t = 0..m-1 gives every cut of every column but
+    the all-plus one as one boolean array; the all-plus cut is the
+    negation of the all-minus cut at t = m-1.
+    """
     m = a.shape[0]
-    full = (1 << m) - 1
-    cuts: set[int] = set()
-    for order in np.argsort(a, axis=0).T.tolist():
-        pos = full
-        for i in order:
-            pos ^= 1 << i
-            cuts.add(pos)
-    cuts |= {full ^ pos for pos in cuts}
-    return SignVectorSet(
-        m, (SignVector(m, pos, full ^ pos) for pos in cuts), negation_closed=True
-    )
+    order = np.argsort(a, axis=0)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(m)[:, None], axis=0)
+    plus = rank.T[:, None, :] > np.arange(m)[:, None]
+    return _negation_closure(_masks_from_bits(plus.reshape(-1, m)), m)
 
 
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
@@ -83,18 +94,17 @@ def difference_topes(matrix: np.ndarray) -> SignVectorSet:
     """All row-comparison vectors over ordered row pairs, deduplicated.
 
     Negation-closed by construction (swapping the pair negates the vector).
-    A single-row matrix yields the empty set.
+    A single-row matrix yields the empty set.  Adapter onto
+    _difference_masks.
     """
-    return _difference_topes(_require_generic(matrix))
+    a = _require_generic(matrix)
+    return _zero_free_set(a.shape[1], _difference_masks(a))
 
 
-def _difference_topes(a: np.ndarray) -> SignVectorSet:
-    """difference_topes of a float matrix already checked to be generic."""
-    m, n = a.shape
-    vecs: list[SignVector] = []
-    for i in range(1, m + 1):
-        for k in range(i + 1, m + 1):
-            v = difference_vector(a, i, k)
-            vecs.append(v)
-            vecs.append(-v)
-    return SignVectorSet(n, vecs, negation_closed=True)
+def _difference_masks(a: np.ndarray) -> list[int]:
+    """Sorted positive masks of difference_topes, for a float matrix already
+    checked to be generic: row a_i > a_k over the pairs i < k, then the
+    negations."""
+    i, k = np.triu_indices(a.shape[0], 1)
+    return _negation_closure(_masks_from_bits(a[i] > a[k]), a.shape[1])
+

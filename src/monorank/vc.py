@@ -2,12 +2,15 @@
 matrix bounds: Radon rank (threshold side, minus one) and VC rank
 (difference side).  Both lower-bound the monotone rank.
 
-The VC dimension is found by a depth-first search over index sets in
-increasing element order.  Each node carries the partition of the family
-by sign pattern on its index set, as member bitsets; adding an element
-splits every class in two, and the set stays shattered while no piece is
-empty.  The search stops at the largest size the family's cardinality
-allows, and skips extensions too short to beat the best set found.
+The VC dimension is found by _vc_of_masks on the positive masks of the
+family; vc_dimension reads those masks off a SignVectorSet, and
+build_report passes its tope masks directly.  The search runs depth
+first over index sets in increasing element order.  Each node carries
+the partition of the family by sign pattern on its index set, as member
+bitsets; adding an element splits every class in two, and the set stays
+shattered while no piece is empty.  The search stops at the largest
+size the family's cardinality allows, and skips extensions too short to
+beat the best set found.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .signs import SignVectorSet
+from .signs import SignVectorSet, _bits_from_masks, _masks_from_bits
 from .topes import difference_topes, threshold_topes
 
 
@@ -48,36 +51,35 @@ def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
 
 
 def vc_dimension(vectors: SignVectorSet) -> int:
-    """Largest size of a shattered index set, by depth-first class splitting.
+    """Largest size of a shattered index set.  Adapter onto _vc_of_masks;
+    an empty family has VC dimension 0 by convention."""
+    return _vc_of_masks(vectors.ground_size, _zero_free_patterns(vectors))
+
+
+def _vc_of_masks(n: int, masks: list[int]) -> int:
+    """VC dimension of the zero-free vectors on n elements with these
+    positive masks, by depth-first class splitting.
 
     Member j of the family is bit j of every class bitset, and `cols[i]`
-    holds the members that are + at element i.  A search node is an index
-    set t, grown in increasing element order, with its 2^|t| classes: the
-    members showing each sign pattern on t.  Adding an element i above
-    max(t) splits every class into its + and - part; t + i is shattered
-    iff no part is empty, and the split stops at the first empty part.
-    Shattering is hereditary, so every shattered set is reached through
-    its shattered prefixes.
+    holds the members that are + at element i: the transpose of the
+    family's bit array.  A search node is an index set t, grown in
+    increasing element order, with its 2^|t| classes: the members showing
+    each sign pattern on t.  Adding an element i above max(t) splits every
+    class into its + and - part; t + i is shattered iff no part is empty,
+    and the split stops at the first empty part.  Shattering is
+    hereditary, so every shattered set is reached through its shattered
+    prefixes.
 
     Two cut-offs bound the search.  A shattered k-set needs 2^k members,
     so the search ends once it finds a set of size floor(log2 |F|) (or n).
     A k-set t is not extended by element i (counted from 0) once
     k + (n - i) <= best: even t plus every element from i on would be no
     larger than the largest shattered set found so far.
-    An empty family has VC dimension 0 by convention.
     """
-    patterns = _zero_free_patterns(vectors)
-    if not patterns:
+    if not masks:
         return 0
-    n = vectors.ground_size
-    count = len(patterns)
-    cols = [0] * n
-    for j, p in enumerate(patterns):
-        member = 1 << j
-        while p:
-            low = p & -p
-            cols[low.bit_length() - 1] |= member
-            p ^= low
+    count = len(masks)
+    cols = _masks_from_bits(_bits_from_masks(masks, n).T)
     ceiling = min(n, count.bit_length() - 1)
     best = 0
     # (|t|, next element to try on t, classes of t); a child goes on top

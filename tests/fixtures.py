@@ -9,7 +9,7 @@ DISTORTION_A applies x -> e^(x/10) entrywise to the printed values.
 
 import numpy as np
 
-from monorank import SignVectorSet
+from monorank import SignVectorSet, random_representation
 
 DISTORTION_B_PRINTED = np.array(
     [
@@ -97,3 +97,20 @@ def a4_csv() -> str:
 
 def a1_csv() -> str:
     return "\n".join(",".join(repr(float(x)) for x in row) for row in DISTORTION_A) + "\n"
+
+
+def oracle_matrices() -> list[np.ndarray]:
+    """Generic matrices on which the mask kernels are checked against the
+    object builders: seeded representations up to 22x22 at d 2-4, 70x3
+    and 3x70, 1-row and 1-column matrices, and DISTORTION_A."""
+    mats = [DISTORTION_A, DISTORTION_A[:1], DISTORTION_A[:, :1]]
+    rng = np.random.default_rng(6)
+    mats += [rng.standard_normal((1, n)) for n in (1, 2, 5)]
+    mats += [rng.standard_normal((m, 1)) for m in (2, 5, 16)]
+    for d in (2, 3, 4):
+        for size in (4, 9, 16, 22):
+            for seed in range(3):
+                mats.append(random_representation(size, size, d, seed).matrix)
+        mats.append(random_representation(16, 7, d, 100 + d).matrix)
+    mats += [random_representation(m, n, 2, 7).matrix for m, n in ((70, 3), (3, 70))]
+    return mats

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monorank import (
     FormatError,
     GenericityError,
+    TieReport,
     check_generic,
     column_permutations,
     format_matrix_csv,
@@ -108,6 +111,46 @@ def test_check_generic_wide_tolerance():
 def test_check_generic_rejects_negative_tol():
     with pytest.raises(ValueError):
         check_generic(DISTORTION_A, tol=-1.0)
+
+
+def pairwise_check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
+    """Reference oracle: the former scan, which walks every column's stable
+    sort and lists each entry's successors within tol."""
+    a = np.asarray(matrix, dtype=float)
+    m, n = a.shape
+    ties = []
+    for j in range(n):
+        col = a[:, j]
+        order = np.argsort(col, kind="stable")
+        for ai in range(m):
+            for ak in range(ai + 1, m):
+                i, k = int(order[ai]), int(order[ak])
+                if abs(col[k] - col[i]) <= tol:
+                    ties.append((j + 1, min(i, k) + 1, max(i, k) + 1))
+                else:
+                    break
+    return TieReport(tolerance=tol, ties=tuple(sorted(ties)))
+
+
+# small integers tie often; 1 and its float neighbours, and 1.1 / 1.25,
+# sit at or just around the tolerances below
+_entries = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.sampled_from([1.0, *(float(np.nextafter(1.0, x)) for x in (0.0, 2.0)), 1.1, 1.25]),
+)
+_matrices = st.tuples(st.integers(1, 7), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        _entries, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda xs: np.array(xs).reshape(shape))
+)
+_tolerances = st.sampled_from([0.0, 2.3e-16, 1e-12, 0.1, 0.25, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matrices, _tolerances)
+def test_check_generic_matches_pairwise_reference(a, tol):
+    assert check_generic(a, tol) == pairwise_check_generic(a, tol)
 
 
 def test_perturb_ties_breaks_ties_preserving_order():

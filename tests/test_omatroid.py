@@ -27,11 +27,14 @@ from monorank import (
     vc_rank,
 )
 
+from monorank.omatroid import _is_rank2_masks
+
 from .fixtures import (
     POTENTIAL_CIRCUITS_RAD_STRICT,
     RAD_STRICT,
     RANK2_CYCLE,
     RANK3_REJECT,
+    oracle_matrices,
 )
 
 
@@ -277,12 +280,71 @@ def test_is_rank2_sound_on_geometric_topes():
     assert found >= 1
 
 
-def test_is_rank2_linear_scaling(monkeypatch):
-    # the recognizer does O(m) word-parallel separator operations, each on
+def reference_is_rank2_topes(vectors: SignVectorSet) -> bool:
+    """Reference oracle: the former recognizer on SignVector objects."""
+    if len(vectors) == 0:
+        return True
+    n = vectors.ground_size
+    plus_minus: set[SignVector] = set()
+    for v in vectors:
+        plus_minus.add(v)
+        plus_minus.add(-v)
+    ordered = sorted(plus_minus, key=SignVector.sort_key)
+    xstar = ordered[0]
+    neg_xstar = -xstar
+    buckets: list[list[SignVector]] = [[] for _ in range(n + 1)]
+    for v in ordered:
+        buckets[v.separator_mask(xstar).bit_count()].append(v)
+    chain = [xstar]
+    chain_set = {xstar}
+    for bucket in buckets:
+        for v in bucket:
+            last = chain[-1]
+            if v == last:
+                continue
+            nested = last.separator_mask(v) | v.separator_mask(neg_xstar)
+            if nested == last.separator_mask(neg_xstar):
+                chain.append(v)
+                chain_set.add(v)
+    return all(v in chain_set or -v in chain_set for v in plus_minus)
+
+
+def test_is_rank2_matches_object_reference():
+    families = list(all_negation_closed_families(4, 4))
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        # arbitrary zero-free sets, not only negation-closed ones
+        n = int(rng.integers(1, 9))
+        full = (1 << n) - 1
+        masks = rng.integers(0, 1 << n, size=int(rng.integers(1, 12)))
+        vectors = [SignVector(n, int(p), full ^ int(p)) for p in masks]
+        families.append(SignVectorSet(n, vectors))
+    for a in oracle_matrices():
+        families += [threshold_topes(a), difference_topes(a)]
+    agree = {True: 0, False: 0}
+    for family in families:
+        expected = reference_is_rank2_topes(family)
+        assert is_rank2_topes(family) == expected
+        assert _is_rank2_masks(family.ground_size, [v.pos for v in family]) == expected
+        agree[expected] += 1
+    assert min(agree.values()) >= 50
+
+
+def test_is_rank2_linear_scaling():
+    # the recognizer does O(m) word-parallel operations, each an xor of
     # whole n-bit masks: doubling m should roughly double the operation
-    # count and doubling n should not change it.  Counting the calls keeps
-    # the check independent of host speed.
+    # count and doubling n should not change it.  Masks that count their
+    # xors keep the check independent of host speed.
     rng = np.random.default_rng(99)
+    calls = 0
+
+    class CountedMask(int):
+        def __xor__(self, other):
+            nonlocal calls
+            calls += 1
+            return CountedMask(int(self) ^ int(other))
+
+        __rxor__ = __xor__
 
     def family(m, n):
         rows = rng.integers(0, 2, size=(m, n))
@@ -292,21 +354,11 @@ def test_is_rank2_linear_scaling(monkeypatch):
             members.extend((v, -v))
         return SignVectorSet(n, members)
 
-    calls = 0
-    separator_mask = SignVector.separator_mask
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return separator_mask(self, other)
-
-    monkeypatch.setattr(SignVector, "separator_mask", counted)
-
     def measure(m, n):
         nonlocal calls
-        fam = family(m, n)
+        masks = [CountedMask(v.pos) for v in family(m, n)]
         calls = 0
-        is_rank2_topes(fam)
+        _is_rank2_masks(n, masks)
         return calls
 
     base = measure(1000, 200)

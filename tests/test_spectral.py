@@ -19,11 +19,14 @@ from monorank import (
     threshold_topes,
 )
 
+from monorank.spectral import _sign_matrix
+
 from .fixtures import (
     DISTORTION_A,
     DISTORTION_A_SPECTRUM,
     DISTORTION_B,
     DISTORTION_B_SPECTRUM,
+    oracle_matrices,
 )
 
 
@@ -198,6 +201,33 @@ def test_sign_matrix_constructors():
     for j, s in enumerate(strings):
         rebuilt = "".join("+" if x > 0 else "-" for x in cols[:, j])
         assert rebuilt == s
+
+
+def per_bit_sign_matrix_with_columns(vectors: SignVectorSet) -> np.ndarray:
+    """Reference oracle: the former construction, one Python float per bit."""
+    m = vectors.ground_size
+    cols = [[1.0 if v.pos >> i & 1 else -1.0 for i in range(m)] for v in vectors]
+    return np.array(cols, dtype=float).T
+
+
+def test_sign_matrices_match_per_bit_reference():
+    for a in oracle_matrices():
+        m, n = a.shape
+        sides = [(threshold_topes(a), m), (difference_topes(a), n)]
+        for topes, width in sides:
+            if not len(topes):
+                continue
+            ref = per_bit_sign_matrix_with_columns(topes)
+            cols = sign_matrix_with_columns(topes)
+            rows = sign_matrix_with_rows(topes)
+            kernel = _sign_matrix([v.pos for v in topes], width)
+            # same entries and the same memory layout, so LAPACK sees the
+            # same input and the Forster floats are bit-identical
+            for got, want in ((cols, ref), (rows, ref.T), (kernel, ref.T)):
+                assert got.dtype == want.dtype and got.strides == want.strides
+                assert np.array_equal(got, want)
+            assert forster_bound(cols) == forster_bound(ref)
+            assert forster_bound(rows) == forster_bound(ref.T)
 
 
 def test_forster_of_topes_random_rank_d():

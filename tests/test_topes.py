@@ -13,7 +13,14 @@ from monorank import (
     threshold_vector,
 )
 
-from .fixtures import DIFFERENCE_TOPES_A, DISTORTION_A, THRESHOLD_TOPES_A
+from monorank.topes import _difference_masks, _threshold_masks
+
+from .fixtures import (
+    DIFFERENCE_TOPES_A,
+    DISTORTION_A,
+    THRESHOLD_TOPES_A,
+    oracle_matrices,
+)
 
 
 def midpoint_threshold_topes(matrix: np.ndarray) -> SignVectorSet:
@@ -34,18 +41,48 @@ def midpoint_threshold_topes(matrix: np.ndarray) -> SignVectorSet:
     return SignVectorSet(m, vecs)
 
 
+def object_threshold_topes(a: np.ndarray) -> SignVectorSet:
+    """Reference oracle: the former object builder, one argsort per column
+    and one SignVector per distinct cut mask."""
+    m = a.shape[0]
+    full = (1 << m) - 1
+    cuts: set[int] = set()
+    for order in np.argsort(a, axis=0).T.tolist():
+        pos = full
+        for i in order:
+            pos ^= 1 << i
+            cuts.add(pos)
+    cuts |= {full ^ pos for pos in cuts}
+    return SignVectorSet(
+        m, (SignVector(m, pos, full ^ pos) for pos in cuts), negation_closed=True
+    )
+
+
+def object_difference_topes(a: np.ndarray) -> SignVectorSet:
+    """Reference oracle: the former object builder, one difference_vector
+    and its negation per row pair."""
+    m, n = a.shape
+    vecs: list[SignVector] = []
+    for i in range(1, m + 1):
+        for k in range(i + 1, m + 1):
+            v = difference_vector(a, i, k)
+            vecs += [v, -v]
+    return SignVectorSet(n, vecs, negation_closed=True)
+
+
 def test_threshold_topes_match_midpoint_reference():
-    mats = [DISTORTION_A, DISTORTION_A[:1], DISTORTION_A[:, :1]]
-    rng = np.random.default_rng(6)
-    mats += [rng.standard_normal((1, n)) for n in (1, 2, 5)]
-    mats += [rng.standard_normal((m, 1)) for m in (2, 5, 16)]
-    for d in (2, 3, 4):
-        for size in (4, 9, 16):
-            for seed in range(3):
-                mats.append(random_representation(size, size, d, seed).matrix)
-        mats.append(random_representation(16, 7, d, 100 + d).matrix)
-    for mat in mats:
+    for mat in oracle_matrices():
         assert threshold_topes(mat) == midpoint_threshold_topes(mat)
+
+
+def test_tope_masks_match_object_builders():
+    for a in oracle_matrices():
+        thresh, diff = object_threshold_topes(a), object_difference_topes(a)
+        # same masks in the same (canonical) order
+        assert _threshold_masks(a) == [v.pos for v in thresh]
+        assert _difference_masks(a) == [v.pos for v in diff]
+        assert threshold_topes(a) == thresh
+        assert difference_topes(a) == diff
 
 
 def test_threshold_topes_a1_exact():

@@ -19,6 +19,9 @@ from monorank import (
     vc_rank,
 )
 
+from monorank.topes import _difference_masks, _threshold_masks
+from monorank.vc import _vc_of_masks
+
 from .fixtures import DISTORTION_A, RAD_STRICT
 
 
@@ -154,6 +157,25 @@ def test_vc_matches_levelwise_on_matrix_topes(shape, d):
         a = random_representation(m, n, d, seed=seed).matrix
         for topes in (threshold_topes(a), difference_topes(a)):
             assert vc_dimension(topes) == levelwise_vc(topes)
+
+
+def test_vc_of_masks_matches_levelwise_on_wide_and_tall_topes():
+    # member bitsets wider than a machine word on both axes: 22x22 tope
+    # sets of up to ~700 members, and ground sets of 70 elements.  The
+    # threshold side of 70x3 (~400 members on 70 elements) takes the
+    # level-wise oracle about a minute, so 24x3 stands in for it.
+    cases = []
+    for d in (2, 3, 4):
+        a = random_representation(22, 22, d, seed=0).matrix
+        cases += [(22, _threshold_masks(a)), (22, _difference_masks(a))]
+    tall = random_representation(70, 3, 2, seed=7).matrix
+    wide = random_representation(3, 70, 2, seed=7).matrix
+    shorter = random_representation(24, 3, 2, seed=7).matrix
+    cases += [(3, _difference_masks(tall)), (24, _threshold_masks(shorter))]
+    cases += [(3, _threshold_masks(wide)), (70, _difference_masks(wide))]
+    for n, masks in cases:
+        family = SignVectorSet(n, [_zero_free(n, p, (1 << n) - 1) for p in masks])
+        assert _vc_of_masks(n, masks) == levelwise_vc(family)
 
 
 def test_vc_single_vector_is_zero():
