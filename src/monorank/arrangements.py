@@ -21,7 +21,13 @@ from scipy.optimize import linprog
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
 from .matrices import Permutation, check_generic
 from .omatroid import CircuitCandidateSet
-from .signs import SignVector, SignVectorSet
+from .signs import (
+    SignVector,
+    SignVectorSet,
+    _masks_from_bits,
+    _negation_closure,
+    _zero_free_set,
+)
 
 DEFAULT_ENUM_GUARD = 20
 _SEPARATION_MARGIN = 1e-7
@@ -52,7 +58,7 @@ class PointArrangement:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def in_general_position(self, tol: float = _POSITION_TOL) -> bool:
+    def in_general_position(self) -> bool:
         """No d+1 points affinely dependent."""
         pts = self.points
         m, d = pts.shape
@@ -66,7 +72,7 @@ class PointArrangement:
             if diffs.shape[0] == 0:
                 continue
             s = np.linalg.svd(diffs, compute_uv=False)
-            if s[-1] <= tol * max(s[0], 1.0):
+            if s[-1] <= _POSITION_TOL * max(s[0], 1.0):
                 return False
         return True
 
@@ -255,9 +261,10 @@ def _max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]
     return -res.fun, res.x[:-1]
 
 
-def _enumerate_topes(rows: np.ndarray, margin: float) -> SignVectorSet:
+def _enumerate_topes(rows: np.ndarray) -> SignVectorSet:
     """Sign vectors s with some ||x||_inf <= 1 giving s_i (row_i · x) > margin
-    for every row, found by extending sign prefixes one element at a time.
+    for every row, found by extending sign prefixes one element at a time;
+    the margin is _SEPARATION_MARGIN.
 
     Element 1 is fixed to + (the set is negation-closed).  A prefix is kept
     only if its separation LP has margin above `margin`; the prefix LP drops
@@ -270,6 +277,7 @@ def _enumerate_topes(rows: np.ndarray, margin: float) -> SignVectorSet:
     elements, against 2^(m-1) for testing every sign half.
     """
     m = rows.shape[0]
+    margin = _SEPARATION_MARGIN
     # x = sign(row) solves the one-row LP, with margin ||row||_1
     level = [(np.ones(1), np.sign(rows[0]))] if np.abs(rows[0]).sum() > margin else []
     for k in range(1, m):
@@ -285,20 +293,14 @@ def _enumerate_topes(rows: np.ndarray, margin: float) -> SignVectorSet:
                 if t > margin:
                     grown.append((child, x_child))
         level = grown
-    full = (1 << m) - 1
-    members: list[SignVector] = []
-    for signs, _ in level:
-        pos = sum(1 << i for i in np.flatnonzero(signs > 0).tolist())
-        members.append(SignVector(m, pos, full & ~pos))
-        members.append(SignVector(m, full & ~pos, pos))
-    return SignVectorSet(m, members, negation_closed=True)
+    plus = np.array([signs > 0 for signs, _ in level], dtype=bool).reshape(-1, m)
+    return _zero_free_set(m, _negation_closure(_masks_from_bits(plus), m))
 
 
 def point_topes(
     arrangement: PointArrangement,
     *,
     max_points: int = DEFAULT_ENUM_GUARD,
-    margin: float = _SEPARATION_MARGIN,
 ) -> SignVectorSet:
     """All zero-free sign vectors realized by an affine hyperplane strictly
     separating the + points from the - points.
@@ -313,14 +315,13 @@ def point_topes(
         raise ResourceLimitError(f"{m} points exceeds enumeration guard {max_points}")
     # p · h - theta as one inner product with the lifted point (p, -1)
     lifted = np.hstack([arrangement.points, -np.ones((m, 1))])
-    return _enumerate_topes(lifted, margin)
+    return _enumerate_topes(lifted)
 
 
 def hyperplane_topes(
     arrangement: HyperplaneArrangement,
     *,
     max_normals: int = DEFAULT_ENUM_GUARD,
-    margin: float = _SEPARATION_MARGIN,
 ) -> SignVectorSet:
     """All zero-free sign vectors realized by a point strictly off every
     hyperplane of the central arrangement.
@@ -333,14 +334,13 @@ def hyperplane_topes(
     n = len(arrangement)
     if n > max_normals:
         raise ResourceLimitError(f"{n} normals exceeds enumeration guard {max_normals}")
-    return _enumerate_topes(arrangement.normals, margin)
+    return _enumerate_topes(arrangement.normals)
 
 
 def point_circuits(
     arrangement: PointArrangement,
     *,
     max_points: int = DEFAULT_ENUM_GUARD,
-    tol: float = _POSITION_TOL,
 ) -> CircuitCandidateSet:
     """Minimal Radon partitions of a general-position point set: the signed
     affine dependence of each (d+2)-subset, both orientations."""
@@ -353,13 +353,13 @@ def point_circuits(
     for subset in itertools.combinations(range(m), d + 2):
         sub = hom[list(subset)].T  # (d+1) x (d+2)
         _, s, vt = np.linalg.svd(sub)
-        if s[-1] <= tol * s[0]:
+        if s[-1] <= _POSITION_TOL * s[0]:
             names = tuple(i + 1 for i in subset)
             raise DomainError(
                 f"points {names} are affinely degenerate (null space dimension > 1)"
             )
         null = vt[-1]
-        if np.min(np.abs(null)) <= tol * np.max(np.abs(null)):
+        if np.min(np.abs(null)) <= _POSITION_TOL * np.max(np.abs(null)):
             names = tuple(i + 1 for i in subset)
             raise DomainError(
                 f"points {names} are not in general position (vanishing coefficient)"
@@ -393,6 +393,19 @@ class ValidationReport:
     violation: str | None = None
 
 
+def _check_permutations(perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
+    """The permutations as tuples, if they are a nonempty list of
+    permutations of one ground set 1..m; DomainError otherwise."""
+    perms = tuple(tuple(p) for p in perms)
+    if not perms:
+        raise DomainError("empty permutation sequence")
+    ground = tuple(range(1, len(perms[0]) + 1))
+    for p in perms:
+        if tuple(sorted(p)) != ground:
+            raise DomainError(f"{p} is not a permutation of 1..{len(ground)}")
+    return perms
+
+
 def _reverse_perm(perm: Permutation) -> Permutation:
     return tuple(reversed(perm))
 
@@ -424,14 +437,8 @@ def validate_allowable(perms: Sequence[Permutation]) -> ValidationReport:
     substrings, and one order reversal per pair per half-period (the list
     must be antipodal: the opposite permutation sits half a period away).
     """
-    perms = [tuple(p) for p in perms]
-    if not perms:
-        raise DomainError("empty permutation sequence")
+    perms = _check_permutations(perms)
     m = len(perms[0])
-    ground = tuple(range(1, m + 1))
-    for p in perms:
-        if tuple(sorted(p)) != ground:
-            raise DomainError(f"{p} is not a permutation of 1..{m}")
     length = len(perms)
     present = set(perms)
     for p in perms:
@@ -586,21 +593,9 @@ def matrix_from_allowable(
     if isinstance(sequence, AllowableSequence):
         perms = sequence.permutations
     else:
-        perms = tuple(tuple(p) for p in sequence)
-        if not perms:
-            raise DomainError("empty permutation sequence")
-        ground = tuple(range(1, len(perms[0]) + 1))
-        for p in perms:
-            if tuple(sorted(p)) != ground:
-                raise DomainError(f"{p} is not a permutation of 1..{len(ground)}")
-    m = len(perms[0])
-    cols = []
-    for perm in perms:
-        col = np.empty(m, dtype=float)
-        for value, row in enumerate(perm, start=1):
-            col[row - 1] = value
-        cols.append(col)
-    return np.column_stack(cols)
+        perms = _check_permutations(sequence)
+    # column j is the inverse of permutation j, shifted to values 1..m
+    return np.argsort(perms, axis=1).T + 1.0
 
 
 # -- point / permutation file formats ---------------------------------------

@@ -123,6 +123,16 @@ def check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
     return TieReport(tolerance=tol, ties=tuple(sorted(ties)))
 
 
+def _require_generic(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """The matrix as a float array, if check_generic finds no tie within
+    tol; otherwise GenericityError listing every tie."""
+    a = np.asarray(matrix, dtype=float)
+    report = check_generic(a, tol)
+    if not report.is_generic:
+        raise GenericityError(report.describe(), ties=report.ties)
+    return a
+
+
 def column_permutations(matrix: np.ndarray) -> list[Permutation]:
     """Per-column order data: entry i of permutation j is the 1-based row
     index of the i-th smallest entry in column j.
@@ -130,21 +140,8 @@ def column_permutations(matrix: np.ndarray) -> list[Permutation]:
     Tied column entries are a hard error; the column orders the downstream
     bounds rely on are undefined for ties.
     """
-    a = np.asarray(matrix, dtype=float)
-    m, n = a.shape
-    perms: list[Permutation] = []
-    for j in range(n):
-        col = a[:, j]
-        order = np.argsort(col, kind="stable")
-        for t in range(m - 1):
-            if col[order[t]] == col[order[t + 1]]:
-                i, k = sorted((int(order[t]) + 1, int(order[t + 1]) + 1))
-                raise GenericityError(
-                    f"column {j + 1} has tied entries in rows {{{i},{k}}}",
-                    ties=[(j + 1, i, k)],
-                )
-        perms.append(tuple(int(i) + 1 for i in order))
-    return perms
+    order = np.argsort(_require_generic(matrix), axis=0) + 1
+    return [tuple(perm) for perm in order.T.tolist()]
 
 
 def perturb_ties(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:

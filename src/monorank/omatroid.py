@@ -33,10 +33,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .signs import SignVector, SignVectorSet, _negation_closure
+from .signs import SignVector, SignVectorSet, _negation_closure, _zero_free_masks
 
 DEFAULT_GROUND_GUARD = 10
-DEFAULT_RANK_GUARD = 4
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +139,6 @@ class OmRankBound:
     exceeds: bool
     attempts: tuple[tuple[int, CompletionResult], ...] = ()
 
-    def last_violation(self) -> AxiomViolation | None:
-        for _, res in reversed(self.attempts):
-            if res.violation is not None:
-                return res.violation
-        return None
-
 
 # ---------------------------------------------------------------------------
 # potential circuits
@@ -155,33 +148,29 @@ def potential_circuits(vectors: SignVectorSet, rank: int) -> SignVectorSet:
     """All sign vectors with support size rank+1 orthogonal to every member
     of the (zero-free, negation-closed) input set."""
     n = vectors.ground_size
-    _check_topes(vectors)
+    masks = _tope_masks(vectors)
     if rank + 1 > n:
         raise DomainError(f"support size {rank + 1} exceeds ground set size {n}")
     out: list[SignVector] = []
     for support in itertools.combinations(range(n), rank + 1):
-        for pair in _orthogonal_pairs(vectors, _mask(support)):
+        for pair in _orthogonal_pairs(n, masks, _mask(support)):
             out.extend(pair)
     return SignVectorSet(n, out, negation_closed=True)
 
 
 def _orthogonal_pairs(
-    vectors: SignVectorSet, support: int
+    n: int, masks: list[int], support: int
 ) -> list[tuple[SignVector, SignVector]]:
     """The ± pairs (v, -v) on the support bitmask that are orthogonal to
-    every member of the zero-free, negation-closed input set, in the order
-    of _support_pairs.
+    every member of the zero-free, negation-closed set on n elements with
+    these positive masks, in the order of _support_pairs.
 
     A vector v on support S fails against a zero-free y exactly when it
     agrees with y or with -y on all of S.  With -y in the set as well, that
     is when v+ is the restriction y+ ∩ S of some member y.
     """
-    taken = {y.pos & support for y in vectors}
-    return [
-        pair
-        for pair in _support_pairs(vectors.ground_size, support)
-        if pair[0].pos not in taken
-    ]
+    taken = {y & support for y in masks}
+    return [pair for pair in _support_pairs(n, support) if pair[0].pos not in taken]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -213,11 +202,13 @@ def _mask(elements: Iterable[int]) -> int:
     return mask
 
 
-def _check_topes(vectors: SignVectorSet) -> None:
-    if not vectors.is_zero_free():
-        raise DomainError("tope sets must be zero-free")
-    if not vectors.is_negation_closed():
+def _tope_masks(vectors: SignVectorSet) -> list[int]:
+    """The positive masks of a tope set, which must be zero-free and
+    negation-closed."""
+    masks = _zero_free_masks(vectors, "tope set")
+    if _negation_closure(masks, vectors.ground_size) != masks:
         raise DomainError("tope sets must be negation-closed")
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +384,7 @@ def uniform_completion(
     the interpreter's recursion limit.
     """
     n = vectors.ground_size
-    _check_topes(vectors)
+    masks = _tope_masks(vectors)
     if n > max_ground:
         raise ResourceLimitError(
             f"ground set size {n} exceeds completion guard {max_ground}"
@@ -403,7 +394,7 @@ def uniform_completion(
     candidates: dict[int, list[tuple[SignVector, SignVector]]] = {}
     for support in itertools.combinations(range(n), rank + 1):
         mask = _mask(support)
-        pairs = _orthogonal_pairs(vectors, mask)
+        pairs = _orthogonal_pairs(n, masks, mask)
         if not pairs:
             return CompletionResult(
                 feasible=False,
@@ -549,9 +540,8 @@ def is_rank2_topes(vectors: SignVectorSet) -> bool:
     Degenerate ground sets (n <= 2) are always completable; this matches
     the completion-rank convention that rank min(2, n) suffices there.
     """
-    if not vectors.is_zero_free():
-        raise DomainError("rank-two recognition requires zero-free vectors")
-    return _is_rank2_masks(vectors.ground_size, [v.pos for v in vectors])
+    masks = _zero_free_masks(vectors, "rank-two recognition")
+    return _is_rank2_masks(vectors.ground_size, masks)
 
 
 def _is_rank2_masks(n: int, masks: list[int]) -> bool:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenericityError
-from .matrices import check_generic
+from .matrices import _require_generic
 from .omatroid import (
     DEFAULT_GROUND_GUARD,
     MatrixCompletionRank,
@@ -130,10 +129,7 @@ def build_report(
     `threads` is ignored: every search runs on the calling thread.  It
     stays for callers that still pass it.
     """
-    a = np.asarray(matrix, dtype=float)
-    ties = check_generic(a, tie_tolerance)
-    if not ties.is_generic:
-        raise GenericityError(ties.describe(), ties=ties.ties)
+    a = _require_generic(matrix, tie_tolerance)
     m, n = a.shape
     thresh = _threshold_masks(a)
     diff = _difference_masks(a)

@@ -9,10 +9,13 @@ combinatorics convention; only raw entry sequences are 0-indexed.
 Text form: one character per entry, '+', '-' or '0', no separators.
 
 A zero-free vector is determined by its positive mask alone, so the bulk
-kernels (topes, VC dimension, sign matrices, rank-two recognition) work on
-lists of positive masks and convert between those and 0/1 numpy rows with
-the packing helpers below.  Sorted ascending, such a list is in the
-canonical SignVectorSet order.
+kernels (topes, VC dimension, sign matrices, rank-two recognition,
+completion) work on lists of positive masks and convert between those and
+0/1 numpy rows with the packing helpers below.  Sorted ascending, such a
+list is in the canonical SignVectorSet order.  This module owns that
+format: _zero_free_masks is the one reader, which checks a SignVectorSet
+is zero-free and returns its masks, and _zero_free_set over
+_negation_closure is the one writer.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError
+from .errors import DimensionMismatchError, DomainError, FormatError
 
 _CHARS = {"+", "-", "0"}
 
@@ -128,10 +131,6 @@ class SignVector:
             return True
         return bool((sp & op) | (sn & on)) and bool((sp & on) | (sn & op))
 
-    def restrict_mask(self, mask: int) -> tuple[int, int]:
-        """(pos, neg) masked to the given element bitmask."""
-        return (self.pos & mask, self.neg & mask)
-
     # -- plumbing ----------------------------------------------------------
 
     def sort_key(self) -> tuple[int, int]:
@@ -227,6 +226,21 @@ def _zero_free_set(width: int, masks: Iterable[int]) -> SignVectorSet:
     return SignVectorSet(width, (SignVector(width, p, full ^ p) for p in masks))
 
 
+def _zero_free_masks(vectors: SignVectorSet, purpose: str) -> list[int]:
+    """The positive masks of a zero-free set, ascending (canonical order).
+
+    Raises DomainError naming the first member with a zero entry; `purpose`
+    names the operation that needs zero-free input.
+    """
+    full = (1 << vectors.ground_size) - 1
+    masks = []
+    for v in vectors:
+        if v.pos | v.neg != full:
+            raise DomainError(f"{purpose} requires zero-free vectors, got {v}")
+        masks.append(v.pos)
+    return masks
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
     out = []
     while mask:
@@ -249,7 +263,7 @@ class SignVectorSet:
         self,
         ground_size: int,
         members: Iterable[SignVector] = (),
-        negation_closed: bool | None = None,
+        negation_closed: bool = False,
     ):
         seen = set()
         for v in members:
@@ -260,7 +274,7 @@ class SignVectorSet:
             seen.add(v)
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "_members", tuple(sorted(seen, key=SignVector.sort_key)))
-        if negation_closed and not all(-v in seen for v in seen):
+        if negation_closed and not self.is_negation_closed():
             raise ValueError("set declared negation-closed but is not")
 
     def __setattr__(self, name, value):
@@ -300,11 +314,6 @@ class SignVectorSet:
 
     def __repr__(self) -> str:
         return f"SignVectorSet({self.ground_size}, {[str(v) for v in self._members]})"
-
-    def union(self, other: "SignVectorSet") -> "SignVectorSet":
-        if other.ground_size != self.ground_size:
-            raise DimensionMismatchError("ground sizes differ")
-        return SignVectorSet(self.ground_size, (*self._members, *other._members))
 
     def with_members(self, extra: Iterable[SignVector]) -> "SignVectorSet":
         return SignVectorSet(self.ground_size, (*self._members, *extra))

@@ -7,7 +7,7 @@ threshold topes of a small integer matrix.
 
 ±1 matrices of zero-free vectors are built by _sign_matrix from their
 positive masks, which build_report passes directly;
-sign_matrix_with_columns and sign_matrix_with_rows read the masks off a
+sign_matrix_with_columns and sign_matrix_with_rows are its adapters for a
 SignVectorSet.
 """
 
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .signs import SignVectorSet, _bits_from_masks
+from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
 
 _HADAMARD_MAX = 20
 
@@ -77,9 +77,8 @@ def hadamard(n: int) -> np.ndarray:
 def sign_matrix_with_columns(vectors: SignVectorSet) -> np.ndarray:
     """±1 matrix whose columns are the given zero-free vectors, in canonical
     set order.  Adapter onto _sign_matrix."""
-    if not vectors.is_zero_free():
-        raise DomainError("sign matrix requires zero-free vectors")
-    return _sign_matrix([v.pos for v in vectors], vectors.ground_size).T
+    masks = _zero_free_masks(vectors, "sign matrix")
+    return _sign_matrix(masks, vectors.ground_size).T
 
 
 def sign_matrix_with_rows(vectors: SignVectorSet) -> np.ndarray:
@@ -98,25 +97,11 @@ def encode_signs_as_matrix(vectors: SignVectorSet) -> np.ndarray:
 
     Column j realizes vector sigma_j by ordering its rows with all minus
     rows (ascending index) below all plus rows, using values 1..m; the cut
-    between the two blocks then reproduces sigma_j.
+    between the two blocks then reproduces sigma_j.  A stable argsort of
+    sigma_j's 0/1 row gives that order, and its inverse the values.
     """
     if len(vectors) == 0:
         raise DomainError("cannot encode an empty sign-vector set")
-    if not vectors.is_zero_free():
-        bad = next(v for v in vectors if not v.is_zero_free())
-        raise DomainError(f"encoding requires zero-free vectors, got {bad}")
-    m = vectors.ground_size
-    cols = []
-    for v in vectors:
-        col = np.empty(m, dtype=float)
-        value = 1
-        for i in range(m):
-            if v.neg >> i & 1:
-                col[i] = value
-                value += 1
-        for i in range(m):
-            if v.pos >> i & 1:
-                col[i] = value
-                value += 1
-        cols.append(col)
-    return np.column_stack(cols)
+    bits = _bits_from_masks(_zero_free_masks(vectors, "encoding"), vectors.ground_size)
+    order = np.argsort(bits, axis=1, kind="stable")
+    return np.argsort(order, axis=1).T + 1.0

@@ -9,7 +9,7 @@ increasing per-column distortion.
 Both are built by a numpy kernel (_threshold_masks, _difference_masks)
 that returns the sorted positive masks of the tope set; build_report
 works on these masks directly.  threshold_topes and difference_topes
-check genericity and wrap the masks in a SignVectorSet.
+are its adapters from a matrix to a SignVectorSet.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenericityError
-from .matrices import check_generic
+from .matrices import _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
@@ -25,14 +25,6 @@ from .signs import (
     _negation_closure,
     _zero_free_set,
 )
-
-
-def _require_generic(matrix: np.ndarray) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
-    report = check_generic(a)
-    if not report.is_generic:
-        raise GenericityError(report.describe(), ties=report.ties)
-    return a
 
 
 def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVector:

@@ -3,7 +3,7 @@ matrix bounds: Radon rank (threshold side, minus one) and VC rank
 (difference side).  Both lower-bound the monotone rank.
 
 The VC dimension is found by _vc_of_masks on the positive masks of the
-family; vc_dimension reads those masks off a SignVectorSet, and
+family; vc_dimension is its adapter for a SignVectorSet, and
 build_report passes its tope masks directly.  The search runs depth
 first over index sets in increasing element order.  Each node carries
 the partition of the family by sign pattern on its index set, as member
@@ -19,17 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError
-from .signs import SignVectorSet, _bits_from_masks, _masks_from_bits
+from .signs import SignVectorSet, _bits_from_masks, _masks_from_bits, _zero_free_masks
 from .topes import difference_topes, threshold_topes
-
-
-def _zero_free_patterns(vectors: SignVectorSet) -> list[int]:
-    if not vectors.is_zero_free():
-        bad = next(v for v in vectors if not v.is_zero_free())
-        raise DomainError(f"VC dimension requires zero-free vectors, got {bad}")
-    # zero-free vectors are determined by their positive mask
-    return [v.pos for v in vectors]
 
 
 def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
@@ -41,7 +32,7 @@ def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
         raise IndexError(
             f"subset {idx} outside ground set [1..{vectors.ground_size}]"
         )
-    patterns = _zero_free_patterns(vectors)
+    patterns = _zero_free_masks(vectors, "VC dimension")
     if not patterns:
         return False
     mask = 0
@@ -53,7 +44,7 @@ def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
 def vc_dimension(vectors: SignVectorSet) -> int:
     """Largest size of a shattered index set.  Adapter onto _vc_of_masks;
     an empty family has VC dimension 0 by convention."""
-    return _vc_of_masks(vectors.ground_size, _zero_free_patterns(vectors))
+    return _vc_of_masks(vectors.ground_size, _zero_free_masks(vectors, "VC dimension"))
 
 
 def _vc_of_masks(n: int, masks: list[int]) -> int:

@@ -14,7 +14,7 @@ from monorank import (
     perturb_ties,
 )
 
-from .fixtures import DISTORTION_A, a1_csv
+from .fixtures import DISTORTION_A, a1_csv, oracle_matrices
 
 
 def test_parse_small():
@@ -93,6 +93,17 @@ def test_column_permutations_sorted_output():
 def test_column_permutations_tie_error_names_location():
     with pytest.raises(GenericityError, match=r"column 1.*\{1,2\}"):
         column_permutations(np.array([[1.0, 1.0], [1.0, 2.0]]))
+
+
+def test_column_permutations_match_per_column_reference():
+    for a in oracle_matrices():
+        want = [
+            tuple(int(i) + 1 for i in np.argsort(a[:, j], kind="stable"))
+            for j in range(a.shape[1])
+        ]
+        got = column_permutations(a)
+        assert got == want
+        assert all(type(i) is int for perm in got for i in perm)
 
 
 def test_check_generic_a1():

@@ -775,12 +775,12 @@ def test_report_checks_genericity_once(monkeypatch):
 
     calls = []
     for module in (monorank.report, monorank.topes):
-        original = module.check_generic
+        original = module._require_generic
 
         def counted(*args, _original=original, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "check_generic", counted)
+        monkeypatch.setattr(module, "_require_generic", counted)
     build_report(RAD_STRICT, complete_d_max=3)
     assert len(calls) == 1

@@ -1,18 +1,29 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from monorank import (
     DimensionMismatchError,
+    DomainError,
     FormatError,
     SignVector,
     SignVectorSet,
     compose,
+    encode_signs_as_matrix,
     format_sign_file,
+    is_rank2_topes,
     negate,
     orthogonal,
     parse_sign_file,
+    potential_circuits,
     separator,
+    shatters,
+    sign_matrix_with_columns,
+    sign_matrix_with_rows,
+    uniform_completion,
+    vc_dimension,
 )
 
 sv = SignVector.from_string
@@ -199,3 +210,36 @@ def test_sign_file_bad_character():
 def test_sign_file_empty():
     with pytest.raises(FormatError):
         parse_sign_file("# nothing\n")
+
+
+# negation-closed, so the tope-set paths fail on the zero and not on closure;
+# "+0-" is the first member with a zero in canonical order
+WITH_ZERO = SignVectorSet.from_strings(["++-", "--+", "+0-", "-0+"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        vc_dimension,
+        lambda s: shatters(s, [1]),
+        sign_matrix_with_columns,
+        sign_matrix_with_rows,
+        encode_signs_as_matrix,
+        is_rank2_topes,
+        lambda s: potential_circuits(s, 1),
+        lambda s: uniform_completion(s, 1),
+    ],
+    ids=[
+        "vc_dimension",
+        "shatters",
+        "sign_matrix_with_columns",
+        "sign_matrix_with_rows",
+        "encode_signs_as_matrix",
+        "is_rank2_topes",
+        "potential_circuits",
+        "uniform_completion",
+    ],
+)
+def test_zero_free_paths_name_the_vector_with_a_zero(call):
+    with pytest.raises(DomainError, match=re.escape("+0-")):
+        call(WITH_ZERO)

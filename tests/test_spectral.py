@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monorank import (
     DomainError,
     ResourceLimitError,
+    SignVector,
     SignVectorSet,
     difference_topes,
     encode_signs_as_matrix,
@@ -184,6 +187,54 @@ def sign_matrix_with_rows_of_hadamard(n: int) -> SignVectorSet:
         vecs.append(v)
         vecs.append(-v)
     return SignVectorSet(h.shape[0], vecs)
+
+
+def per_bit_encode_signs_as_matrix(vectors: SignVectorSet) -> np.ndarray:
+    """Reference oracle: the former construction, two passes over the bits
+    of each vector, handing out values 1..m to the minus rows, then the
+    plus rows, in ascending row order."""
+    m = vectors.ground_size
+    cols = []
+    for v in vectors:
+        col = np.empty(m, dtype=float)
+        value = 1
+        for i in range(m):
+            if v.neg >> i & 1:
+                col[i] = value
+                value += 1
+        for i in range(m):
+            if v.pos >> i & 1:
+                col[i] = value
+                value += 1
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+def assert_encoding_matches_reference(vectors: SignVectorSet) -> None:
+    got = encode_signs_as_matrix(vectors)
+    want = per_bit_encode_signs_as_matrix(vectors)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_encode_matches_per_bit_reference_on_hadamard_rows(n):
+    # n = 0 is the one-element ground set {+, -}
+    assert_encoding_matches_reference(sign_matrix_with_rows_of_hadamard(n))
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: st.tuples(
+            st.just(m), st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=12)
+        )
+    )
+)
+def test_encode_matches_per_bit_reference_on_zero_free_sets(case):
+    m, masks = case
+    full = (1 << m) - 1
+    vectors = SignVectorSet(m, (SignVector(m, p, full ^ p) for p in masks))
+    assert_encoding_matches_reference(vectors)
 
 
 def test_encode_rejects_zeros():
