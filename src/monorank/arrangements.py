@@ -374,7 +374,7 @@ def point_circuits(
         members.append(SignVector(m, neg, pos))
     return CircuitCandidateSet(
         ground_size=m,
-        circuits=SignVectorSet(m, members, negation_closed=True),
+        circuits=SignVectorSet(m, members),
         uniform_rank=d + 1,
     )
 

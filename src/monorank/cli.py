@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: analyze, generate, hadamard, encode, isrank2, complete, sweep.
-JSON goes to stdout; structured errors go to stderr with exit codes 2
-(input format), 3 (genericity), 4 (resource guard).
+JSON goes to stdout; structured errors go to stderr with exit codes 1
+(internal fault), 2 (input format), 3 (genericity), 4 (resource guard).
 
 Guard override: MONORANK_MAX_GROUND (completion-search ground set, default
 10).

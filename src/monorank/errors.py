@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all monorank modules.
 
-CLI exit codes: 2 for input/format problems, 3 for genericity failures,
-4 for resource-guard refusals.
+CLI exit codes: 1 for internal faults (MonorankError itself, such as a
+completion witness that fails its certificate), 2 for input/format
+problems, 3 for genericity failures, 4 for resource-guard refusals.
 """
 
 

@@ -20,6 +20,12 @@ prefix of the sorted support list.  A check therefore waits in the bucket
 of the last support its eliminant could sit on (its trigger) and fires
 when that support is placed, and the search backtracks through an undo
 log instead of copying its state (see _EliminationScan).
+
+A witness is certified before the search returns it, by checks that share
+no code with the C4 scan: every circuit is orthogonal to the input, the
+circuits are those of one chirotope, and that chirotope meets every 3-term
+Grassmann–Plücker relation (see _certify_witness).  A witness that fails
+raises MonorankError; no check is an assert, so python -O keeps them all.
 """
 
 from __future__ import annotations
@@ -32,8 +38,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .signs import SignVector, SignVectorSet, _negation_closure, _zero_free_masks
+from .errors import DomainError, MonorankError, ResourceLimitError
+from .signs import (
+    SignVector,
+    SignVectorSet,
+    _mask_to_set,
+    _negation_closure,
+    _zero_free_masks,
+)
 
 DEFAULT_GROUND_GUARD = 10
 
@@ -61,17 +73,17 @@ class CircuitCandidateSet:
             raise DomainError("circuit candidate set must be negation-closed")
         if self.uniform_rank is not None:
             size = self.uniform_rank + 1
-            per_support: dict[int, set[SignVector]] = {}
+            per_support: dict[int, int] = {}
             for v in self.circuits:
-                if len(v.support()) != size:
+                support = v.support_mask
+                if support.bit_count() != size:
                     raise DomainError(
                         f"uniform rank {self.uniform_rank} requires supports of "
                         f"size {size}, got {v}"
                     )
-                per_support.setdefault(v.support_mask, set()).add(v)
-            for members in per_support.values():
-                if len(members) > 2:
-                    raise DomainError("more than one ± pair on a support")
+                per_support[support] = per_support.get(support, 0) + 1
+            if any(count > 2 for count in per_support.values()):
+                raise DomainError("more than one ± pair on a support")
 
     def __iter__(self):
         return iter(self.circuits)
@@ -119,7 +131,10 @@ class CompletionResult:
     feasible implies a witness; infeasible with violation=None and
     missing_support set means some support admitted no potential circuit.
     timed_out marks an exhausted node budget, in which case infeasibility
-    is not certified.  nodes counts the candidate circuits placed.
+    is not certified.  nodes counts the candidate circuits placed.  A
+    witness has passed _certify_witness: its circuits are orthogonal to the
+    input and read off a chirotope that meets every 3-term
+    Grassmann–Plücker relation.
     """
 
     feasible: bool
@@ -269,15 +284,18 @@ class _EliminationScan:
                 return True
         return False
 
-    def _violation(self, x: int, y: int, e: int) -> AxiomViolation:
+    def violation(self, keys: tuple[int, int, int]) -> AxiomViolation:
+        """The C4 violation that place() reported as keys (x, y, e)."""
+        x, y, e = keys
         return AxiomViolation("C4", self._vector(x), self._vector(y), element=e.bit_length())
 
     def _vector(self, key: int) -> SignVector:
         return SignVector(self.n, key >> self.n, key & ((1 << self.n) - 1))
 
-    def place(self, rep: SignVector) -> AxiomViolation | None:
+    def place(self, rep: SignVector) -> tuple[int, int, int] | None:
         """Place rep and -rep on the next support; return the first C4
-        violation, if any.  Every call is logged, violation or not."""
+        violation as keys (x, y, e), if any, for violation() to spell
+        out.  Every call is logged, violation or not."""
         n = self.n
         full = (1 << n) - 1
         k = len(self.placed)
@@ -308,10 +326,10 @@ class _EliminationScan:
                         filed.append(trigger)
                         continue
                     if not self._has_eliminant(u, e, inside):
-                        return self._violation(x, y, e)
+                        return x, y, e
         for x, y, e, inside in buckets[k]:
             if not self._has_eliminant(x | y, e, inside):
-                return self._violation(x, y, e)
+                return x, y, e
         return None
 
     def undo(self) -> None:
@@ -356,7 +374,7 @@ def check_circuit_axioms(
     for support in scan.supports:
         violation = scan.place(by_support[support])
         if violation is not None:
-            return AxiomReport(False, violation)
+            return AxiomReport(False, scan.violation(violation))
     return AxiomReport(True, None)
 
 
@@ -403,7 +421,7 @@ def uniform_completion(
         candidates[mask] = pairs
     scan = _EliminationScan(n, list(candidates))
     choices = [candidates[support] for support in scan.supports]
-    first_violation: AxiomViolation | None = None
+    first_violation: tuple[int, int, int] | None = None
     nodes = 0
     # tried[k]: how many candidates of support k the current branch has tried
     tried = [0] * len(choices)
@@ -411,9 +429,8 @@ def uniform_completion(
     while k < len(choices):
         if tried[k] == len(choices[k]):
             if k == 0:
-                return CompletionResult(
-                    feasible=False, violation=first_violation, nodes=nodes
-                )
+                found = None if first_violation is None else scan.violation(first_violation)
+                return CompletionResult(feasible=False, violation=found, nodes=nodes)
             tried[k] = 0
             k -= 1
             scan.undo()
@@ -429,16 +446,119 @@ def uniform_completion(
         if first_violation is None:
             first_violation = violation
         scan.undo()
-    placed = [v for pairs, i in zip(choices, tried) for v in pairs[i - 1]]
+    chosen = [pairs[i - 1] for pairs, i in zip(choices, tried)]
+    _certify_witness(n, rank, [rep for rep, _ in chosen], masks)
     witness = CircuitCandidateSet(
         ground_size=n,
-        circuits=SignVectorSet(n, placed, negation_closed=True),
+        circuits=SignVectorSet(n, itertools.chain.from_iterable(chosen)),
         uniform_rank=rank,
     )
-    members = list(vectors)
-    assert all(c.orthogonal(y) for c in witness for y in members)
-    assert check_circuit_axioms(witness).ok
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
+
+
+def _certify_witness(
+    n: int, rank: int, reps: Sequence[SignVector], masks: list[int]
+) -> int:
+    """Check a completion witness by other means than the search's C4
+    scan; return the number of Grassmann–Plücker relations checked.
+
+    reps holds one circuit of each ± pair, one pair per (rank+1)-subset of
+    the n elements, and masks the positive masks of the zero-free input
+    set.  Three checks, each raising MonorankError
+    with its name on failure:
+
+    - orthogonality: a circuit v on support S fails against an input y
+      when y ∩ S is v+ or v-;
+    - chirotope: with S = s_0 < ... < s_r, C_S(s_i) = ε_S (-1)^i χ(S ∖ s_i)
+      for one sign ε_S per support.  Starting from χ({1..r}) = +1, each
+      basis B with a known sign gives ε_S on every support S ⊃ B and so
+      χ on all of S's bases; every basis must get one sign;
+    - Grassmann–Plücker (r >= 2): for every (r-2)-set A and a < b < c < d
+      outside it, χ(Aab)χ(Acd), -χ(Aac)χ(Abd) and χ(Aad)χ(Abc) (sets
+      read in sorted order) do not all have one sign.  There are
+      C(n, r-2)·C(n-r+2, 4) such relations.
+
+    An alternating sign map on the r-subsets that meets every 3-term
+    Grassmann–Plücker relation is a chirotope (Björner, Las Vergnas,
+    Sturmfels, White & Ziegler, Oriented Matroids, §3.5–3.6), and the
+    circuits read off it are those of a uniform rank-r oriented matroid.
+    So a witness passes exactly when check_circuit_axioms accepts it.
+    Failure means the search is at fault, hence the base error class.
+    """
+    for v in reps:
+        support = v.support_mask
+        taken = {y & support for y in masks}
+        if v.pos in taken or v.neg in taken:
+            raise MonorankError(
+                f"completion witness fails orthogonality: circuit {v} "
+                "conforms to an input vector"
+            )
+
+    # signs are parities (0 for +, 1 for -): χ(S ∖ s) = ε_S ^ t_S(s),
+    # t_S(s) = [C_S(s) = -] ^ (number of elements of S below s)
+    circuits = {v.support_mask: v for v in reps}
+    full = (1 << n) - 1
+    start = (1 << rank) - 1
+    chi = {start: 0}
+    queue = [start]
+    done: set[int] = set()
+    for basis in queue:  # grows as bases get their sign
+        outside = full ^ basis
+        while outside:
+            e = outside & -outside
+            outside ^= e
+            support = basis | e
+            if support in done:
+                continue
+            done.add(support)
+            v = circuits.get(support)
+            if v is None:
+                raise MonorankError(
+                    f"completion witness fails chirotope: no circuit on support "
+                    f"{sorted(_mask_to_set(support))}"
+                )
+            neg = v.neg
+            eps = chi[basis] ^ (1 if neg & e else 0) ^ ((support & (e - 1)).bit_count() & 1)
+            rest, i = support, 0
+            while rest:
+                s = rest & -rest
+                rest ^= s
+                sign = eps ^ (1 if neg & s else 0) ^ (i & 1)
+                i += 1
+                other = support ^ s
+                known = chi.get(other)
+                if known is None:
+                    chi[other] = sign
+                    queue.append(other)
+                elif known != sign:
+                    raise MonorankError(
+                        f"completion witness fails chirotope: circuit {v} gives "
+                        f"basis {sorted(_mask_to_set(other))} the opposite sign"
+                    )
+    if len(done) != len(reps):
+        raise MonorankError(
+            f"completion witness fails chirotope: {len(reps)} circuits for "
+            f"{len(done)} supports"
+        )
+
+    relations = 0
+    if rank < 2:
+        return relations
+    for inner in itertools.combinations(range(n), rank - 2):
+        a_mask = _mask(inner)
+        free = [1 << i for i in range(n) if not a_mask >> i & 1]
+        for a, b, c, d in itertools.combinations(free, 4):
+            ab_cd = chi[a_mask | a | b] ^ chi[a_mask | c | d]
+            ac_bd = 1 ^ chi[a_mask | a | c] ^ chi[a_mask | b | d]
+            ad_bc = chi[a_mask | a | d] ^ chi[a_mask | b | c]
+            if ab_cd == ac_bd == ad_bc:
+                raise MonorankError(
+                    "completion witness fails Grassmann–Plücker: three-term "
+                    f"relation on {sorted(_mask_to_set(a_mask))} + "
+                    f"{sorted(_mask_to_set(a | b | c | d))}"
+                )
+            relations += 1
+    return relations
 
 
 def om_rank_lower_bound(

@@ -319,8 +319,8 @@ class SignVectorSet:
         return SignVectorSet(self.ground_size, (*self._members, *extra))
 
     def is_negation_closed(self) -> bool:
-        members = set(self._members)
-        return all(-v in members for v in members)
+        keys = {(v.pos, v.neg) for v in self._members}
+        return all((neg, pos) in keys for pos, neg in keys)
 
     def is_zero_free(self) -> bool:
         return all(v.is_zero_free() for v in self._members)

@@ -27,7 +27,8 @@ from monorank import (
     vc_rank,
 )
 
-from monorank.omatroid import _is_rank2_masks
+from monorank.errors import MonorankError
+from monorank.omatroid import _certify_witness, _is_rank2_masks
 
 from .fixtures import (
     POTENTIAL_CIRCUITS_RAD_STRICT,
@@ -584,7 +585,8 @@ def outcome_kind(result):
     return "missing_support" if result.missing_support is not None else "C4"
 
 
-def test_completion_matches_reference_scan_on_random_sets():
+def random_suite():
+    """(sign set, rank) pairs of the seeded random completion suite."""
     rng = np.random.default_rng(41)
     cases = [
         (n, rank, pairs)
@@ -595,46 +597,54 @@ def test_completion_matches_reference_scan_on_random_sets():
     ]
     # the strata that end in C4 violations after backtracking most often
     cases += [(n, 2, 3) for n in (5, 6, 7)] * 4 + [(7, 3, 8)] * 4
-    kinds = []
     for n, rank, pairs in cases:
-        sset = random_sign_set(rng, n, pairs)
+        yield random_sign_set(rng, n, pairs), rank
+
+
+def test_completion_matches_reference_scan_on_random_sets():
+    kinds = []
+    for sset, rank in random_suite():
         got = uniform_completion(sset, rank, max_nodes=100)
         want = reference_uniform_completion(sset, rank, max_nodes=100)
-        assert summary(got) == summary(want), (n, rank, sset.strings())
+        assert summary(got) == summary(want), (rank, sset.strings())
         kinds.append(outcome_kind(got))
+    assert len(kinds) == 226
     assert set(kinds) == {"feasible", "C4", "missing_support", "timed_out"}
     assert kinds.count("C4") >= 8
 
 
-@pytest.mark.parametrize(
-    "vectors",
-    [
-        threshold_topes(RAD_STRICT),
-        difference_topes(RAD_STRICT),
-        RANK2_CYCLE,
-        RANK3_REJECT,
-        full_cube(3),
-        SignVectorSet.from_strings(["+++++", "-----"]),
-    ],
-    ids=["rad_strict_thresh", "rad_strict_diff", "rank2_cycle", "rank3_reject",
-         "cube3", "constant_pair"],
-)
+EXAMPLE_SETS = {
+    "rad_strict_thresh": threshold_topes(RAD_STRICT),
+    "rad_strict_diff": difference_topes(RAD_STRICT),
+    "rank2_cycle": RANK2_CYCLE,
+    "rank3_reject": RANK3_REJECT,
+    "cube3": full_cube(3),
+    "constant_pair": SignVectorSet.from_strings(["+++++", "-----"]),
+}
+
+
+@pytest.mark.parametrize("vectors", EXAMPLE_SETS.values(), ids=EXAMPLE_SETS.keys())
 def test_completion_matches_reference_scan_on_examples(vectors):
     for rank in range(1, vectors.ground_size):
         got = uniform_completion(vectors, rank)
         assert summary(got) == summary(reference_uniform_completion(vectors, rank))
 
 
-def test_completion_matches_reference_scan_on_matrix_topes():
+def matrix_tope_sets():
     from .fixtures import DISTORTION_A, DISTORTION_B
 
     mats = [DISTORTION_A, DISTORTION_B]
     mats += [random_representation(6, 6, d, seed=s).matrix for d in (2, 3) for s in (1, 2)]
     for a in mats:
-        for topes in (threshold_topes(a), difference_topes(a)):
-            for rank in range(1, min(4, topes.ground_size - 1) + 1):
-                got = uniform_completion(topes, rank)
-                assert summary(got) == summary(reference_uniform_completion(topes, rank))
+        yield threshold_topes(a)
+        yield difference_topes(a)
+
+
+def test_completion_matches_reference_scan_on_matrix_topes():
+    for topes in matrix_tope_sets():
+        for rank in range(1, min(4, topes.ground_size - 1) + 1):
+            got = uniform_completion(topes, rank)
+            assert summary(got) == summary(reference_uniform_completion(topes, rank))
 
 
 def random_uniform_selection(rng, n, rank):
@@ -690,6 +700,144 @@ def test_axiom_check_matches_reference_scan():
         ), sset.strings()
         axioms.append(got.violation.axiom if got.violation else "ok")
     assert {"ok", "C1", "C2", "C3", "C4"} <= set(axioms)
+
+
+# -- witness certificate -------------------------------------------------------
+
+
+def gp_relations(n, rank):
+    """C(n, r-2)·C(n-r+2, 4), the 3-term Grassmann–Plücker relations."""
+    return math.comb(n, rank - 2) * math.comb(n - rank + 2, 4) if rank >= 2 else 0
+
+
+def witness_reps(witness):
+    """One circuit per ± pair of a witness: the one with + at its smallest
+    element."""
+    return [v for v in witness if v.pos & v.support_mask & -v.support_mask]
+
+
+def chirotope_reps(n, rank, chi):
+    """The circuits C(s_i) = (-1)^i chi(S minus s_i) of a sign map chi on
+    ascending rank-tuples, one per (rank+1)-subset, + at its smallest
+    element."""
+    reps = []
+    for support in itertools.combinations(range(n), rank + 1):
+        signs = [(-1) ** i * chi(support[:i] + support[i + 1 :]) for i in range(rank + 1)]
+        pos = sum(1 << e for e, s in zip(support, signs) if s == signs[0])
+        reps.append(SignVector(n, pos, sum(1 << e for e in support) ^ pos))
+    return reps
+
+
+def realizable_chi(rng, n, rank):
+    """The chirotope of n random vectors in R^rank: sign of the determinant."""
+    vectors = rng.standard_normal((n, rank))
+    return lambda basis: 1 if np.linalg.det(vectors[list(basis)]) > 0 else -1
+
+
+def flipped_chi(chi, flips):
+    return lambda basis: -chi(basis) if basis in flips else chi(basis)
+
+
+def certificate_verdict(n, rank, reps):
+    """The name of the check the certificate failed on, or "ok"."""
+    try:
+        _certify_witness(n, rank, reps, [])
+    except MonorankError as exc:
+        assert type(exc) is MonorankError
+        return str(exc).split(":")[0].removeprefix("completion witness fails ")
+    return "ok"
+
+
+def test_certificate_matches_reference_scan_on_corrupted_witnesses():
+    rng = np.random.default_rng(23)
+    verdicts = []
+    for n in range(4, 8):
+        for rank in range(1, n):
+            bases = list(itertools.combinations(range(n), rank))
+            for trial in range(12):
+                # 0: intact; 1, 2: that many circuits swapped for another ± pair
+                # on their support; 3: two bases' signs flipped, which keeps
+                # the circuits consistent and leaves the verdict to the
+                # Grassmann–Plücker relations
+                corruption = trial % 4
+                chi = realizable_chi(rng, n, rank)
+                if corruption == 3:
+                    flips = {bases[k] for k in rng.choice(len(bases), size=2, replace=False)}
+                    chi = flipped_chi(chi, flips)
+                reps = chirotope_reps(n, rank, chi)
+                swaps = corruption if corruption < 3 else 0
+                for k in rng.choice(len(reps), size=min(swaps, len(reps)), replace=False):
+                    support = [i for i in range(n) if reps[k].support_mask >> i & 1]
+                    others = [v for v in support_pair_reps(n, support) if v != reps[k]]
+                    reps[k] = others[rng.integers(len(others))]
+                circuits = SignVectorSet(n, reps + [-v for v in reps])
+                verdict = certificate_verdict(n, rank, reps)
+                assert (verdict == "ok") == reference_check_circuit_axioms(circuits).ok, (
+                    rank, circuits.strings()
+                )
+                verdicts.append(verdict)
+    assert len(verdicts) == 216
+    assert verdicts.count("ok") >= 60
+    assert verdicts.count("chirotope") >= 40
+    assert verdicts.count("Grassmann–Plücker") >= 10
+
+
+def test_certificate_accepts_search_witnesses():
+    cases = list(random_suite())
+    examples = [*EXAMPLE_SETS.values(), *matrix_tope_sets()]
+    examples += [f for n in (3, 4) for f in all_negation_closed_families(n, 4)]
+    cases += [(v, rank) for v in examples for rank in range(1, min(4, v.ground_size - 1) + 1)]
+    certified = 0
+    for vectors, rank in cases:
+        result = uniform_completion(vectors, rank, max_nodes=1000)
+        if result.feasible:
+            n = vectors.ground_size
+            masks = [v.pos for v in vectors]
+            relations = _certify_witness(n, rank, witness_reps(result.witness), masks)
+            assert relations == gp_relations(n, rank)
+            certified += 1
+    assert certified >= 300
+
+
+def test_certificate_counts_every_grassmann_plucker_relation():
+    # realizable chirotopes pass, and every 3-term relation is checked once
+    rng = np.random.default_rng(29)
+    for n in range(2, 11):
+        for rank in range(1, n):
+            reps = chirotope_reps(n, rank, realizable_chi(rng, n, rank))
+            assert _certify_witness(n, rank, reps, []) == gp_relations(n, rank)
+    assert gp_relations(8, 3) == 280
+
+
+def test_certificate_names_each_failure():
+    cycle = uniform_completion(RANK2_CYCLE, 2)
+    reps = witness_reps(cycle.witness)
+    masks = [v.pos for v in RANK2_CYCLE]
+    assert _certify_witness(3, 2, reps, masks) == 0
+    # an input vector that agrees with the circuit, or its negative, on
+    # the whole support
+    for conforming in (reps[0].pos, reps[0].neg):
+        with pytest.raises(MonorankError, match="orthogonality"):
+            _certify_witness(3, 2, reps, [conforming])
+    # rank one: {1,2} and {1,3} force the sign of {2,3}'s circuit
+    flipped = [SignVector.from_string(s) for s in ("+-0", "+0-", "0++")]
+    assert reference_check_circuit_axioms(
+        SignVectorSet(3, flipped + [-v for v in flipped])
+    ).violation.axiom == "C4"
+    with pytest.raises(MonorankError, match=r"chirotope: circuit 0\+\+ "):
+        _certify_witness(3, 1, flipped, [])
+    with pytest.raises(MonorankError, match=r"chirotope: no circuit on support \[2, 3\]"):
+        _certify_witness(3, 1, flipped[:2], [])
+    valid = [SignVector.from_string(s) for s in ("+-0", "+0-", "0+-")]
+    assert _certify_witness(3, 1, valid, []) == 0
+    with pytest.raises(MonorankError, match="chirotope: 4 circuits for 3 supports"):
+        _certify_witness(3, 1, valid + [SignVector.from_string("+-+")], [])
+    # alternating and consistent, but [13][24] breaks [12][34] - [13][24] + [14][23] = 0
+    chi = {(0, 2): -1}
+    bad = chirotope_reps(4, 2, lambda basis: chi.get(basis, 1))
+    with pytest.raises(MonorankError, match="Grassmann–Plücker"):
+        _certify_witness(4, 2, bad, [])
+    assert not reference_check_circuit_axioms(SignVectorSet(4, bad + [-v for v in bad])).ok
 
 
 def brute_force_completion(vectors, rank):
