@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-from .matrices import Permutation, check_generic
+from .matrices import Permutation, check_generic, column_permutations, parse_matrix
 from .omatroid import CircuitCandidateSet
 from .signs import (
     SignVector,
@@ -38,6 +38,24 @@ _POSITION_TOL = 1e-9
 # arrangement types
 
 
+def _coordinates(rows, dimension: int, noun: str) -> np.ndarray:
+    """The rows as a 2-D float array of finite `dimension`-vectors."""
+    a = np.atleast_2d(np.asarray(rows, dtype=float))
+    if a.shape[1] != dimension:
+        raise DimensionMismatchError(
+            f"{noun}s have {a.shape[1]} coordinates, expected {dimension}"
+        )
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{noun} coordinates must be finite")
+    return a
+
+
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) as rows, in itertools.combinations order."""
+    subsets = list(itertools.combinations(range(m), k))
+    return np.array(subsets, dtype=np.intp).reshape(-1, k)
+
+
 @dataclass(frozen=True)
 class PointArrangement:
     """m points in R^d, rows of `points`."""
@@ -46,35 +64,23 @@ class PointArrangement:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"points have {pts.shape[1]} coordinates, expected {self.dimension}"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("point coordinates must be finite")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(
+            self, "points", _coordinates(self.points, self.dimension, "point")
+        )
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def in_general_position(self) -> bool:
-        """No d+1 points affinely dependent."""
+        """No d+1 points (no m points, when m <= d) affinely dependent."""
         pts = self.points
         m, d = pts.shape
-        if m <= d:
-            subsets = [tuple(range(m))] if m >= 1 else []
-        else:
-            subsets = itertools.combinations(range(m), d + 1)
-        for subset in subsets:
-            sub = pts[list(subset)]
-            diffs = sub[1:] - sub[0]
-            if diffs.shape[0] == 0:
-                continue
-            s = np.linalg.svd(diffs, compute_uv=False)
-            if s[-1] <= _POSITION_TOL * max(s[0], 1.0):
-                return False
-        return True
+        k = min(m, d + 1)
+        if k < 2:
+            return True
+        sub = pts[_subsets(m, k)]
+        s = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
+        return not np.any(s[:, -1] <= _POSITION_TOL * np.maximum(s[:, 0], 1.0))
 
 
 @dataclass(frozen=True)
@@ -86,15 +92,8 @@ class HyperplaneArrangement:
     normals: np.ndarray
 
     def __post_init__(self):
-        nv = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        if nv.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"normals have {nv.shape[1]} coordinates, expected {self.dimension}"
-            )
-        if not np.all(np.isfinite(nv)):
-            raise DomainError("normal coordinates must be finite")
-        norms = np.linalg.norm(nv, axis=1)
-        if np.any(norms == 0):
+        nv = _coordinates(self.normals, self.dimension, "normal")
+        if np.any(np.linalg.norm(nv, axis=1) == 0):
             raise DomainError("zero normal vector")
         object.__setattr__(self, "normals", nv)
 
@@ -343,35 +342,41 @@ def point_circuits(
     max_points: int = DEFAULT_ENUM_GUARD,
 ) -> CircuitCandidateSet:
     """Minimal Radon partitions of a general-position point set: the signed
-    affine dependence of each (d+2)-subset, both orientations."""
+    affine dependence of each (d+2)-subset, both orientations.
+
+    A DomainError names the first degenerate subset in
+    itertools.combinations order.
+    """
     pts = arrangement.points
     m, d = pts.shape
     if m > max_points:
         raise ResourceLimitError(f"{m} points exceeds enumeration guard {max_points}")
     hom = np.hstack([pts, np.ones((m, 1))])
-    members: list[SignVector] = []
-    for subset in itertools.combinations(range(m), d + 2):
-        sub = hom[list(subset)].T  # (d+1) x (d+2)
-        _, s, vt = np.linalg.svd(sub)
-        if s[-1] <= _POSITION_TOL * s[0]:
-            names = tuple(i + 1 for i in subset)
+    subsets = _subsets(m, d + 2)
+    # one (d+1) x (d+2) matrix per subset, its lifted points as columns
+    _, s, vt = np.linalg.svd(hom[subsets].transpose(0, 2, 1))
+    null = vt[:, -1]
+    size = np.abs(null)
+    degenerate = s[:, -1] <= _POSITION_TOL * s[:, 0]
+    vanishing = size.min(axis=1) <= _POSITION_TOL * size.max(axis=1)
+    bad = np.flatnonzero(degenerate | vanishing)
+    if bad.size:
+        first = bad[0]
+        names = tuple(int(i) + 1 for i in subsets[first])
+        if degenerate[first]:
             raise DomainError(
                 f"points {names} are affinely degenerate (null space dimension > 1)"
             )
-        null = vt[-1]
-        if np.min(np.abs(null)) <= _POSITION_TOL * np.max(np.abs(null)):
-            names = tuple(i + 1 for i in subset)
-            raise DomainError(
-                f"points {names} are not in general position (vanishing coefficient)"
-            )
-        pos = neg = 0
-        for idx, i in enumerate(subset):
-            if null[idx] > 0:
-                pos |= 1 << i
-            else:
-                neg |= 1 << i
-        members.append(SignVector(m, pos, neg))
-        members.append(SignVector(m, neg, pos))
+        raise DomainError(
+            f"points {names} are not in general position (vanishing coefficient)"
+        )
+    plus = np.zeros((len(subsets), m), dtype=bool)
+    minus = plus.copy()
+    np.put_along_axis(plus, subsets, null > 0, axis=1)
+    np.put_along_axis(minus, subsets, null <= 0, axis=1)
+    members: list[SignVector] = []
+    for pos, neg in zip(_masks_from_bits(plus), _masks_from_bits(minus)):
+        members += (SignVector(m, pos, neg), SignVector(m, neg, pos))
     return CircuitCandidateSet(
         ground_size=m,
         circuits=SignVectorSet(m, members),
@@ -406,10 +411,6 @@ def _check_permutations(perms: Iterable[Permutation]) -> tuple[Permutation, ...]
     return perms
 
 
-def _reverse_perm(perm: Permutation) -> Permutation:
-    return tuple(reversed(perm))
-
-
 def _reversal_runs(cur: Permutation, nxt: Permutation) -> list[tuple[int, int]] | None:
     """Decompose nxt as cur with disjoint index intervals reversed; returns
     the intervals or None if no such decomposition exists."""
@@ -442,7 +443,7 @@ def validate_allowable(perms: Sequence[Permutation]) -> ValidationReport:
     length = len(perms)
     present = set(perms)
     for p in perms:
-        if _reverse_perm(p) not in present:
+        if p[::-1] not in present:
             return ValidationReport(
                 False, False, f"condition 1: reverse of {p} missing"
             )
@@ -472,7 +473,7 @@ def validate_allowable(perms: Sequence[Permutation]) -> ValidationReport:
         )
     half = length // 2
     for idx in range(half):
-        if perms[(idx + half) % length] != _reverse_perm(perms[idx]):
+        if perms[(idx + half) % length] != perms[idx][::-1]:
             return ValidationReport(
                 False,
                 simple,
@@ -540,10 +541,11 @@ def sweep_permutations(arrangement: PointArrangement) -> AllowableSequence:
     line passes the points of a planar arrangement.
 
     Critical directions are those perpendicular to a connecting segment;
-    between consecutive critical directions the order of p · h is constant.
-    Requires a simple configuration: distinct points, no two connecting
-    segments parallel, no three points collinear (coincident critical
-    directions name the offending pairs).
+    between consecutive critical directions the order of p · h is constant,
+    so each cell's order is the column order of the projections onto its
+    middle direction.  Requires a simple configuration: distinct points, no
+    two connecting segments parallel, no three points collinear (coincident
+    critical directions name the offending pairs).
     """
     if arrangement.dimension != 2:
         raise DomainError("sweeps are defined for planar arrangements")
@@ -551,33 +553,31 @@ def sweep_permutations(arrangement: PointArrangement) -> AllowableSequence:
     m = len(pts)
     if m < 2:
         raise DomainError("need at least two points to sweep")
-    criticals: list[tuple[float, tuple[int, int]]] = []
-    for i, k in itertools.combinations(range(m), 2):
-        dx, dy = pts[i] - pts[k]
-        if dx == 0.0 and dy == 0.0:
-            raise DomainError(f"points {i + 1} and {k + 1} coincide")
-        angle = math.atan2(dx, -dy) % math.pi
-        criticals.append((angle, (i + 1, k + 1)))
-    criticals.sort()
-    for (a1, pair1), (a2, pair2) in zip(criticals, criticals[1:] + [(criticals[0][0] + math.pi, criticals[0][1])]):
-        if abs(a2 - a1) <= _POSITION_TOL:
-            raise DomainError(
-                f"degenerate configuration: pairs {pair1} and {pair2} give "
-                f"parallel connecting segments (or a collinear triple)"
-            )
-    angles = [a for a, _ in criticals]
-    angles = angles + [a + math.pi for a in angles]
-    perms: list[Permutation] = []
-    count = len(angles)
-    for idx in range(count):
-        a0 = angles[idx]
-        a1 = angles[(idx + 1) % count] + (2 * math.pi if idx == count - 1 else 0.0)
-        mid = (a0 + a1) / 2.0
-        h = np.array([math.cos(mid), math.sin(mid)])
-        keys = pts @ h
-        order = np.argsort(keys)
-        perms.append(tuple(int(i) + 1 for i in order))
-    return AllowableSequence(perms)
+    pairs = _subsets(m, 2)
+    diffs = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    coincident = np.flatnonzero(~diffs.any(axis=1))
+    if coincident.size:
+        i, k = pairs[coincident[0]].tolist()
+        raise DomainError(f"points {i + 1} and {k + 1} coincide")
+    # math.atan2 rather than np.arctan2, whose last bits differ and can
+    # change which pair a degeneracy message names
+    angles = np.array([math.atan2(dx, -dy) % math.pi for dx, dy in diffs.tolist()])
+    # stable, so equal angles keep pair order, as a sort of (angle, pair) does
+    order = np.argsort(angles, kind="stable")
+    angles = angles[order]
+    gaps = np.diff(angles, append=angles[0] + math.pi)
+    close = np.flatnonzero(np.abs(gaps) <= _POSITION_TOL)
+    if close.size:
+        a, b = order[close[0]], order[(close[0] + 1) % len(order)]
+        pair1, pair2 = (tuple(p) for p in (pairs[[a, b]] + 1).tolist())
+        raise DomainError(
+            f"degenerate configuration: pairs {pair1} and {pair2} give "
+            f"parallel connecting segments (or a collinear triple)"
+        )
+    cuts = np.concatenate([angles, angles + math.pi])
+    mid = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2.0
+    keys = pts @ np.array([np.cos(mid), np.sin(mid)])
+    return AllowableSequence(column_permutations(keys))
 
 
 def matrix_from_allowable(
@@ -590,10 +590,7 @@ def matrix_from_allowable(
     Accepts a validated AllowableSequence or any list of permutations of a
     common ground set (the construction itself needs no circular structure).
     """
-    if isinstance(sequence, AllowableSequence):
-        perms = sequence.permutations
-    else:
-        perms = _check_permutations(sequence)
+    perms = _check_permutations(sequence)
     # column j is the inverse of permutation j, shifted to values 1..m
     return np.argsort(perms, axis=1).T + 1.0
 
@@ -602,8 +599,6 @@ def matrix_from_allowable(
 
 
 def parse_points_csv(text: str) -> PointArrangement:
-    from .matrices import parse_matrix
-
     pts = parse_matrix(text)
     return PointArrangement(pts.shape[1], pts)
 

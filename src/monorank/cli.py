@@ -20,12 +20,16 @@ import click
 
 from . import arrangements as arr
 from . import omatroid, report, signs, spectral
-from .errors import MonorankError
+from .errors import FormatError, MonorankError
 from .matrices import check_generic, format_matrix_csv, parse_matrix, perturb_ties
 
 
 def _ground_guard() -> int:
-    return int(os.environ.get("MONORANK_MAX_GROUND", omatroid.DEFAULT_GROUND_GUARD))
+    raw = os.environ.get("MONORANK_MAX_GROUND", omatroid.DEFAULT_GROUND_GUARD)
+    try:
+        return int(raw)
+    except ValueError:
+        raise FormatError(f"MONORANK_MAX_GROUND is not an integer: {raw!r}") from None
 
 
 def _emit(payload: dict) -> None:
@@ -63,7 +67,7 @@ def main():
               help="Break tied column entries (at --tol) by row order "
                    "(deterministic jitter) instead of failing; exploratory "
                    "use only.")
-@click.option("--tol", type=float, default=0.0, show_default=True,
+@click.option("--tol", type=click.FloatRange(min=0), default=0.0, show_default=True,
               help="Tie tolerance for the genericity check.")
 @_handle_errors
 def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):

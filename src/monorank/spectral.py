@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError, ResourceLimitError
 from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
 
-_HADAMARD_MAX = 20
+# hadamard(n) holds 4^n int64 entries; the guard keeps it within this budget
+_HADAMARD_BYTES = 128 << 20
+_HADAMARD_MAX = ((_HADAMARD_BYTES // 8).bit_length() - 1) // 2
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -67,11 +70,7 @@ def hadamard(n: int) -> np.ndarray:
         raise DomainError("hadamard order must be nonnegative")
     if n > _HADAMARD_MAX:
         raise ResourceLimitError(f"hadamard order {n} exceeds guard {_HADAMARD_MAX}")
-    h = np.array([[1]], dtype=np.int64)
-    block = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    for _ in range(n):
-        h = np.kron(block, h)
-    return h
+    return scipy.linalg.hadamard(1 << n, dtype=np.int64)
 
 
 def sign_matrix_with_columns(vectors: SignVectorSet) -> np.ndarray:

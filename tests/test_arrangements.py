@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from monorank import (
     vc_dimension,
 )
 
-from monorank import arrangements
+from monorank import CircuitCandidateSet, SignVector, SignVectorSet, arrangements
+from monorank.arrangements import _POSITION_TOL
 
 from .fixtures import DISTORTION_A, DISTORTION_B, NORMALS_B, POINTS_B
 
@@ -299,6 +301,154 @@ def test_general_position_flagging():
     assert not PointArrangement(
         2, [[0, 0], [1, 0], [2, 0], [0, 1]]
     ).in_general_position()
+
+
+# -- stacked SVDs and column orders against the per-subset loops ---------------
+
+
+def loop_point_circuits(arrangement):
+    """Reference oracle: one SVD per (d+2)-subset, signs packed bit by bit."""
+    pts = arrangement.points
+    m, d = pts.shape
+    hom = np.hstack([pts, np.ones((m, 1))])
+    members = []
+    for subset in itertools.combinations(range(m), d + 2):
+        _, s, vt = np.linalg.svd(hom[list(subset)].T)
+        names = tuple(i + 1 for i in subset)
+        if s[-1] <= _POSITION_TOL * s[0]:
+            raise DomainError(
+                f"points {names} are affinely degenerate (null space dimension > 1)"
+            )
+        null = vt[-1]
+        if np.min(np.abs(null)) <= _POSITION_TOL * np.max(np.abs(null)):
+            raise DomainError(
+                f"points {names} are not in general position (vanishing coefficient)"
+            )
+        pos = neg = 0
+        for idx, i in enumerate(subset):
+            if null[idx] > 0:
+                pos |= 1 << i
+            else:
+                neg |= 1 << i
+        members += [SignVector(m, pos, neg), SignVector(m, neg, pos)]
+    return CircuitCandidateSet(m, SignVectorSet(m, members), uniform_rank=d + 1)
+
+
+def loop_in_general_position(arrangement):
+    """Reference oracle: one SVD per (d+1)-subset (all points when m <= d)."""
+    pts = arrangement.points
+    m, d = pts.shape
+    subsets = itertools.combinations(range(m), d + 1) if m > d else [tuple(range(m))]
+    for subset in subsets:
+        sub = pts[list(subset)]
+        diffs = sub[1:] - sub[0]
+        if diffs.shape[0] == 0:
+            continue
+        s = np.linalg.svd(diffs, compute_uv=False)
+        if s[-1] <= _POSITION_TOL * max(s[0], 1.0):
+            return False
+    return True
+
+
+def loop_sweep_permutations(arrangement):
+    """Reference oracle: sorted (angle, pair) criticals and one argsort per
+    sweep cell."""
+    pts = arrangement.points
+    m = len(pts)
+    criticals = []
+    for i, k in itertools.combinations(range(m), 2):
+        dx, dy = pts[i] - pts[k]
+        if dx == 0.0 and dy == 0.0:
+            raise DomainError(f"points {i + 1} and {k + 1} coincide")
+        criticals.append((math.atan2(dx, -dy) % math.pi, (i + 1, k + 1)))
+    criticals.sort()
+    wrapped = criticals[1:] + [(criticals[0][0] + math.pi, criticals[0][1])]
+    for (a1, pair1), (a2, pair2) in zip(criticals, wrapped):
+        if abs(a2 - a1) <= _POSITION_TOL:
+            raise DomainError(
+                f"degenerate configuration: pairs {pair1} and {pair2} give "
+                f"parallel connecting segments (or a collinear triple)"
+            )
+    angles = [a for a, _ in criticals]
+    angles += [a + math.pi for a in angles]
+    count = len(angles)
+    perms = []
+    for idx in range(count):
+        a0 = angles[idx]
+        a1 = angles[(idx + 1) % count] + (2 * math.pi if idx == count - 1 else 0.0)
+        mid = (a0 + a1) / 2.0
+        order = np.argsort(pts @ np.array([math.cos(mid), math.sin(mid)]))
+        perms.append(tuple(int(i) + 1 for i in order))
+    return AllowableSequence(perms)
+
+
+def _outcome(fn, arrangement):
+    """The result of fn, or the type and text of the DomainError it raises."""
+    try:
+        return fn(arrangement)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+def _oracle_arrangements():
+    """Seeded point sets in dimensions 1-4 with m below, at and above d+2,
+    and small-integer grids, which give collinear and coincident points."""
+    rng = np.random.default_rng(61)
+    for d in (1, 2, 3, 4):
+        for m in range(2, d + 6):
+            yield PointArrangement(d, rng.standard_normal((m, d)))
+            yield PointArrangement(d, rng.integers(-2, 3, size=(m, d)).astype(float))
+    yield PointArrangement(2, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
+    yield PointArrangement(3, np.zeros((5, 3)))
+    # spread below 1: the general-position test scales by max(s0, 1)
+    yield PointArrangement(2, 1e-10 * rng.standard_normal((4, 2)))
+
+
+def _planar_sweep_inputs():
+    # parallel segments (2, 4) and (3, 5): math.atan2 and np.arctan2 round
+    # their angles in opposite orders, so the message names them in turn
+    yield PointArrangement(2, [[2, 1], [2, 0], [-2, 2], [-1, 2], [1, 0]])
+    rng = np.random.default_rng(62)
+    for m in (2, 2, 3, 5, 7, 9):
+        yield PointArrangement(2, rng.standard_normal((m, 2)))
+    for _ in range(40):
+        m = int(rng.integers(2, 7))
+        yield PointArrangement(2, rng.integers(-3, 4, size=(m, 2)).astype(float))
+
+
+def test_point_circuits_match_per_subset_loop():
+    kinds = set()
+    for arrangement in _oracle_arrangements():
+        got = _outcome(point_circuits, arrangement)
+        want = _outcome(loop_point_circuits, arrangement)
+        assert got == want
+        kinds.add(got[1].split(" (")[-1] if isinstance(got, tuple) else len(got) > 0)
+    # empty (m < d+2) and nonempty circuit sets, and both error texts
+    assert kinds == {
+        False,
+        True,
+        "null space dimension > 1)",
+        "vanishing coefficient)",
+    }
+
+
+def test_general_position_matches_per_subset_loop():
+    flags = [
+        (a.in_general_position(), loop_in_general_position(a))
+        for a in _oracle_arrangements()
+    ]
+    assert all(got == want for got, want in flags)
+    assert {got for got, _ in flags} == {True, False}
+
+
+def test_sweeps_match_per_cell_loop():
+    messages = set()
+    for arrangement in _planar_sweep_inputs():
+        got = _outcome(sweep_permutations, arrangement)
+        assert got == _outcome(loop_sweep_permutations, arrangement)
+        if isinstance(got, tuple):
+            messages.add(got[1].split()[0])
+    assert messages == {"points", "degenerate"}
 
 
 # -- sweeps and allowable sequences --------------------------------------------

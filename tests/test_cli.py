@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from monorank import parse_matrix, threshold_topes
+from monorank import hadamard, parse_matrix, threshold_topes
 from monorank.cli import main
 
 from .fixtures import RAD_STRICT, RANK2_CYCLE, RANK3_REJECT, a1_csv, a4_csv
@@ -159,6 +160,20 @@ def test_hadamard_guard_exit_4(runner):
     assert result.exit_code == 4
 
 
+def test_hadamard_output_file(runner, tmp_path):
+    out = tmp_path / "h.csv"
+    result = invoke(runner, "hadamard", "2", "-o", str(out))
+    assert result.exit_code == 0 and result.output == ""
+    assert np.array_equal(parse_matrix(out.read_text()), hadamard(2))
+
+
+def test_analyze_negative_tolerance_is_a_usage_error(runner, tmp_path):
+    path = write(tmp_path, "a1.csv", a1_csv())
+    result = runner.invoke(main, ["analyze", path, "--tol", "-1"])
+    assert result.exit_code == 2
+    assert "--tol" in result.stderr
+
+
 def test_isrank2_command(runner, tmp_path):
     path = write(tmp_path, "s.txt", "\n".join(RANK3_REJECT.strings()) + "\n")
     result = invoke(runner, "isrank2", path)
@@ -179,6 +194,15 @@ def test_complete_command_infeasible(runner, tmp_path):
     path = write(tmp_path, "s52.txt", "\n".join(RANK3_REJECT.strings()) + "\n")
     payload = json.loads(invoke(runner, "complete", path, "2").output)
     assert payload["feasible"] is False
+
+
+def test_complete_command_missing_support(runner, tmp_path):
+    cube = ["".join(s) for s in itertools.product("+-", repeat=3)]
+    path = write(tmp_path, "cube.txt", "\n".join(cube) + "\n")
+    payload = json.loads(invoke(runner, "complete", path, "2").output)
+    assert payload["feasible"] is False
+    assert payload["missing_support"] == [1, 2, 3]
+    assert "violation" not in payload and "witness" not in payload
 
 
 def test_complete_command_reports_nodes(runner, tmp_path):
@@ -211,6 +235,24 @@ def test_encode_command_json_report(runner, tmp_path):
     assert matrix.shape == (2, 4)
 
 
+def test_encode_output_file_without_json(runner, tmp_path):
+    path = write(tmp_path, "s.txt", "++-\n--+\n")
+    out = tmp_path / "enc.csv"
+    result = invoke(runner, "encode", path, "-o", str(out))
+    assert result.exit_code == 0 and result.output == ""
+    topes = threshold_topes(parse_matrix(out.read_text()))
+    assert {"++-", "--+"} <= set(topes.strings())
+
+
+def test_generate_to_stdout(runner, tmp_path):
+    result = invoke(runner, "generate", "4", "3", "2", "--seed", "7")
+    out = tmp_path / "m.csv"
+    invoke(runner, "generate", "4", "3", "2", "--seed", "7", "-o", str(out))
+    assert result.exit_code == 0
+    assert result.output == out.read_text()
+    assert parse_matrix(result.output).shape == (4, 3)
+
+
 def test_sweep_command_text_format(runner, tmp_path):
     path = write(tmp_path, "pts.csv", "0,0\n2,0.3\n0.7,1.9\n")
     result = invoke(runner, "sweep", path)
@@ -229,3 +271,13 @@ def test_guard_env_override(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["complete", path, "1"])
     assert result.exit_code == 0
     assert json.loads(result.output)["feasible"] is True
+
+
+def test_guard_env_override_not_an_integer(runner, tmp_path, monkeypatch):
+    path = write(tmp_path, "s7.txt", "\n".join(RANK2_CYCLE.strings()) + "\n")
+    monkeypatch.setenv("MONORANK_MAX_GROUND", "ten")
+    result = runner.invoke(main, ["complete", path, "2"])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr)["error"]
+    assert err["kind"] == "FormatError"
+    assert "MONORANK_MAX_GROUND" in err["message"] and "'ten'" in err["message"]

@@ -181,6 +181,12 @@ def test_completion_node_budget_sets_timeout():
     assert result.timed_out and not result.feasible
 
 
+def test_rank_bound_raises_when_a_rank_hits_the_node_budget():
+    # rank 1 fails on a missing support with no node placed; rank 2 times out
+    with pytest.raises(ResourceLimitError, match="rank 2 hit node budget"):
+        om_rank_lower_bound(RANK2_CYCLE, 2, max_nodes=0)
+
+
 def test_completion_rejects_unclosed_input():
     with pytest.raises(DomainError):
         uniform_completion(SignVectorSet.from_strings(["++-"]), 2)

@@ -87,6 +87,14 @@ def test_default_report_makes_no_sign_vectors(monkeypatch):
     assert made > 0
 
 
+def test_integer_bounds_with_completion():
+    report = build_report(RAD_STRICT, complete_d_max=3)
+    bounds = report.integer_bounds()
+    assert bounds["om_completion_rank"] == report.om_completion.value == 3
+    assert max(bounds.values()) == report.monotone_rank_lower_bound
+    assert "om_completion_rank" not in build_report(RAD_STRICT).integer_bounds()
+
+
 def test_rank_report_is_slotted():
     report = build_report(RAD_STRICT)
     assert not hasattr(report, "__dict__")

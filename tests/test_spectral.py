@@ -22,7 +22,7 @@ from monorank import (
     threshold_topes,
 )
 
-from monorank.spectral import _sign_matrix
+from monorank.spectral import _HADAMARD_BYTES, _HADAMARD_MAX, _sign_matrix
 
 from .fixtures import (
     DISTORTION_A,
@@ -153,6 +153,15 @@ def test_hadamard_rows_orthogonal():
 def test_hadamard_guard():
     with pytest.raises(ResourceLimitError):
         hadamard(21)
+
+
+def test_hadamard_guard_is_largest_order_within_byte_budget():
+    # order n holds 4^n int64 entries; past the guard nothing is allocated
+    assert hadamard(3).nbytes == 8 * 4**3
+    assert 8 * 4**_HADAMARD_MAX <= _HADAMARD_BYTES < 8 * 4 ** (_HADAMARD_MAX + 1)
+    assert _HADAMARD_MAX == 12
+    with pytest.raises(ResourceLimitError, match="exceeds guard 12"):
+        hadamard(_HADAMARD_MAX + 1)
 
 
 def test_encode_single_mixed_vector():
