@@ -8,6 +8,7 @@ strictly increasing per-column distortion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ def parse_matrix(text: str) -> np.ndarray:
                 raise FormatError(
                     f"row {lineno}, column {col}: cannot parse {field!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise FormatError(f"row {lineno}, column {col}: non-finite entry")
             row.append(value)
         rows.append(row)

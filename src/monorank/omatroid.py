@@ -21,6 +21,21 @@ of the last support its eliminant could sit on (its trigger) and fires
 when that support is placed, and the search backtracks through an undo
 log instead of copying its state (see _EliminationScan).
 
+The completion search checks C4 on modular pairs only.  Signed sets that
+meet C1-C3 and eliminate on every modular pair are the circuits of an
+oriented matroid (modular elimination: Björner, Las Vergnas, Sturmfels,
+White & Ziegler, Oriented Matroids, §3.2).  In a uniform rank-r matroid
+two circuits X, Y form a modular pair exactly when |supp X ∪ supp Y| =
+r + 2, and then the eliminant has one possible support.  A failed
+modular check is a real C4 violation, so pruning on it is sound, and on
+a complete assignment the two scans agree: the depth-first search
+reaches the same first feasible leaf.  It may place more candidates on
+the way, since a non-modular check can prune earlier.  The first
+violation reported is still the full scan's: no backtrack comes before
+the first violation, so it lies on the path of first candidates, and
+_first_violation replays that path through the full scan.
+check_circuit_axioms, whose input is any antichain, keeps the full scan.
+
 A witness is certified before the search returns it, by checks that share
 no code with the C4 scan: every circuit is orthogonal to the input, the
 circuits are those of one chirotope, and that chirotope meets every 3-term
@@ -131,7 +146,9 @@ class CompletionResult:
     feasible implies a witness; infeasible with violation=None and
     missing_support set means some support admitted no potential circuit.
     timed_out marks an exhausted node budget, in which case infeasibility
-    is not certified.  nodes counts the candidate circuits placed.  A
+    is not certified.  nodes counts the candidate circuits placed; as the
+    search checks C4 on modular pairs only, it may exceed the count of a
+    search that checks every pair, which can prune earlier.  A
     witness has passed _certify_witness: its circuits are orthogonal to the
     input and read off a chirotope that meets every 3-term
     Grassmann–Plücker relation.
@@ -254,11 +271,18 @@ class _EliminationScan:
     z & ~a == 0.  Each placement logs the buckets it filed into; undo()
     drops the latest placement, its pool entries and those filings, so
     the completion search backtracks without copying state.
+
+    With modular set, the supports must all have one size r + 1 and the
+    pool loop skips every X whose support and the new one's span more
+    than r + 2 elements: only modular pairs are checked (see the module
+    docstring).  Scan order, deferral and undo are otherwise unchanged.
     """
 
-    def __init__(self, ground_size: int, supports: Sequence[int]):
+    def __init__(self, ground_size: int, supports: Sequence[int], *, modular: bool = False):
         self.n = ground_size
         self.supports = sorted(supports)
+        # the size of a modular pair's union, or 0 to check every pair
+        self._span = self.supports[0].bit_count() + 1 if modular else 0
         self.placed: list[tuple[int, int]] = []
         self.pool: list[int] = []
         self.buckets: list[list[tuple[int, int, int, tuple[int, ...]]]] = [
@@ -310,13 +334,17 @@ class _EliminationScan:
         insort(pool, b)
         zones = self._zones
         buckets = self.buckets
+        span = self._span
+        support = rep.support_mask
         for x in pool:
             if x == a or x == b:
+                continue
+            spread = (x >> n | x) & full | support  # supp X ∪ supp Y
+            if span and spread.bit_count() != span:
                 continue
             for y in new:
                 sep = (x >> n & y) | (x & y >> n)  # X+ ∩ Y- ∪ X- ∩ Y+
                 u = x | y
-                spread = (u >> n | u) & full  # supp X ∪ supp Y
                 while sep:
                     e = sep & -sep
                     sep ^= e
@@ -393,9 +421,10 @@ def uniform_completion(
     the given zero-free, negation-closed set.
 
     One ± circuit pair is chosen per (rank+1)-support from the potential
-    circuits; C1-C3 hold by construction and C4 is enforced incrementally.
-    A support with no potential circuit makes completion immediately
-    infeasible.  Infeasible results carry the first C4 violation seen.
+    circuits; C1-C3 hold by construction and C4 is enforced incrementally,
+    on modular pairs only.  A support with no potential circuit makes
+    completion immediately infeasible.  Infeasible results carry the first
+    C4 violation of the full scan, from _first_violation.
 
     The search is depth first over the supports in sorted order, on an
     explicit stack of candidate positions, so its depth is not bounded by
@@ -419,9 +448,8 @@ def uniform_completion(
                 missing_support=frozenset(i + 1 for i in support),
             )
         candidates[mask] = pairs
-    scan = _EliminationScan(n, list(candidates))
+    scan = _EliminationScan(n, list(candidates), modular=True)
     choices = [candidates[support] for support in scan.supports]
-    first_violation: tuple[int, int, int] | None = None
     nodes = 0
     # tried[k]: how many candidates of support k the current branch has tried
     tried = [0] * len(choices)
@@ -429,8 +457,9 @@ def uniform_completion(
     while k < len(choices):
         if tried[k] == len(choices[k]):
             if k == 0:
-                found = None if first_violation is None else scan.violation(first_violation)
-                return CompletionResult(feasible=False, violation=found, nodes=nodes)
+                return CompletionResult(
+                    feasible=False, violation=_first_violation(n, candidates), nodes=nodes
+                )
             tried[k] = 0
             k -= 1
             scan.undo()
@@ -443,8 +472,6 @@ def uniform_completion(
         if violation is None:
             k += 1
             continue
-        if first_violation is None:
-            first_violation = violation
         scan.undo()
     chosen = [pairs[i - 1] for pairs, i in zip(choices, tried)]
     _certify_witness(n, rank, [rep for rep, _ in chosen], masks)
@@ -454,6 +481,30 @@ def uniform_completion(
         uniform_rank=rank,
     )
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
+
+
+def _first_violation(
+    n: int, candidates: dict[int, list[tuple[SignVector, SignVector]]]
+) -> AxiomViolation:
+    """The first C4 violation a full-scan search meets, for an infeasible
+    search over these candidates (support mask -> pairs).
+
+    Before its first violation the depth-first search never backtracks,
+    so it has placed the first candidate of every support up to the one
+    that fails.  This places those through the full scan, in order.  A
+    path that ends with no violation is a complete circuit set that meets
+    C4, so the search was wrong to call the candidates infeasible: that
+    raises MonorankError.
+    """
+    scan = _EliminationScan(n, list(candidates))
+    for support in scan.supports:
+        keys = scan.place(candidates[support][0][0])
+        if keys is not None:
+            return scan.violation(keys)
+    raise MonorankError(
+        "completion search found the candidates infeasible, but their first "
+        "candidates meet C4"
+    )
 
 
 def _certify_witness(

@@ -45,6 +45,24 @@ def test_parse_rejects_nonfinite():
         parse_matrix("1,inf\n2,3")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,nan\n2,3", "row 1, column 2: non-finite entry"),
+        ("1,2\n-inf,3", "row 2, column 1: non-finite entry"),
+        ("1,2\n3,1e400", "row 2, column 2: non-finite entry"),
+        ("a,b\n1,NaN", "row 2, column 2: non-finite entry"),
+        # the first bad field of a row is reported, non-finite or not
+        ("1,2,3\n4,inf,x", "row 2, column 2: non-finite entry"),
+        ("1,2,3\n4,x,inf", "row 2, column 2: cannot parse 'x'"),
+    ],
+)
+def test_parse_nonfinite_error_text(text, message):
+    with pytest.raises(FormatError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
 def test_csv_roundtrip():
     m = np.array([[1.25, -3.5], [0.1, 2.0]])
     assert np.array_equal(parse_matrix(format_matrix_csv(m)), m)

@@ -28,7 +28,12 @@ from monorank import (
 )
 
 from monorank.errors import MonorankError
-from monorank.omatroid import _certify_witness, _is_rank2_masks
+from monorank.omatroid import (
+    _certify_witness,
+    _EliminationScan,
+    _first_violation,
+    _is_rank2_masks,
+)
 
 from .fixtures import (
     POTENTIAL_CIRCUITS_RAD_STRICT,
@@ -619,6 +624,74 @@ def test_completion_matches_reference_scan_on_random_sets():
     assert kinds.count("C4") >= 8
 
 
+# searches on which the modular scan places more candidates than the full
+# scan, which prunes some branches earlier; the outcome is the same
+NODES_GROW = [
+    (["+++----", "+-+++--", "+--+-+-", "-++-++-", "++-+++-", "+-++++-", "-+++++-",
+      "+-----+", "-+----+", "--+---+", "+--+--+", "-++-+-+", "-+---++", "---++++"], 3),
+    (["+------", "+++----", "+++-+--", "---++--", "-+-++--", "+--+-+-", "--+-++-",
+      "-+-+++-", "+-++++-", "-+----+", "+-+---+", "++-+--+", "-++-+-+", "+-+--++",
+      "+++--++", "---+-++", "---++++", "-++++++"], 3),
+]
+
+# infeasible searches whose first violation the full scan and the modular
+# scan name differently on the path of first candidates
+REPLAY_MATTERS = [
+    (["------", "-+----", "--+---", "-+--+-", "-++-+-", "+--++-", "--+++-", "-++++-",
+      "+----+", "++---+", "-++--+", "+--+-+", "+-++-+", "++-+++", "+-++++", "++++++"], 3),
+    (["---+---", "--++---", "+---+--", "++--+--", "-+---+-", "+-+--+-", "---+-+-",
+      "++++++-", "------+", "+++-+-+", "-+-++-+", "+-+++-+", "--++-++", "-+++-++",
+      "++--+++", "+++-+++"], 3),
+]
+
+
+def larger_random_suite():
+    """(sign set, rank) pairs on 4 to 8 elements at ranks 2 to 5, then
+    NODES_GROW and REPLAY_MATTERS."""
+    rng = np.random.default_rng(43)
+    cases = [
+        (n, rank, pairs)
+        for n in range(4, 9)
+        for rank in range(2, min(5, n - 1) + 1)
+        # the reference takes about half a second per search on 8 elements
+        for pairs in ((3, 8) if n == 8 else (2, 3, 4, 6, 8, 12))
+    ]
+    # the strata that end in C4 violations after backtracking most often
+    cases += [(n, 2, 3) for n in (5, 6, 7, 8)] * 3 + [(7, 3, 8)] * 4
+    for n, rank, pairs in cases:
+        yield random_sign_set(rng, n, min(pairs, 1 << (n - 1))), rank
+    for strings, rank in NODES_GROW + REPLAY_MATTERS:
+        yield SignVectorSet.from_strings(strings), rank
+
+
+def test_completion_matches_full_scan_reference_on_larger_suite():
+    # the modular scan reaches the same outcome as the full scan, after
+    # placing at least as many candidates
+    kinds, grew = [], 0
+    for sset, rank in larger_random_suite():
+        result = uniform_completion(sset, rank, max_nodes=500)
+        want = summary(reference_uniform_completion(sset, rank, max_nodes=500))
+        got = summary(result)
+        kinds.append(outcome_kind(result))
+        if got["timed_out"] or want["timed_out"]:
+            continue
+        assert got["nodes"] >= want["nodes"], (rank, sset.strings())
+        grew += got["nodes"] > want["nodes"]
+        assert {**got, "nodes": 0} == {**want, "nodes": 0}, (rank, sset.strings())
+    assert len(kinds) == 106
+    assert grew >= len(NODES_GROW)
+    assert {"feasible", "missing_support"} <= set(kinds) and kinds.count("C4") >= 8
+
+
+def test_first_violation_raises_when_the_first_candidates_meet_c4():
+    result = uniform_completion(random_sign_set(np.random.default_rng(3), 6, 2), 3)
+    assert result.feasible
+    candidates = {v.support_mask: [(v, -v)] for v in witness_reps(result.witness)}
+    with pytest.raises(MonorankError, match="first candidates meet C4") as info:
+        _first_violation(6, candidates)
+    assert type(info.value) is MonorankError
+
+
 EXAMPLE_SETS = {
     "rad_strict_thresh": threshold_topes(RAD_STRICT),
     "rad_strict_diff": difference_topes(RAD_STRICT),
@@ -706,6 +779,63 @@ def test_axiom_check_matches_reference_scan():
         ), sset.strings()
         axioms.append(got.violation.axiom if got.violation else "ok")
     assert {"ok", "C1", "C2", "C3", "C4"} <= set(axioms)
+
+
+def modular_scan_ok(circuits):
+    """Whether a complete uniform circuit set meets every check of the
+    modular-only scan that the completion search runs."""
+    by_support = {v.support_mask: v for v in circuits}
+    scan = _EliminationScan(circuits.ground_size, list(by_support), modular=True)
+    return all(scan.place(by_support[support]) is None for support in scan.supports)
+
+
+def test_modular_scan_verdict_matches_axiom_check_on_complete_sets():
+    # modular elimination: on one ± pair per (rank+1)-support, C4 on the
+    # modular pairs decides C4
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for n in range(3, 9):
+        for rank in range(1, n):
+            sets = [random_uniform_selection(rng, n, rank) for _ in range(3)]
+            # a witness, then the same witness with one sign of one circuit flipped
+            reps = chirotope_reps(n, rank, realizable_chi(rng, n, rank))
+            for flips in (0, 1, 1):
+                changed = list(reps)
+                for k in rng.choice(len(reps), size=flips, replace=False):
+                    v = reps[k]
+                    support = [1 << i for i in range(n) if v.support_mask >> i & 1]
+                    bit = support[rng.integers(len(support))]
+                    changed[k] = SignVector(n, v.pos ^ bit, v.neg ^ bit)
+                sets.append(SignVectorSet(n, changed + [-v for v in changed]))
+            for circuits in sets:
+                ok = check_circuit_axioms(circuits).ok
+                assert modular_scan_ok(circuits) == ok, (rank, circuits.strings())
+                verdicts.append(ok)
+    assert len(verdicts) == 162
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 60
+
+
+def test_bucket_pass_fires_every_deferred_check():
+    # a check deferred to a support's bucket is tested, in filing order,
+    # when that support is placed
+    rng = np.random.default_rng(37)
+    n, rank = 6, 2
+    by_support = {v.support_mask: v for v in chirotope_reps(n, rank, realizable_chi(rng, n, rank))}
+    for modular in (False, True):
+        scan = _EliminationScan(n, list(by_support), modular=modular)
+        tested = []
+        has_eliminant = scan._has_eliminant
+        scan._has_eliminant = lambda u, e, inside: (
+            tested.append((u, e)) or has_eliminant(u, e, inside)
+        )
+        fired = 0
+        for k, support in enumerate(scan.supports):
+            bucket = [(x | y, e) for x, y, e, _ in scan.buckets[k]]
+            tested.clear()
+            assert scan.place(by_support[support]) is None
+            assert tested[len(tested) - len(bucket) :] == bucket
+            fired += len(bucket)
+        assert fired > 0, modular
 
 
 # -- witness certificate -------------------------------------------------------
