@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
 from .matrices import Permutation, check_generic, column_permutations, parse_matrix
@@ -247,6 +246,8 @@ def _random_distortion(rng: np.random.Generator) -> MonotoneDistortion:
 def _max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest t with sign_i (row_i · x) >= t over the box ||x||_inf <= 1,
     and an x attaining it."""
+    from scipy.optimize import linprog  # on first use: scipy is slow to import
+
     k, cols = rows.shape
     a_ub = np.empty((k, cols + 1))
     a_ub[:, :cols] = -signs[:, None] * rows

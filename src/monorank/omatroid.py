@@ -16,10 +16,10 @@ the required eliminant (colexicographically), then by canonical vector
 order, which pins down the reported violation witness deterministically.
 
 Supports are placed in sorted order, so the placed ones are always a
-prefix of the sorted support list.  A check therefore waits in the bucket
-of the last support its eliminant could sit on (its trigger) and fires
-when that support is placed, and the search backtracks through an undo
-log instead of copying its state (see _EliminationScan).
+prefix of the sorted support list.  A check of the full scan therefore
+waits in the bucket of the last support its eliminant could sit on (its
+trigger) and fires when that support is placed, and the search backtracks
+by undoing placements instead of copying its state (see _EliminationScan).
 
 The completion search checks C4 on modular pairs only.  Signed sets that
 meet C1-C3 and eliminate on every modular pair are the circuits of an
@@ -35,6 +35,22 @@ violation reported is still the full scan's: no backtrack comes before
 the first violation, so it lies on the path of first candidates, and
 _first_violation replays that path through the full scan.
 check_circuit_axioms, whose input is any antichain, keeps the full scan.
+
+The modular scan files no check for later: it drops a check whose
+eliminant's support is not placed yet, because the placement that would
+decide it fires a check with the same verdict.  Take circuits x, y, z on
+U∖p, U∖q and U∖e, where |U| = r + 2, and the check e from (x, y), with
+y's sign chosen so that x(e) = -y(e).  Its zone is U∖e, so ±z are the only
+candidate eliminants, and s·z eliminates exactly when s = y(p)z(p) =
+x(q)z(q) and no k in U∖{p, q, e} has x(k) = y(k) = -s·z(k).  In terms
+that no choice of signs changes, the check passes exactly when
+x(q)x(e)·y(p)y(e)·z(p)z(q) = -1 and no such k has x(e)y(e)x(k)y(k) =
+x(q)z(q)x(k)z(k) = y(p)z(p)y(k)z(k) = -1.  Both conditions are symmetric
+in (x, p), (y, q) and (z, e), so the checks q from (x, z) and p from
+(y, z) share the verdict.  A check waits only when z's support comes last
+of the three; placing it scans both of those checks, which are decisive
+since x and y are placed, so place() fails exactly where filing and
+re-testing the check would make it fail.  This holds at every rank.
 
 A witness is certified before the search returns it, by checks that share
 no code with the C4 scan: every circuit is orthogonal to the input, the
@@ -69,7 +85,7 @@ DEFAULT_GROUND_GUARD = 10
 # data types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircuitCandidateSet:
     """A negation-closed set of candidate circuits on [ground_size].
 
@@ -107,7 +123,7 @@ class CircuitCandidateSet:
         return len(self.circuits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomViolation:
     """Witness for a failed circuit axiom; element is 1-based."""
 
@@ -133,13 +149,13 @@ class AxiomViolation:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomReport:
     ok: bool
     violation: AxiomViolation | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionResult:
     """Outcome of a uniform completion search at one rank.
 
@@ -162,7 +178,7 @@ class CompletionResult:
     nodes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OmRankBound:
     """Smallest completable rank found; exceeds means no rank up to the
     cap worked, and value = cap + 1 is still a valid lower bound."""
@@ -268,14 +284,17 @@ class _EliminationScan:
 
     Circuits are integer keys pos << n | neg: numeric order is the
     canonical (pos, neg) order, and Z+ ⊆ A+ with Z- ⊆ A- reads
-    z & ~a == 0.  Each placement logs the buckets it filed into; undo()
-    drops the latest placement, its pool entries and those filings, so
-    the completion search backtracks without copying state.
+    z & ~a == 0.
 
     With modular set, the supports must all have one size r + 1 and the
     pool loop skips every X whose support and the new one's span more
-    than r + 2 elements: only modular pairs are checked (see the module
-    docstring).  Scan order, deferral and undo are otherwise unchanged.
+    than r + 2 elements: only modular pairs are checked.  A check that is
+    not yet decisive is dropped, not filed, since the placement that
+    decides it fires a check with the same verdict (see the module
+    docstring); the buckets stay empty.  undo() drops the latest
+    placement and its pool entries, so the completion search backtracks
+    without copying state.  It is for the modular scan only: a full scan
+    would also have to take back its filings.
     """
 
     def __init__(self, ground_size: int, supports: Sequence[int], *, modular: bool = False):
@@ -288,7 +307,6 @@ class _EliminationScan:
         self.buckets: list[list[tuple[int, int, int, tuple[int, ...]]]] = [
             [] for _ in self.supports
         ]
-        self._filed: list[list[int]] = []
         self._zones: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def _zone(self, zone: int) -> tuple[int, tuple[int, ...]]:
@@ -319,15 +337,13 @@ class _EliminationScan:
     def place(self, rep: SignVector) -> tuple[int, int, int] | None:
         """Place rep and -rep on the next support; return the first C4
         violation as keys (x, y, e), if any, for violation() to spell
-        out.  Every call is logged, violation or not."""
+        out.  The placement stands, violation or not, until undo()."""
         n = self.n
         full = (1 << n) - 1
         k = len(self.placed)
         a = rep.pos << n | rep.neg
         b = rep.neg << n | rep.pos
         new = (a, b) if a < b else (b, a)
-        filed: list[int] = []
-        self._filed.append(filed)
         self.placed.append(new)
         pool = self.pool
         insort(pool, a)
@@ -350,8 +366,8 @@ class _EliminationScan:
                     sep ^= e
                     trigger, inside = zones.get(spread ^ e) or self._zone(spread ^ e)
                     if trigger > k:
-                        buckets[trigger].append((x, y, e, inside))
-                        filed.append(trigger)
+                        if not span:
+                            buckets[trigger].append((x, y, e, inside))
                         continue
                     if not self._has_eliminant(u, e, inside):
                         return x, y, e
@@ -361,9 +377,7 @@ class _EliminationScan:
         return None
 
     def undo(self) -> None:
-        """Drop the latest placement and everything it filed."""
-        for trigger in self._filed.pop():
-            self.buckets[trigger].pop()
+        """Drop the latest placement of a modular scan."""
         pool = self.pool
         for key in self.placed.pop():
             del pool[bisect_left(pool, key)]
@@ -644,7 +658,7 @@ def om_rank_lower_bound(
     return OmRankBound(d_max + 1, exceeds=True, attempts=tuple(attempts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixCompletionRank:
     """Completion rank of a matrix: max of the difference-side rank and the
     threshold-side rank minus one.  exceeds means at least one side ran out

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, ResourceLimitError
 from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
@@ -70,6 +69,8 @@ def hadamard(n: int) -> np.ndarray:
         raise DomainError("hadamard order must be nonnegative")
     if n > _HADAMARD_MAX:
         raise ResourceLimitError(f"hadamard order {n} exceeds guard {_HADAMARD_MAX}")
+    import scipy.linalg  # on first use: scipy is slow to import
+
     return scipy.linalg.hadamard(1 << n, dtype=np.int64)
 
 

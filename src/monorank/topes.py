@@ -27,13 +27,21 @@ from .signs import (
 )
 
 
+def _one_based(index: int, size: int, what: str) -> int:
+    """The 0-based position of a 1-based index, which must lie in
+    [1..size]: numpy would read 0 as the last entry."""
+    if not 1 <= index <= size:
+        raise IndexError(f"{what} {index} outside [1..{size}]")
+    return index - 1
+
+
 def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVector:
     """The cut vector of one column: sign(a_ij - theta) over rows i.
 
     `column` is 1-based.  The threshold must miss every entry.
     """
     a = np.asarray(matrix, dtype=float)
-    col = a[:, column - 1]
+    col = a[:, _one_based(column, a.shape[1], "column")]
     if np.any(col == theta):
         raise GenericityError(f"threshold {theta} hits an entry of column {column}")
     return SignVector.from_signs(np.sign(col - theta))
@@ -73,7 +81,8 @@ def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
     a = np.asarray(matrix, dtype=float)
     if i == k:
         raise ValueError("row indices must differ")
-    diff = a[i - 1] - a[k - 1]
+    m = a.shape[0]
+    diff = a[_one_based(i, m, "row")] - a[_one_based(k, m, "row")]
     if np.any(diff == 0):
         j = int(np.nonzero(diff == 0)[0][0]) + 1
         raise GenericityError(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 from monorank import (
@@ -238,7 +239,7 @@ def test_tope_search_lp_count(monkeypatch, d):
             solved.append(1)
             return linprog(*args, **kwargs)
 
-        monkeypatch.setattr(arrangements, "linprog", counting_linprog)
+        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
         _topes(arrangement)
         monkeypatch.undo()
         kind = type(arrangement)

@@ -234,6 +234,25 @@ def test_om_matrix_rad_strict():
     assert str(rank3.violation.x) == "+--0-"
 
 
+def test_completion_results_are_slotted():
+    rank = om_completion_rank_of_matrix(RAD_STRICT, 3)
+    results = [r for bound in (rank.threshold, rank.difference) for _, r in bound.attempts]
+    feasible = next(r for r in results if r.feasible)
+    infeasible = next(r for r in results if r.violation is not None)
+    report = check_circuit_axioms(feasible.witness)
+    objects = [rank, rank.threshold, feasible, feasible.witness, infeasible.violation, report]
+    assert {type(o).__name__ for o in objects} == {
+        "MatrixCompletionRank",
+        "OmRankBound",
+        "CompletionResult",
+        "CircuitCandidateSet",
+        "AxiomViolation",
+        "AxiomReport",
+    }
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
 def test_om_matrix_a1():
     from .fixtures import DISTORTION_A
 
@@ -816,26 +835,80 @@ def test_modular_scan_verdict_matches_axiom_check_on_complete_sets():
 
 
 def test_bucket_pass_fires_every_deferred_check():
-    # a check deferred to a support's bucket is tested, in filing order,
-    # when that support is placed
+    # a check of the full scan deferred to a support's bucket is tested, in
+    # filing order, when that support is placed; the modular scan files none
     rng = np.random.default_rng(37)
     n, rank = 6, 2
     by_support = {v.support_mask: v for v in chirotope_reps(n, rank, realizable_chi(rng, n, rank))}
-    for modular in (False, True):
-        scan = _EliminationScan(n, list(by_support), modular=modular)
-        tested = []
-        has_eliminant = scan._has_eliminant
-        scan._has_eliminant = lambda u, e, inside: (
-            tested.append((u, e)) or has_eliminant(u, e, inside)
-        )
-        fired = 0
-        for k, support in enumerate(scan.supports):
-            bucket = [(x | y, e) for x, y, e, _ in scan.buckets[k]]
-            tested.clear()
-            assert scan.place(by_support[support]) is None
-            assert tested[len(tested) - len(bucket) :] == bucket
-            fired += len(bucket)
-        assert fired > 0, modular
+    scan = _EliminationScan(n, list(by_support))
+    tested = []
+    has_eliminant = scan._has_eliminant
+    scan._has_eliminant = lambda u, e, inside: (
+        tested.append((u, e)) or has_eliminant(u, e, inside)
+    )
+    fired = 0
+    for k, support in enumerate(scan.supports):
+        bucket = [(x | y, e) for x, y, e, _ in scan.buckets[k]]
+        tested.clear()
+        assert scan.place(by_support[support]) is None
+        assert tested[len(tested) - len(bucket) :] == bucket
+        fired += len(bucket)
+    assert fired > 0
+    modular = _EliminationScan(n, list(by_support), modular=True)
+    for support in modular.supports:
+        assert modular.place(by_support[support]) is None
+        assert not any(modular.buckets)
+
+
+def signed_tuples(size, missing):
+    """Every sign tuple on range(size) that is 0 exactly at `missing`."""
+    for signs in itertools.product((1, -1), repeat=size - 1):
+        rest = iter(signs)
+        yield tuple(0 if k == missing else next(rest) for k in range(size))
+
+
+def eliminates(x, y, e, circuits):
+    """Weak elimination of e from sign tuples x and y, with y's sign chosen
+    so that they oppose at e: some circuit z has z+ within (x+ ∪ y+) minus
+    e and z- within (x- ∪ y-) minus e."""
+    if x[e] == y[e]:
+        y = tuple(-s for s in y)
+    return any(
+        all(s == 0 or (k != e and s in (x[k], y[k])) for k, s in enumerate(z))
+        for z in circuits
+    )
+
+
+def test_modular_checks_on_three_circuits_share_one_verdict():
+    # circuits x, y, z on U minus p, q and e, |U| = r + 2: the checks e from
+    # (x, y), q from (x, z) and p from (y, z) pass or fail together, with
+    # the verdict the module docstring states.  So the modular scan can drop
+    # a check that is not yet decisive.
+    verdicts = []
+    for rank in (1, 2, 3):
+        size = rank + 2
+        p, q, e = 0, 1, size - 1
+        others = range(2, size - 1)
+        for x, y, z in itertools.product(
+            signed_tuples(size, p), signed_tuples(size, q), signed_tuples(size, e)
+        ):
+            circuits = [x, y, z] + [tuple(-s for s in v) for v in (x, y, z)]
+            three = {
+                eliminates(x, y, e, circuits),
+                eliminates(x, z, q, circuits),
+                eliminates(y, z, p, circuits),
+            }
+            stated = x[q] * x[e] * y[p] * y[e] * z[p] * z[q] == -1 and not any(
+                x[e] * y[e] * x[k] * y[k]
+                == x[q] * z[q] * x[k] * z[k]
+                == y[p] * z[p] * y[k] * z[k]
+                == -1
+                for k in others
+            )
+            assert three == {stated}, (x, y, z)
+            verdicts.append(stated)
+    assert len(verdicts) == 4**3 + 8**3 + 16**3
+    assert verdicts.count(True) > 0 and verdicts.count(False) > 0
 
 
 # -- witness certificate -------------------------------------------------------

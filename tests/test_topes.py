@@ -98,6 +98,13 @@ def test_threshold_vector_hits_entry():
         threshold_vector(DISTORTION_A, 1, 3.67)
 
 
+@pytest.mark.parametrize("column", [0, 4])
+def test_threshold_vector_rejects_column_outside_range(column):
+    # numpy would read column 0 as the last one
+    with pytest.raises(IndexError, match=rf"column {column} outside \[1\.\.3\]"):
+        threshold_vector(DISTORTION_A, column, 3.0)
+
+
 def test_single_column_chain_cardinality():
     rng = np.random.default_rng(0)
     for m in range(1, 8):
@@ -132,6 +139,13 @@ def test_difference_topes_a1_exact():
 
 def test_difference_vector_sigma_13():
     assert str(difference_vector(DISTORTION_A, 1, 3)) == "++-"
+
+
+@pytest.mark.parametrize("i, k, bad", [(0, 1, 0), (1, 0, 0), (5, 2, 5), (2, 5, 5)])
+def test_difference_vector_rejects_row_outside_range(i, k, bad):
+    # numpy would read row 0 as the last one
+    with pytest.raises(IndexError, match=rf"row {bad} outside \[1\.\.4\]"):
+        difference_vector(DISTORTION_A, i, k)
 
 
 def test_difference_identical_rows_error():
