@@ -18,7 +18,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ResourceLimitError
-from .matrices import Permutation, check_generic, column_permutations, parse_matrix
+from .matrices import (
+    Permutation,
+    _finite_matrix,
+    check_generic,
+    column_permutations,
+    parse_matrix,
+)
 from .omatroid import CircuitCandidateSet
 from .signs import (
     SignVector,
@@ -44,9 +50,7 @@ def _coordinates(rows, dimension: int, noun: str) -> np.ndarray:
         raise DimensionMismatchError(
             f"{noun}s have {a.shape[1]} coordinates, expected {dimension}"
         )
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{noun} coordinates must be finite")
-    return a
+    return _finite_matrix(a, f"{noun} coordinates")
 
 
 def _subsets(m: int, k: int) -> np.ndarray:

@@ -73,10 +73,9 @@ def main():
 def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
     matrix = parse_matrix(Path(matrix_file).read_text())
-    perturbed = False
-    if perturb and not check_generic(matrix, tol).is_generic:
+    perturbed = perturb and not check_generic(matrix, tol).is_generic
+    if perturbed:
         matrix = perturb_ties(matrix, tol)
-        perturbed = True
     rep = report.build_report(
         matrix,
         complete_d_max=complete_d_max,

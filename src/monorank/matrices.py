@@ -4,6 +4,11 @@ Matrices are plain float64 numpy arrays.  A Permutation is a tuple of
 1-based row indices; entry i of the tuple names the row holding the i-th
 smallest value of the column, so column orders are invariant under any
 strictly increasing per-column distortion.
+
+Every entry point that takes a numeric matrix passes it through one gate,
+_finite_matrix, and every tie tolerance through _tolerance.  Column orders
+are defined only for finite entries, and a NaN tolerance would call every
+pair untied.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, GenericityError
+from .errors import DomainError, FormatError, GenericityError
 
 Permutation = tuple[int, ...]
 
@@ -65,6 +70,24 @@ def format_matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(",".join(repr(float(x)) for x in row) for row in matrix) + "\n"
 
 
+def _finite_matrix(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The input as a nonempty 2-D float64 array of finite entries;
+    otherwise DomainError naming `what`."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise DomainError(f"{what} must be a nonempty 2-d array")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} must be finite")
+    return a
+
+
+def _tolerance(tol: float) -> float:
+    """The tie tolerance, which must be a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return float(tol)
+
+
 def _is_number(field: str) -> bool:
     # non-finite tokens count as numeric here so they reach the finiteness
     # check as data instead of silently becoming a header
@@ -104,19 +127,16 @@ def check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
     iff one of its sorted adjacent gaps is <= tol, since every wider pair
     spans one of them.  Tied pairs are listed only for those columns.
     """
-    a = np.asarray(matrix, dtype=float)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    m, n = a.shape
+    a = _finite_matrix(matrix)
+    tol = _tolerance(tol)
     s = np.sort(a, axis=0)
     ties = []
     for j in np.flatnonzero((s[1:] - s[:-1] <= tol).any(axis=0)).tolist():
         col = a[:, j]
         rows = np.argsort(col, kind="stable").tolist()
         # every pair within tol of a sorted entry follows it in the sort
-        for ai in range(m):
-            for ak in range(ai + 1, m):
-                i, k = rows[ai], rows[ak]
+        for ai, i in enumerate(rows):
+            for k in rows[ai + 1 :]:
                 if abs(col[k] - col[i]) <= tol:
                     ties.append((j + 1, min(i, k) + 1, max(i, k) + 1))
                 else:
@@ -127,7 +147,7 @@ def check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
 def _require_generic(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """The matrix as a float array, if check_generic finds no tie within
     tol; otherwise GenericityError listing every tie."""
-    a = np.asarray(matrix, dtype=float)
+    a = _finite_matrix(matrix)
     report = check_generic(a, tol)
     if not report.is_generic:
         raise GenericityError(report.describe(), ties=report.ties)
@@ -152,17 +172,18 @@ def perturb_ties(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
     An entry within `tol` of the one before it is raised to the next float
     more than `tol` above it, so the result passes check_generic at `tol`;
     entries already further apart stay put, and distinct entries keep their
-    strict order.
+    strict order.  An entry that would have to leave the finite floats is a
+    DomainError.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    a = np.asarray(matrix, dtype=float).copy()
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        below = -np.inf
-        for i in np.argsort(col, kind="stable"):
-            x = col[i]
+    a = _finite_matrix(matrix).copy()
+    tol = _tolerance(tol)
+    for j, col in enumerate(a.T):  # columns as views, updated in place
+        below = -math.inf
+        for i in np.argsort(col, kind="stable").tolist():
+            x = float(col[i])
             while x - below <= tol:
-                x = np.nextafter(max(x, below + tol), np.inf)
+                x = math.nextafter(max(x, below + tol), math.inf)
+            if x == math.inf:
+                raise DomainError(f"tolerance {tol!r} overflows column {j + 1}")
             col[i] = below = x
     return a

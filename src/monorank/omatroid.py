@@ -70,13 +70,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, MonorankError, ResourceLimitError
+from .matrices import _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
     _mask_to_set,
     _negation_closure,
     _zero_free_masks,
+    _zero_free_set,
 )
+from .topes import _difference_masks, _threshold_masks
 
 DEFAULT_GROUND_GUARD = 10
 
@@ -678,32 +681,32 @@ def om_completion_rank_of_matrix(
     max_ground: int = DEFAULT_GROUND_GUARD,
     max_nodes: int | None = None,
 ) -> MatrixCompletionRank:
-    from .topes import difference_topes, threshold_topes
-
-    return _completion_rank_of_topes(
-        threshold_topes(matrix),
-        difference_topes(matrix),
-        d_max,
-        max_ground=max_ground,
-        max_nodes=max_nodes,
+    a = _require_generic(matrix)
+    thresh = _threshold_masks(a)
+    diff = _difference_masks(a)
+    return _completion_rank_of_masks(
+        a.shape, thresh, diff, d_max, max_ground=max_ground, max_nodes=max_nodes
     )
 
 
-def _completion_rank_of_topes(
-    thresh: SignVectorSet,
-    diff: SignVectorSet,
+def _completion_rank_of_masks(
+    shape: tuple[int, int],
+    thresh: list[int],
+    diff: list[int],
     d_max: int,
     *,
     max_ground: int = DEFAULT_GROUND_GUARD,
     max_nodes: int | None = None,
 ) -> MatrixCompletionRank:
-    """om_completion_rank_of_matrix from a matrix's threshold and difference
-    topes, for callers that have built them already."""
+    """om_completion_rank_of_matrix from the sorted positive masks of an
+    m-by-n matrix's threshold and difference topes, for callers that have
+    built them already."""
+    m, n = shape
     thresh_bound = om_rank_lower_bound(
-        thresh, d_max + 1, max_ground=max_ground, max_nodes=max_nodes
+        _zero_free_set(m, thresh), d_max + 1, max_ground=max_ground, max_nodes=max_nodes
     )
     diff_bound = om_rank_lower_bound(
-        diff, d_max, max_ground=max_ground, max_nodes=max_nodes
+        _zero_free_set(n, diff), d_max, max_ground=max_ground, max_nodes=max_nodes
     )
     return MatrixCompletionRank(
         value=max(diff_bound.value, thresh_bound.value - 1),

@@ -9,8 +9,8 @@ against float noise just below an integer.
 
 build_report works on the positive masks of the two tope sets from end
 to end (topes, VC search, ±1 matrices, rank-two recognition, tope
-strings) and creates no SignVector; it builds SignVectorSets only for the
-completion search.
+strings) and creates no SignVector; the completion search builds
+SignVectorSets from the masks.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .omatroid import (
     DEFAULT_GROUND_GUARD,
     MatrixCompletionRank,
     OmRankBound,
-    _completion_rank_of_topes,
+    _completion_rank_of_masks,
     _is_rank2_masks,
 )
-from .signs import SignVectorSet, _zero_free_set, _zero_free_strings
+from .signs import SignVectorSet, _zero_free_strings
 from .spectral import (
     _sign_matrix,
     forster_bound,
@@ -63,15 +63,13 @@ class RankReport:
     perturbed_ties: bool = False
 
     def integer_bounds(self) -> dict[str, int]:
-        bounds = {
-            "radon_rank": self.radon_rank,
-            "vc_rank": self.vc_rank,
-            "forster_diff": ceil_bound(self.forster_bound_diff),
-            "forster_thresh_minus_one": ceil_bound(self.forster_bound_thresh) - 1,
-        }
-        if self.om_completion is not None:
-            bounds["om_completion_rank"] = self.om_completion.value
-        return bounds
+        return _integer_bounds(
+            self.radon_rank,
+            self.vc_rank,
+            self.forster_bound_thresh,
+            self.forster_bound_diff,
+            self.om_completion,
+        )
 
     def as_dict(self) -> dict:
         out: dict = {
@@ -97,6 +95,21 @@ class RankReport:
             out["threshold_topes"] = list(self.threshold_tope_strings)
             out["difference_topes"] = list(self.difference_tope_strings or ())
         return out
+
+
+def _integer_bounds(radon, vcr, f_thresh, f_diff, completion) -> dict[str, int]:
+    """The integer bounds whose max is monotone_rank_lower_bound, by name:
+    the Forster bounds rounded up, and the completion rank when the
+    MatrixCompletionRank `completion` is not None."""
+    bounds = {
+        "radon_rank": radon,
+        "vc_rank": vcr,
+        "forster_diff": ceil_bound(f_diff),
+        "forster_thresh_minus_one": ceil_bound(f_thresh) - 1,
+    }
+    if completion is not None:
+        bounds["om_completion_rank"] = completion.value
+    return bounds
 
 
 def _bound_dict(bound: OmRankBound) -> dict:
@@ -140,21 +153,11 @@ def build_report(
     rank2 = _is_rank2_masks(n, diff)
     completion = None
     if complete_d_max is not None:
-        completion = _completion_rank_of_topes(
-            _zero_free_set(m, thresh),
-            _zero_free_set(n, diff),
-            complete_d_max,
-            max_ground=max_ground,
+        completion = _completion_rank_of_masks(
+            a.shape, thresh, diff, complete_d_max, max_ground=max_ground
         )
-    candidates = [
-        radon,
-        vcr,
-        ceil_bound(f_diff),
-        ceil_bound(f_thresh) - 1,
-    ]
-    if completion is not None:
-        candidates.append(completion.value)
-    report = RankReport(
+    bounds = _integer_bounds(radon, vcr, f_thresh, f_diff, completion)
+    return RankReport(
         shape=(m, n),
         generic=True,
         radon_rank=radon,
@@ -162,14 +165,13 @@ def build_report(
         forster_bound_thresh=f_thresh,
         forster_bound_diff=f_diff,
         om_rank2_feasible=rank2,
-        monotone_rank_lower_bound=max(candidates),
+        monotone_rank_lower_bound=max(bounds.values()),
         om_completion=completion,
         singular_values=tuple(float(s) for s in singular_values(a)) if with_svd else None,
         threshold_tope_strings=tuple(_zero_free_strings(thresh, m)) if with_topes else None,
         difference_tope_strings=tuple(_zero_free_strings(diff, n)) if with_topes else None,
         perturbed_ties=perturbed,
     )
-    return report
 
 
 def encode_report(vectors: SignVectorSet) -> dict:

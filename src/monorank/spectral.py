@@ -1,9 +1,9 @@
 """Spectral kernels and sign-matrix constructions.
 
-The spectral norm and the singular spectrum come from numpy's LAPACK SVD.
-On top of them sit the Forster sign-rank bound, the recursive Hadamard
-family, and the encoding that plants a set of sign vectors inside the
-threshold topes of a small integer matrix.
+The singular spectrum comes from numpy's LAPACK SVD, and the spectral norm
+is its first value.  On top of them sit the Forster sign-rank bound, the
+recursive Hadamard family, and the encoding that plants a set of sign
+vectors inside the threshold topes of a small integer matrix.
 
 ±1 matrices of zero-free vectors are built by _sign_matrix from their
 positive masks, which build_report passes directly;
@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
+from .matrices import _finite_matrix
 from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
 
 # hadamard(n) holds 4^n int64 entries; the guard keeps it within this budget
@@ -26,41 +27,26 @@ _HADAMARD_MAX = ((_HADAMARD_BYTES // 8).bit_length() - 1) // 2
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, ``np.linalg.norm(a, 2)`` from LAPACK's SVD.
+    """Largest singular value, the first of singular_values.
 
     forster_bound divides by this norm, so a value below the true norm
     would make that bound unsound; the SVD is backward stable and accurate
     to a few ulps of the norm.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise DomainError("spectral_norm requires a nonempty matrix")
-    return float(np.linalg.norm(a, 2))
+    return float(singular_values(matrix)[0])
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All min(m, n) singular values, descending, from LAPACK's SVD."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise DomainError("singular_values requires a nonempty matrix")
-    return np.linalg.svd(a, compute_uv=False)
-
-
-def ensure_sign_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Validate that every entry is exactly +1 or -1."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise DomainError("sign matrix must be a nonempty 2-d array")
-    if not np.all(np.abs(a) == 1.0):
-        raise DomainError("sign matrix entries must be exactly +1 or -1")
-    return a
+    return np.linalg.svd(_finite_matrix(matrix), compute_uv=False)
 
 
 def forster_bound(matrix: np.ndarray) -> float:
     """Forster's sign-rank lower bound sqrt(m*n) / ||M|| for a ±1 matrix."""
-    a = ensure_sign_matrix(matrix)
-    m, n = a.shape
-    return math.sqrt(m * n) / spectral_norm(a)
+    a = _finite_matrix(matrix, "sign matrix")
+    if not np.all(np.abs(a) == 1.0):
+        raise DomainError("sign matrix entries must be exactly +1 or -1")
+    return math.sqrt(a.size) / spectral_norm(a)
 
 
 def hadamard(n: int) -> np.ndarray:

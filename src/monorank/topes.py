@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GenericityError
-from .matrices import _require_generic
+from .matrices import _finite_matrix, _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
@@ -40,7 +40,7 @@ def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVecto
 
     `column` is 1-based.  The threshold must miss every entry.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = _finite_matrix(matrix)
     col = a[:, _one_based(column, a.shape[1], "column")]
     if np.any(col == theta):
         raise GenericityError(f"threshold {theta} hits an entry of column {column}")
@@ -78,7 +78,7 @@ def _threshold_masks(a: np.ndarray) -> list[int]:
 
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
     """Row-comparison vector sign(a_i - a_k) across columns; i, k 1-based."""
-    a = np.asarray(matrix, dtype=float)
+    a = _finite_matrix(matrix)
     if i == k:
         raise ValueError("row indices must differ")
     m = a.shape[0]

@@ -1,11 +1,16 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import monorank
 from monorank import hadamard, parse_matrix, threshold_topes
 from monorank.cli import main
 
@@ -172,6 +177,31 @@ def test_analyze_negative_tolerance_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["analyze", path, "--tol", "-1"])
     assert result.exit_code == 2
     assert "--tol" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--perturb-ties", "--tol", "inf"],
+        ["--perturb-ties", "--tol", "1e308"],
+    ],
+)
+def test_analyze_tolerance_must_be_finite(tmp_path, args):
+    # in a subprocess with a timeout: an infinite tolerance used to make
+    # --perturb-ties loop forever, and a NaN one to pass an exact tie
+    path = write(tmp_path, "tie.csv", "1,1\n1,2\n1e308,3\n")
+    src = str(Path(monorank.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "monorank.cli", "analyze", path, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert json.loads(out.stderr)["error"]["kind"] == "DomainError"
 
 
 def test_isrank2_command(runner, tmp_path):

@@ -1,18 +1,35 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monorank import (
+    DomainError,
     FormatError,
     GenericityError,
+    HyperplaneArrangement,
+    PointArrangement,
     TieReport,
+    build_report,
     check_generic,
     column_permutations,
+    difference_topes,
+    difference_vector,
     format_matrix_csv,
+    forster_bound,
+    om_completion_rank_of_matrix,
     parse_matrix,
     perturb_ties,
+    radon_rank,
+    singular_values,
+    spectral_norm,
+    threshold_topes,
+    threshold_vector,
+    vc_rank,
 )
+from monorank.matrices import _require_generic
 
 from .fixtures import DISTORTION_A, a1_csv, oracle_matrices
 
@@ -138,7 +155,7 @@ def test_check_generic_wide_tolerance():
 
 
 def test_check_generic_rejects_negative_tol():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         check_generic(DISTORTION_A, tol=-1.0)
 
 
@@ -210,3 +227,74 @@ def test_perturb_ties_separates_near_ties_at_tolerance():
         )
     # entries already more than tol above their predecessor stay put
     assert fixed[0, 0] == 1.0 and fixed[3, 0] == 3.0 and fixed[3, 1] == 0.0
+
+
+NOT_A_FINITE_MATRIX = {
+    "nan": np.array([[1.0, 2.0], [np.nan, 3.0]]),
+    "+inf": np.array([[1.0, 2.0], [np.inf, 3.0]]),
+    "inf tie": np.array([[np.inf, 1.0], [np.inf, 2.0], [0.0, 3.0]]),
+    "1-d": np.array([1.0, 2.0]),
+    "3-d": np.arange(8.0).reshape(2, 2, 2),
+    "no rows": np.zeros((0, 3)),
+    "no columns": np.zeros((3, 0)),
+}
+
+MATRIX_ENTRY_POINTS = {
+    "check_generic": check_generic,
+    "_require_generic": _require_generic,
+    "column_permutations": column_permutations,
+    "threshold_topes": threshold_topes,
+    "difference_topes": difference_topes,
+    "radon_rank": radon_rank,
+    "vc_rank": vc_rank,
+    "build_report": build_report,
+    "om_completion_rank_of_matrix": lambda a: om_completion_rank_of_matrix(a, 2),
+    "perturb_ties": perturb_ties,
+    "threshold_vector": lambda a: threshold_vector(a, 1, 0.5),
+    "difference_vector": lambda a: difference_vector(a, 1, 2),
+    "singular_values": singular_values,
+    "spectral_norm": spectral_norm,
+    "forster_bound": forster_bound,
+    # a 1-d array is one point or normal, so arrangements skip that case
+    "PointArrangement": lambda a: PointArrangement(np.shape(a)[-1], a),
+    "HyperplaneArrangement": lambda a: HyperplaneArrangement(np.shape(a)[-1], a),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in MATRIX_ENTRY_POINTS
+        for case in NOT_A_FINITE_MATRIX
+        if not (entry.endswith("Arrangement") and case == "1-d")
+    ],
+)
+def test_entry_points_reject_a_matrix_that_is_not_finite_2d_nonempty(entry, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            MATRIX_ENTRY_POINTS[entry](NOT_A_FINITE_MATRIX[case])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN tolerance used to call an exact tie untied
+    tied = np.array([[1.0, 1.0], [1.0, 2.0]])
+    for check in (check_generic, _require_generic):
+        with pytest.raises(DomainError, match="tolerance"):
+            check(tied, tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        build_report(tied, tie_tolerance=tol)
+    if tol != float("inf"):  # an infinite tolerance used to loop forever here
+        with pytest.raises(DomainError, match="tolerance"):
+            perturb_ties(tied, tol)
+
+
+def test_perturb_ties_refuses_to_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows column 2"):
+            perturb_ties(np.array([[1.0, 1e308], [2.0, 1e308]]), 1e308)
+        fixed = perturb_ties(np.array([[1e308], [1e308]]), 1e307)
+    assert np.isfinite(fixed).all() and check_generic(fixed, 1e307).is_generic

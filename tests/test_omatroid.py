@@ -1125,13 +1125,14 @@ def test_report_completion_matches_matrix_completion():
         assert report.om_completion == om_completion_rank_of_matrix(a, 3)
 
 
-def test_report_checks_genericity_once(monkeypatch):
+def count_genericity_checks(monkeypatch) -> list:
+    """Patch every module's _require_generic to log one entry per call."""
+    import monorank.omatroid
     import monorank.report
     import monorank.topes
-    from monorank import build_report
 
     calls = []
-    for module in (monorank.report, monorank.topes):
+    for module in (monorank.omatroid, monorank.report, monorank.topes):
         original = module._require_generic
 
         def counted(*args, _original=original, **kwargs):
@@ -1139,5 +1140,18 @@ def test_report_checks_genericity_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, "_require_generic", counted)
+    return calls
+
+
+def test_report_checks_genericity_once(monkeypatch):
+    from monorank import build_report
+
+    calls = count_genericity_checks(monkeypatch)
     build_report(RAD_STRICT, complete_d_max=3)
+    assert len(calls) == 1
+
+
+def test_matrix_completion_checks_genericity_once(monkeypatch):
+    calls = count_genericity_checks(monkeypatch)
+    om_completion_rank_of_matrix(RAD_STRICT, 3)
     assert len(calls) == 1

@@ -131,6 +131,20 @@ def test_forster_h1_direct():
     assert forster_bound(h1) == pytest.approx(math.sqrt(2), rel=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_spectral_norm_is_the_first_singular_value(seed):
+    # bit for bit, and equal to the former np.linalg.norm(a, 2)
+    rng = np.random.default_rng(seed)
+    a = random_representation(8, 7, 3, seed=seed).matrix
+    for m in (
+        rng.standard_normal((5, 9)),
+        rng.standard_normal((12, 4)) * 1e6,
+        sign_matrix_with_columns(threshold_topes(a)),
+        sign_matrix_with_rows(difference_topes(a)),
+    ):
+        assert spectral_norm(m) == singular_values(m)[0] == np.linalg.norm(m, 2)
+
+
 def test_forster_rejects_non_sign_entries():
     with pytest.raises(DomainError):
         forster_bound(np.array([[1.0, 0.5], [-1.0, 1.0]]))
