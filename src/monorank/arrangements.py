@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ def _subsets(m: int, k: int) -> np.ndarray:
     return np.array(subsets, dtype=np.intp).reshape(-1, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointArrangement:
     """m points in R^d, rows of `points`."""
 
@@ -86,7 +86,7 @@ class PointArrangement:
         return not np.any(s[:, -1] <= _POSITION_TOL * np.maximum(s[:, 0], 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperplaneArrangement:
     """n nonzero normal vectors in R^d, rows of `normals`; each defines a
     central hyperplane."""
@@ -104,7 +104,7 @@ class HyperplaneArrangement:
         return self.normals.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneDistortion:
     """A strictly increasing function on R from a small closed family."""
 
@@ -167,13 +167,7 @@ class MonotoneDistortion:
         raise DomainError(f"unknown distortion kind {self.kind!r}")
 
     def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": _jsonable(self.params)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(x) for x in obj]
-    return obj
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +387,7 @@ def point_circuits(
 # planar sweeps and allowable sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Outcome of checking the three allowable-sequence conditions plus the
     simplicity flag; `violation` names the first failed condition."""
@@ -487,13 +481,15 @@ def validate_allowable(perms: Sequence[Permutation]) -> ValidationReport:
     return ValidationReport(True, simple, None)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class AllowableSequence:
     """A validated circular sequence of permutations, stored in canonical
     rotation: starting at the lexicographically smallest permutation,
     oriented so its successor is lexicographically smaller than its
-    predecessor."""
+    predecessor.  Equality compares the permutations only."""
 
-    __slots__ = ("permutations", "report")
+    permutations: tuple[Permutation, ...]
+    report: ValidationReport = field(compare=False)
 
     def __init__(self, perms: Sequence[Permutation]):
         report = validate_allowable(perms)
@@ -501,9 +497,6 @@ class AllowableSequence:
             raise DomainError(f"not an allowable sequence: {report.violation}")
         object.__setattr__(self, "report", report)
         object.__setattr__(self, "permutations", _canonical_rotation(perms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AllowableSequence is immutable")
 
     @property
     def is_simple(self) -> bool:
@@ -514,15 +507,6 @@ class AllowableSequence:
 
     def __iter__(self):
         return iter(self.permutations)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AllowableSequence)
-            and self.permutations == other.permutations
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.permutations)
 
     def __repr__(self) -> str:
         return f"AllowableSequence({list(self.permutations)!r})"

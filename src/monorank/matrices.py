@@ -98,7 +98,7 @@ def _is_number(field: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TieReport:
     """All (column, row pair) positions whose entries coincide within tol.
 
@@ -125,15 +125,17 @@ def check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
 
     One sort of all columns gives the adjacent gaps; a column holds a tie
     iff one of its sorted adjacent gaps is <= tol, since every wider pair
-    spans one of them.  Tied pairs are listed only for those columns.
+    spans one of them.  Tied pairs are listed only for those columns.  A
+    gap too wide for a float reads inf, untied at every finite tol.
     """
     a = _finite_matrix(matrix)
     tol = _tolerance(tol)
-    s = np.sort(a, axis=0)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(np.sort(a, axis=0), axis=0)
     ties = []
-    for j in np.flatnonzero((s[1:] - s[:-1] <= tol).any(axis=0)).tolist():
-        col = a[:, j]
-        rows = np.argsort(col, kind="stable").tolist()
+    for j in np.flatnonzero((gaps <= tol).any(axis=0)).tolist():
+        col = a[:, j].tolist()  # Python floats overflow to inf silently
+        rows = np.argsort(a[:, j], kind="stable").tolist()
         # every pair within tol of a sorted entry follows it in the sort
         for ai, i in enumerate(rows):
             for k in rows[ai + 1 :]:
@@ -181,9 +183,44 @@ def perturb_ties(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
         below = -math.inf
         for i in np.argsort(col, kind="stable").tolist():
             x = float(col[i])
-            while x - below <= tol:
-                x = math.nextafter(max(x, below + tol), math.inf)
+            if x - below <= tol:
+                x = _next_untied(max(x, below + tol), below, tol)
             if x == math.inf:
                 raise DomainError(f"tolerance {tol!r} overflows column {j + 1}")
             col[i] = below = x
     return a
+
+
+def _next_untied(start: float, below: float, tol: float) -> float:
+    """The smallest float above `start` whose computed difference from a
+    finite `below` exceeds tol.
+
+    Stepping up one float at a time finds it, but when |below| is much
+    larger than the result, the difference rounds far more coarsely than
+    the floats step, and the walk can take billions of steps.  The computed
+    difference never decreases as the float grows, so after trying the
+    next float, which mostly suffices, this bisects the order of the
+    floats: at most 64 more tests.
+    """
+    lo, hi = _float_rank(start), _float_rank(math.inf)  # hi is untied
+    mid = lo + 1
+    while hi - lo > 1:
+        if _rank_float(mid) - below > tol:
+            hi = mid
+        else:
+            lo = mid
+        mid = (lo + hi) // 2
+    return _rank_float(hi)
+
+
+def _float_rank(x: float) -> int:
+    """The position of x in the order of the floats, 0 at +-0.0: adjacent
+    floats have adjacent ranks."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(1 << 63) - bits
+
+
+def _rank_float(rank: int) -> float:
+    """Inverse of _float_rank."""
+    bits = rank if rank >= 0 else -(1 << 63) - rank
+    return float(np.int64(bits).view(np.float64))

@@ -21,6 +21,7 @@ _negation_closure is the one writer.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,25 +31,22 @@ from .errors import DimensionMismatchError, DomainError, FormatError
 _CHARS = {"+", "-", "0"}
 
 
+@dataclass(frozen=True, slots=True)
 class SignVector:
     """Immutable element of {+, 0, -}^n."""
 
-    __slots__ = ("length", "pos", "neg")
+    length: int
+    pos: int
+    neg: int
 
-    def __init__(self, length: int, pos: int, neg: int):
-        if length < 0:
+    def __post_init__(self):
+        if self.length < 0:
             raise ValueError("length must be nonnegative")
-        full = (1 << length) - 1
-        if pos & ~full or neg & ~full:
+        full = (1 << self.length) - 1
+        if self.pos & ~full or self.neg & ~full:
             raise ValueError("mask exceeds vector length")
-        if pos & neg:
+        if self.pos & self.neg:
             raise ValueError("an entry cannot be both + and -")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignVector is immutable")
 
     @classmethod
     def from_string(cls, text: str) -> "SignVector":
@@ -136,17 +134,6 @@ class SignVector:
     def sort_key(self) -> tuple[int, int]:
         """Canonical order used everywhere: lexicographic on (pos, neg)."""
         return (self.pos, self.neg)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignVector)
-            and self.length == other.length
-            and self.pos == other.pos
-            and self.neg == other.neg
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.pos, self.neg))
 
     def __lt__(self, other: "SignVector") -> bool:
         return self.sort_key() < other.sort_key()
@@ -250,6 +237,7 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SignVectorSet:
     """Deduplicated, immutable collection of sign vectors on a fixed ground set.
 
@@ -257,7 +245,8 @@ class SignVectorSet:
     serialized output is deterministic.
     """
 
-    __slots__ = ("ground_size", "_members")
+    ground_size: int
+    _members: tuple[SignVector, ...]
 
     def __init__(
         self,
@@ -276,9 +265,6 @@ class SignVectorSet:
         object.__setattr__(self, "_members", tuple(sorted(seen, key=SignVector.sort_key)))
         if negation_closed and not self.is_negation_closed():
             raise ValueError("set declared negation-closed but is not")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignVectorSet is immutable")
 
     @classmethod
     def from_strings(cls, strings: Iterable[str], ground_size: int | None = None):
@@ -301,16 +287,6 @@ class SignVectorSet:
         members = self._members
         i = bisect_left(members, v.sort_key(), key=SignVector.sort_key)
         return i < len(members) and members[i] == v
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignVectorSet)
-            and self.ground_size == other.ground_size
-            and self._members == other._members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground_size, self._members))
 
     def __repr__(self) -> str:
         return f"SignVectorSet({self.ground_size}, {[str(v) for v in self._members]})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GenericityError
+from .errors import DomainError, GenericityError
 from .matrices import _finite_matrix, _require_generic
 from .signs import (
     SignVector,
@@ -38,8 +38,11 @@ def _one_based(index: int, size: int, what: str) -> int:
 def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVector:
     """The cut vector of one column: sign(a_ij - theta) over rows i.
 
-    `column` is 1-based.  The threshold must miss every entry.
+    `column` is 1-based.  The threshold must miss every entry; a NaN
+    threshold, which compares false with every entry, is a DomainError.
     """
+    if np.isnan(theta):
+        raise DomainError("threshold must not be NaN")
     a = _finite_matrix(matrix)
     col = a[:, _one_based(column, a.shape[1], "column")]
     if np.any(col == theta):

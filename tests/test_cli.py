@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import monorank
-from monorank import hadamard, parse_matrix, threshold_topes
+from monorank import MonotoneDistortion, hadamard, parse_matrix, threshold_topes
 from monorank.cli import main
 
 from .fixtures import RAD_STRICT, RANK2_CYCLE, RANK3_REJECT, a1_csv, a4_csv
@@ -148,6 +148,34 @@ def test_generate_identity_distortion(runner, tmp_path):
     assert all(d["kind"] == "identity" for d in meta["distortions"])
 
 
+def test_generate_provenance_of_random_distortions(runner, tmp_path):
+    out = tmp_path / "m.csv"
+    prov = tmp_path / "prov.json"
+    invoke(
+        runner, "generate", "6", "5", "2", "--seed", "3",
+        "-o", str(out), "--provenance", str(prov),
+    )
+    matrix = parse_matrix(out.read_text())
+    meta = json.loads(prov.read_text())
+    points = np.array([[float(x) for x in row] for row in meta["points"]])
+    normals = np.array([[float(x) for x in row] for row in meta["normals"]])
+    kinds = [d["kind"] for d in meta["distortions"]]
+    assert {"exp-scale", "power-odd", "piecewise-linear"} <= set(kinds)
+    builders = {
+        "identity": MonotoneDistortion.identity,
+        "exp-scale": MonotoneDistortion.exp_scale,
+        "power-odd": MonotoneDistortion.power_odd,
+        "piecewise-linear": MonotoneDistortion.piecewise_linear,
+    }
+    raw = points @ normals.T
+    for j, d in enumerate(meta["distortions"]):
+        if d["kind"] == "piecewise-linear":
+            breakpoints, values = d["params"]
+            assert type(breakpoints) is list and type(values) is list
+        f = builders[d["kind"]](*d["params"])
+        assert np.allclose(matrix[:, j], f(raw[:, j]))
+
+
 def test_hadamard_command(runner):
     result = invoke(runner, "hadamard", "3")
     rows = [
@@ -202,6 +230,23 @@ def test_analyze_tolerance_must_be_finite(tmp_path, args):
     )
     assert out.returncode == 2 and out.stdout == ""
     assert json.loads(out.stderr)["error"]["kind"] == "DomainError"
+
+
+def test_analyze_perturb_ties_does_not_crawl(tmp_path):
+    # one-float steps needed about 4.3e9 of them for this tie; in a
+    # subprocess with a timeout, so that such a walk fails the test
+    path = write(tmp_path, "far.csv", "-1e6\n-1e6\n")
+    src = str(Path(monorank.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "monorank.cli", "analyze", path,
+         "--perturb-ties", "--tol", "999999.9999"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["perturbed_ties"] is True
 
 
 def test_isrank2_command(runner, tmp_path):

@@ -1,10 +1,16 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monorank
 from monorank import (
     DomainError,
     FormatError,
@@ -197,6 +203,90 @@ _tolerances = st.sampled_from([0.0, 2.3e-16, 1e-12, 0.1, 0.25, 0.5, 1.0, 3.0])
 @given(_matrices, _tolerances)
 def test_check_generic_matches_pairwise_reference(a, tol):
     assert check_generic(a, tol) == pairwise_check_generic(a, tol)
+
+
+@pytest.mark.parametrize(
+    "column, ties", [([-1e308, 1e308], ()), ([-1e308, 1e308, 1e308], ((1, 2, 3),))]
+)
+def test_check_generic_gap_past_the_largest_float(column, ties):
+    # the gap 2e308 overflows to inf, untied; numpy used to warn about it,
+    # once in the adjacent gaps and once more in the pair loop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_generic(np.array(column)[:, None])
+    assert report.ties == ties
+
+
+class Crawl(Exception):
+    pass
+
+
+def stepping_perturb_ties(matrix: np.ndarray, tol: float, max_steps: int) -> np.ndarray:
+    """Reference oracle: the former loop, which raises a tied entry one
+    float at a time; Crawl when an entry needs more than max_steps."""
+    a = np.array(matrix, dtype=float)
+    for j, col in enumerate(a.T):
+        below = -math.inf
+        for i in np.argsort(col, kind="stable").tolist():
+            x = float(col[i])
+            for _ in range(max_steps + 1):
+                if x - below > tol:
+                    break
+                x = math.nextafter(max(x, below + tol), math.inf)
+            else:
+                raise Crawl
+            if x == math.inf:
+                raise DomainError(f"tolerance {tol!r} overflows column {j + 1}")
+            col[i] = below = x
+    return a
+
+
+def test_perturb_ties_matches_the_stepping_loop():
+    rng = np.random.default_rng(13)
+    scales = [1.0, 1e-3, 1e3, 1e15, 1e-300]
+    tols = [0.0]
+    tols += [f * s for s in (1e-3, 1.0, 1e3, 1e15) for f in (0.5, 0.9999999, 1.5)]
+    compared = 0
+    for _ in range(1500):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+        a = rng.integers(-3, 4, size=shape) * scales[rng.integers(len(scales))]
+        tol = tols[rng.integers(len(tols))]
+        try:
+            want = stepping_perturb_ties(a, tol, 20_000)
+        except Crawl:
+            continue
+        got = perturb_ties(a, tol)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        compared += 1
+    assert compared > 1400
+
+
+@pytest.mark.parametrize(
+    "entry, tol, want",
+    [
+        (-1.0, 0.9999999, -9.999999989185326e-08),
+        (-1e6, 999999.9999, -9.99998883344233e-05),
+    ],
+)
+def test_perturb_ties_does_not_crawl(entry, tol, want):
+    # x - below rounds at the ulp of below, far coarser than the floats
+    # near the result, which one-float steps took 4.2e6 and about 4.3e9 of;
+    # a subprocess with a timeout fails instead of hanging on such a walk
+    code = (
+        "import numpy as np; from monorank import perturb_ties; "
+        f"a = perturb_ties(np.array([[{entry!r}], [{entry!r}]]), {tol!r}); "
+        "print(repr(float(a[1, 0])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(monorank.__file__).parent.parent)},
+        timeout=60,
+    )
+    assert float(out.stdout) == want
 
 
 def test_perturb_ties_breaks_ties_preserving_order():

@@ -35,6 +35,20 @@ def sign_vectors(length):
     ).map(lambda pn: SignVector(length, pn[0] & ~pn[1], pn[1] & ~pn[0]))
 
 
+@pytest.mark.parametrize(
+    "length, pos, neg, message",
+    [
+        (-1, 0, 0, "length must be nonnegative"),
+        (2, 0b100, 0, "mask exceeds vector length"),
+        (2, 0, 0b100, "mask exceeds vector length"),
+        (3, 0b011, 0b010, "an entry cannot be both"),
+    ],
+)
+def test_sign_vector_rejects_invalid_masks(length, pos, neg, message):
+    with pytest.raises(ValueError, match=message):
+        SignVector(length, pos, neg)
+
+
 def test_compose_componentwise():
     assert compose(sv("+0-"), sv("-+-")) == sv("++-")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monorank import (
+    DomainError,
     GenericityError,
     SignVector,
     SignVectorSet,
@@ -96,6 +97,17 @@ def test_threshold_vector_sigma_2_of_3():
 def test_threshold_vector_hits_entry():
     with pytest.raises(GenericityError):
         threshold_vector(DISTORTION_A, 1, 3.67)
+
+
+@pytest.mark.parametrize("theta, want", [(float("inf"), "--"), (-float("inf"), "++")])
+def test_threshold_vector_at_an_infinite_threshold_is_a_constant_cut(theta, want):
+    assert str(threshold_vector(np.array([[1.0], [2.0]]), 1, theta)) == want
+
+
+def test_threshold_vector_rejects_a_nan_threshold():
+    # NaN compares false with every entry, so its cut used to read "00"
+    with pytest.raises(DomainError, match="NaN"):
+        threshold_vector(np.array([[1.0], [2.0]]), 1, float("nan"))
 
 
 @pytest.mark.parametrize("column", [0, 4])
