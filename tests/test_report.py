@@ -1,6 +1,7 @@
 """build_report on tope masks: it creates no SignVector on its default
-path, and its reports equal those assembled the former way, on
-SignVectorSets from the object builders kept as oracles."""
+path, nor do radon_rank and vc_rank, and its reports equal those
+assembled the former way, on SignVectorSets from the object builders
+kept as oracles."""
 
 import dataclasses
 
@@ -13,7 +14,9 @@ from monorank import (
     build_report,
     forster_bound,
     om_completion_rank_of_matrix,
+    radon_rank,
     random_representation,
+    vc_rank,
 )
 from monorank.report import ceil_bound
 
@@ -81,6 +84,8 @@ def test_default_report_makes_no_sign_vectors(monkeypatch):
     for a in MATRICES:
         build_report(a)
         build_report(a, with_svd=True, with_topes=True)
+        radon_rank(a)
+        vc_rank(a)
     assert made == 0
     # the completion search runs on SignVectorSets, and the counter sees them
     build_report(RAD_STRICT, complete_d_max=3)

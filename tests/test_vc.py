@@ -19,6 +19,7 @@ from monorank import (
     vc_rank,
 )
 
+from monorank.signs import _bits_from_masks, _masks_from_bits
 from monorank.topes import _difference_masks, _threshold_masks
 from monorank.vc import _vc_of_masks
 
@@ -65,6 +66,40 @@ def levelwise_vc(vectors: SignVectorSet) -> int:
         dim += 1
         level = nxt
     return dim
+
+
+def plain_vc(n: int, masks: list[int]) -> int:
+    """Reference oracle at benchmark sizes: the depth-first class split
+    with both classes of every pattern kept, classes in split order, and
+    only the cardinality and element-count cut-offs."""
+    if not masks:
+        return 0
+    count = len(masks)
+    cols = _masks_from_bits(_bits_from_masks(masks, n).T)
+    ceiling = min(n, count.bit_length() - 1)
+    best = 0
+    stack = [(0, 0, [(1 << count) - 1])]
+    while stack:
+        k, i, classes = stack.pop()
+        while k + n - i > best:
+            col = cols[i]
+            i += 1
+            split = []
+            for cls in classes:
+                plus = cls & col
+                if not plus or plus == cls:
+                    break
+                split.append(plus)
+                split.append(cls ^ plus)
+            else:
+                stack.append((k, i, classes))
+                stack.append((k + 1, i, split))
+                if k + 1 > best:
+                    best = k + 1
+                    if best == ceiling:
+                        return best
+                break
+    return best
 
 
 def brute_force_shatters(vectors: SignVectorSet, subset) -> bool:
@@ -149,6 +184,33 @@ def test_vc_matches_levelwise_on_random_families(family):
     assert vc_dimension(family) == levelwise_vc(family)
 
 
+negation_closed_families = zero_free_families.map(lambda f: f.with_members(-v for v in f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(negation_closed_families)
+def test_vc_matches_levelwise_on_negation_closed_families(family):
+    assert family.is_negation_closed()
+    assert vc_dimension(family) == levelwise_vc(family)
+
+
+def test_vc_keeps_both_classes_on_a_family_not_negation_closed():
+    # every pair misses --, but +- and ++ occur on each: a search that
+    # kept only the + class of its first element would report 2
+    family = SignVectorSet.from_strings(["+++", "+-+", "-++", "++-"])
+    assert brute_force_vc(family) == 1
+    assert vc_dimension(family) == 1
+
+
+@pytest.mark.parametrize("shape, d", [((18, 24), 3), ((20, 20), 3), ((18, 18), 4), ((22, 22), 3)])
+def test_vc_of_masks_matches_plain_search_on_benchmark_sized_topes(shape, d):
+    m, n = shape
+    for seed in range(3):
+        a = random_representation(m, n, d, seed=seed).matrix
+        for width, masks in ((m, _threshold_masks(a)), (n, _difference_masks(a))):
+            assert _vc_of_masks(width, masks) == plain_vc(width, masks)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("shape", [(5, 7), (9, 9), (12, 10), (16, 16)])
 def test_vc_matches_levelwise_on_matrix_topes(shape, d):
@@ -179,7 +241,14 @@ def test_vc_of_masks_matches_levelwise_on_wide_and_tall_topes():
 
 
 def test_vc_single_vector_is_zero():
-    assert vc_dimension(SignVectorSet.from_strings(["+-+-+"])) == 0
+    for member in ["+-+-+", "+", "-", "---", "++++"]:
+        assert vc_dimension(SignVectorSet.from_strings([member])) == 0
+
+
+def test_vc_empty_ground_set_is_zero():
+    # the one vector on no elements is its own negation
+    assert vc_dimension(SignVectorSet(0, [SignVector(0, 0, 0)])) == 0
+    assert vc_dimension(SignVectorSet(0, [])) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
