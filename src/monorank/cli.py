@@ -10,6 +10,7 @@ Guard override: MONORANK_MAX_GROUND (completion-search ground set, default
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -83,9 +84,8 @@ def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
         with_topes=topes,
         max_ground=_ground_guard(),
         tie_tolerance=tol,
-        perturbed=perturbed,
     )
-    _emit(rep.as_dict())
+    _emit(dataclasses.replace(rep, perturbed_ties=perturbed).as_dict())
 
 
 @main.command()

@@ -8,6 +8,16 @@ matroid may be perturbed to general position without losing topes, so the
 circuit set becomes one ± pair per (d+1)-support, drawn from the potential
 circuits (the vectors of that support size orthogonal to all of Sigma).
 
+Like the tope, VC and rank-two layers, the search runs on the positive
+masks of Sigma: the kernels _completion (one rank) and _om_rank (ranks 1
+to d_max) take masks, uniform_completion and om_rank_lower_bound are
+adapters that read their SignVectorSet once, and the matrix bound passes
+the tope masks straight in.  _candidates yields the potential circuits
+support by support, for potential_circuits and for the search alike, and
+holds the layer's one rank check.  _full_scan places one circuit pair per
+support through the full C4 scan, for check_circuit_axioms and for
+_first_violation.
+
 Weak elimination (C4) is checked in separator-symmetric form: for vectors
 X, Y with X != -Y and any e where they oppose, some circuit Z must satisfy
 Z+ ⊆ (X+ ∪ Y+) \\ e and Z- ⊆ (X- ∪ Y-) \\ e.  For negation-closed sets this
@@ -65,7 +75,7 @@ import functools
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +87,6 @@ from .signs import (
     _mask_to_set,
     _negation_closure,
     _zero_free_masks,
-    _zero_free_set,
 )
 from .topes import _difference_masks, _threshold_masks
 
@@ -197,16 +206,29 @@ class OmRankBound:
 
 def potential_circuits(vectors: SignVectorSet, rank: int) -> SignVectorSet:
     """All sign vectors with support size rank+1 orthogonal to every member
-    of the (zero-free, negation-closed) input set."""
+    of the (zero-free, negation-closed) input set, for 1 <= rank <= n-1.
+    Adapter onto _candidates."""
     n = vectors.ground_size
-    masks = _tope_masks(vectors)
-    if rank + 1 > n:
-        raise DomainError(f"support size {rank + 1} exceeds ground set size {n}")
     out: list[SignVector] = []
-    for support in itertools.combinations(range(n), rank + 1):
-        for pair in _orthogonal_pairs(n, masks, _mask(support)):
+    for _, pairs in _candidates(n, _tope_masks(vectors), rank):
+        for pair in pairs:
             out.extend(pair)
     return SignVectorSet(n, out, negation_closed=True)
+
+
+def _candidates(
+    n: int, masks: list[int], rank: int
+) -> Iterator[tuple[int, list[tuple[SignVector, SignVector]]]]:
+    """(support mask, _orthogonal_pairs) for every (rank+1)-subset of the n
+    elements, in itertools.combinations order, for the positive masks of a
+    zero-free, negation-closed set.  This is the layer's one rank check:
+    the rank must be in [1, n-1], since rank n leaves no support of size
+    rank+1 and a matroid of rank 0 has no zero-free topes.
+    """
+    if not 1 <= rank <= n - 1:
+        raise DomainError(f"rank must be in [1, {n - 1}], got {rank}")
+    supports = map(_mask, itertools.combinations(range(n), rank + 1))
+    return ((support, _orthogonal_pairs(n, masks, support)) for support in supports)
 
 
 def _orthogonal_pairs(
@@ -329,17 +351,9 @@ class _EliminationScan:
                 return True
         return False
 
-    def violation(self, keys: tuple[int, int, int]) -> AxiomViolation:
-        """The C4 violation that place() reported as keys (x, y, e)."""
-        x, y, e = keys
-        return AxiomViolation("C4", self._vector(x), self._vector(y), element=e.bit_length())
-
-    def _vector(self, key: int) -> SignVector:
-        return SignVector(self.n, key >> self.n, key & ((1 << self.n) - 1))
-
     def place(self, rep: SignVector) -> tuple[int, int, int] | None:
         """Place rep and -rep on the next support; return the first C4
-        violation as keys (x, y, e), if any, for violation() to spell
+        violation as keys (x, y, e), if any, for _full_scan to spell
         out.  The placement stands, violation or not, until undo()."""
         n = self.n
         full = (1 << n) - 1
@@ -415,12 +429,22 @@ def check_circuit_axioms(
     by_support: dict[int, SignVector] = {}
     for v in ordered:
         by_support.setdefault(v.support_mask, v)
-    scan = _EliminationScan(ground, list(by_support))
+    violation = _full_scan(ground, by_support)
+    return AxiomReport(violation is None, violation)
+
+
+def _full_scan(n: int, reps_by_support: dict[int, SignVector]) -> AxiomViolation | None:
+    """The first C4 violation of the circuits ±rep, one pair per support
+    (support mask -> rep), placed through the full scan in sorted order;
+    None when they meet C4."""
+    scan = _EliminationScan(n, list(reps_by_support))
     for support in scan.supports:
-        violation = scan.place(by_support[support])
-        if violation is not None:
-            return AxiomReport(False, scan.violation(violation))
-    return AxiomReport(True, None)
+        keys = scan.place(reps_by_support[support])
+        if keys is not None:
+            low = (1 << n) - 1
+            x, y = (SignVector(n, key >> n, key & low) for key in keys[:2])
+            return AxiomViolation("C4", x, y, element=keys[2].bit_length())
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +465,32 @@ def uniform_completion(
     circuits; C1-C3 hold by construction and C4 is enforced incrementally,
     on modular pairs only.  A support with no potential circuit makes
     completion immediately infeasible.  Infeasible results carry the first
-    C4 violation of the full scan, from _first_violation.
+    C4 violation of the full scan, from _first_violation.  Adapter onto
+    _completion.
+    """
+    n, masks = vectors.ground_size, _tope_masks(vectors)
+    return _completion(n, masks, rank, max_ground=max_ground, max_nodes=max_nodes)
+
+
+def _completion(
+    n: int, masks: list[int], rank: int, *, max_ground: int, max_nodes: int | None
+) -> CompletionResult:
+    """uniform_completion on the positive masks of a zero-free,
+    negation-closed set on n elements.
 
     The search is depth first over the supports in sorted order, on an
     explicit stack of candidate positions, so its depth is not bounded by
     the interpreter's recursion limit.
     """
-    n = vectors.ground_size
-    masks = _tope_masks(vectors)
     if n > max_ground:
         raise ResourceLimitError(
             f"ground set size {n} exceeds completion guard {max_ground}"
         )
-    if not 1 <= rank <= n - 1:
-        raise DomainError(f"completion rank must be in [1, {n - 1}], got {rank}")
     candidates: dict[int, list[tuple[SignVector, SignVector]]] = {}
-    for support in itertools.combinations(range(n), rank + 1):
-        mask = _mask(support)
-        pairs = _orthogonal_pairs(n, masks, mask)
+    for support, pairs in _candidates(n, masks, rank):
         if not pairs:
-            return CompletionResult(
-                feasible=False,
-                missing_support=frozenset(i + 1 for i in support),
-            )
-        candidates[mask] = pairs
+            return CompletionResult(feasible=False, missing_support=_mask_to_set(support))
+        candidates[support] = pairs
     scan = _EliminationScan(n, list(candidates), modular=True)
     choices = [candidates[support] for support in scan.supports]
     nodes = 0
@@ -513,15 +539,13 @@ def _first_violation(
     C4, so the search was wrong to call the candidates infeasible: that
     raises MonorankError.
     """
-    scan = _EliminationScan(n, list(candidates))
-    for support in scan.supports:
-        keys = scan.place(candidates[support][0][0])
-        if keys is not None:
-            return scan.violation(keys)
-    raise MonorankError(
-        "completion search found the candidates infeasible, but their first "
-        "candidates meet C4"
-    )
+    violation = _full_scan(n, {support: pairs[0][0] for support, pairs in candidates.items()})
+    if violation is None:
+        raise MonorankError(
+            "completion search found the candidates infeasible, but their first "
+            "candidates meet C4"
+        )
+    return violation
 
 
 def _certify_witness(
@@ -641,16 +665,23 @@ def om_rank_lower_bound(
     Every zero-free set on n elements completes trivially at rank n (the
     free matroid has all of {±}^n among its topes), so when d_max >= n and
     all smaller ranks fail the answer is n.  Otherwise failure up to d_max
-    is reported as d_max + 1 with the exceeds flag set.
+    is reported as d_max + 1 with the exceeds flag set.  Adapter onto
+    _om_rank.
     """
-    n = vectors.ground_size
+    n, masks = vectors.ground_size, _tope_masks(vectors)
+    return _om_rank(n, masks, d_max, max_ground=max_ground, max_nodes=max_nodes)
+
+
+def _om_rank(
+    n: int, masks: list[int], d_max: int, *, max_ground: int, max_nodes: int | None
+) -> OmRankBound:
+    """om_rank_lower_bound on the positive masks of a zero-free,
+    negation-closed set on n elements."""
     if d_max < 1:
         raise DomainError("d_max must be at least 1")
     attempts: list[tuple[int, CompletionResult]] = []
     for d in range(1, min(d_max, n - 1) + 1):
-        result = uniform_completion(
-            vectors, d, max_ground=max_ground, max_nodes=max_nodes
-        )
+        result = _completion(n, masks, d, max_ground=max_ground, max_nodes=max_nodes)
         if result.timed_out:
             raise ResourceLimitError(f"completion search at rank {d} hit node budget")
         attempts.append((d, result))
@@ -702,12 +733,8 @@ def _completion_rank_of_masks(
     m-by-n matrix's threshold and difference topes, for callers that have
     built them already."""
     m, n = shape
-    thresh_bound = om_rank_lower_bound(
-        _zero_free_set(m, thresh), d_max + 1, max_ground=max_ground, max_nodes=max_nodes
-    )
-    diff_bound = om_rank_lower_bound(
-        _zero_free_set(n, diff), d_max, max_ground=max_ground, max_nodes=max_nodes
-    )
+    thresh_bound = _om_rank(m, thresh, d_max + 1, max_ground=max_ground, max_nodes=max_nodes)
+    diff_bound = _om_rank(n, diff, d_max, max_ground=max_ground, max_nodes=max_nodes)
     return MatrixCompletionRank(
         value=max(diff_bound.value, thresh_bound.value - 1),
         exceeds=thresh_bound.exceeds or diff_bound.exceeds,

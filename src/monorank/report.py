@@ -8,9 +8,10 @@ bounds are floats; their integer contribution is ceil with a tiny guard
 against float noise just below an integer.
 
 build_report works on the positive masks of the two tope sets from end
-to end (topes, VC search, ±1 matrices, rank-two recognition, tope
-strings) and creates no SignVector; the completion search builds
-SignVectorSets from the masks.
+to end (topes, VC search, ±1 matrices, rank-two recognition, completion
+search, tope strings).  Without the completion search it creates no
+SignVector, and with it the only SignVectorSets it builds are the circuit
+sets of the completion witnesses.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ def build_report(
     threads: int = 1,
     max_ground: int = DEFAULT_GROUND_GUARD,
     tie_tolerance: float = 0.0,
-    perturbed: bool = False,
 ) -> RankReport:
     """Compute every enabled bound for a generic matrix.
 
@@ -170,7 +170,6 @@ def build_report(
         singular_values=tuple(float(s) for s in singular_values(a)) if with_svd else None,
         threshold_tope_strings=tuple(_zero_free_strings(thresh, m)) if with_topes else None,
         difference_tope_strings=tuple(_zero_free_strings(diff, n)) if with_topes else None,
-        perturbed_ties=perturbed,
     )
 
 

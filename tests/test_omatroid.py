@@ -83,9 +83,14 @@ def test_potential_circuits_orthogonal_and_closed():
     assert all(c.orthogonal(t) for c in circuits for t in topes)
 
 
-def test_potential_circuits_support_too_large():
-    with pytest.raises(DomainError):
-        potential_circuits(RANK2_CYCLE, 3)
+@pytest.mark.parametrize("rank", [-2, -1, 0, 3])
+def test_potential_circuits_rank_outside_one_to_n_minus_one(rank):
+    # one rank check for the candidate builder and the search: RANK2_CYCLE
+    # has n = 3, so rank 3 leaves no support of size rank + 1
+    with pytest.raises(DomainError, match=f"got {rank}"):
+        potential_circuits(RANK2_CYCLE, rank)
+    with pytest.raises(DomainError, match=f"got {rank}"):
+        uniform_completion(RANK2_CYCLE, rank)
 
 
 # -- circuit axioms ----------------------------------------------------------
@@ -221,6 +226,14 @@ def test_om_rank_constant_pair_is_one():
         assert om_rank_lower_bound(vectors, 3).value == 1
 
 
+@pytest.mark.parametrize("text", ["0", "+"])
+def test_om_rank_refuses_invalid_sets_on_one_element(text):
+    # n = 1 tries no rank, so only reading the set can refuse these: "0"
+    # is not zero-free and "+" is not negation-closed
+    with pytest.raises(DomainError):
+        om_rank_lower_bound(SignVectorSet.from_strings([text]), 1)
+
+
 def test_om_rank_full_cube_trivial_rank_n():
     bound = om_rank_lower_bound(full_cube(3), 5)
     assert bound.value == 3 and not bound.exceeds
@@ -257,6 +270,21 @@ def test_om_matrix_a1():
     from .fixtures import DISTORTION_A
 
     assert om_completion_rank_of_matrix(DISTORTION_A, 3).value == 2
+
+
+def test_matrix_completion_rank_matches_the_set_path():
+    # om_completion_rank_of_matrix hands tope masks to the search, while
+    # om_rank_lower_bound reads a SignVectorSet: attempts, witnesses and
+    # violations must agree (RAD_STRICT fails C4 at threshold rank 3)
+    cases = [(RAD_STRICT, 3)] + [
+        (random_representation(m, n, d, seed=seed).matrix, d)
+        for m, n, d in [(5, 4, 1), (5, 4, 2), (6, 5, 2), (6, 6, 3), (7, 7, 2)]
+        for seed in range(3)
+    ]
+    for a, d in cases:
+        got = om_completion_rank_of_matrix(a, d)
+        assert got.threshold == om_rank_lower_bound(threshold_topes(a), d + 1)
+        assert got.difference == om_rank_lower_bound(difference_topes(a), d)
 
 
 def test_om_matrix_random_reps_bounded_by_d():

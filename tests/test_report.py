@@ -11,6 +11,7 @@ import pytest
 from monorank import (
     RankReport,
     SignVector,
+    SignVectorSet,
     build_report,
     forster_bound,
     om_completion_rank_of_matrix,
@@ -87,9 +88,36 @@ def test_default_report_makes_no_sign_vectors(monkeypatch):
         radon_rank(a)
         vc_rank(a)
     assert made == 0
-    # the completion search runs on SignVectorSets, and the counter sees them
-    build_report(RAD_STRICT, complete_d_max=3)
-    assert made > 0
+
+
+def test_completion_builds_no_sign_vector_set_but_its_witnesses(monkeypatch):
+    # the completion search runs on tope masks: the only SignVectorSets it
+    # builds are the circuit sets of the feasible attempts' witnesses
+    made = []
+    init = SignVectorSet.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SignVectorSet, "__init__", counted)
+    witnesses = 0
+    for a in MATRICES:
+        for build in (
+            lambda: build_report(a, complete_d_max=3).om_completion,
+            lambda: om_completion_rank_of_matrix(a, 3),
+        ):
+            made.clear()
+            completion = build()
+            want = [
+                result.witness.circuits
+                for bound in (completion.threshold, completion.difference)
+                for _, result in bound.attempts
+                if result.witness is not None
+            ]
+            assert [id(s) for s in made] == [id(s) for s in want]
+            witnesses += len(want)
+    assert witnesses > 0
 
 
 def test_integer_bounds_with_completion():
