@@ -30,7 +30,6 @@ def parse_matrix(text: str) -> np.ndarray:
     treated as a header and skipped.  Ragged rows and unparsable or
     non-finite fields are format errors naming the offending location.
     """
-    rows: list[list[float]] = []
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty matrix input")
@@ -40,6 +39,23 @@ def parse_matrix(text: str) -> np.ndarray:
         start = 1
         if len(lines) == 1:
             raise FormatError("header row present but no data rows")
+    # float() ignores the same whitespace as strip() but for \x1c-\x1f, of
+    # which splitlines() leaves only \x1f in a line.  Whatever this bulk
+    # parse refuses, the field loop decides: it names the error, or parses
+    # the fields that strip() cleans.
+    try:
+        a = np.array([list(map(float, ln.split(","))) for ln in lines[start:]], dtype=float)
+    except ValueError:
+        a = None
+    if a is None or not np.isfinite(a).all():
+        a = _parse_fields(lines, start)
+    return a
+
+
+def _parse_fields(lines: list[str], start: int) -> np.ndarray:
+    """parse_matrix field by field, raising FormatError at the first
+    ragged row or bad field."""
+    rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
         fields = [f.strip() for f in line.split(",")]
@@ -67,7 +83,7 @@ def parse_matrix(text: str) -> np.ndarray:
 def format_matrix_csv(matrix: np.ndarray) -> str:
     """Render a matrix as CSV with shortest round-trip float formatting."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in matrix) + "\n"
+    return "\n".join(",".join(map(repr, row)) for row in matrix.tolist()) + "\n"
 
 
 def _finite_matrix(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -128,7 +144,11 @@ def check_generic(matrix: np.ndarray, tol: float = 0.0) -> TieReport:
     spans one of them.  Tied pairs are listed only for those columns.  A
     gap too wide for a float reads inf, untied at every finite tol.
     """
-    a = _finite_matrix(matrix)
+    return _tie_report(_finite_matrix(matrix), tol)
+
+
+def _tie_report(a: np.ndarray, tol: float) -> TieReport:
+    """check_generic of a matrix that passed _finite_matrix."""
     tol = _tolerance(tol)
     with np.errstate(over="ignore"):
         gaps = np.diff(np.sort(a, axis=0), axis=0)
@@ -150,7 +170,7 @@ def _require_generic(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """The matrix as a float array, if check_generic finds no tie within
     tol; otherwise GenericityError listing every tie."""
     a = _finite_matrix(matrix)
-    report = check_generic(a, tol)
+    report = _tie_report(a, tol)
     if not report.is_generic:
         raise GenericityError(report.describe(), ties=report.ties)
     return a

@@ -11,7 +11,9 @@ build_report works on the positive masks of the two tope sets from end
 to end (topes, VC search, ±1 matrices, rank-two recognition, completion
 search, tope strings).  Without the completion search it creates no
 SignVector, and with it the only SignVectorSets it builds are the circuit
-sets of the completion witnesses.
+sets of the completion witnesses.  It checks its input once, through
+_require_generic; the ±1 matrices it builds itself go to the SVD
+unchecked, as does the checked matrix when singular values are asked for.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .omatroid import (
 )
 from .signs import SignVectorSet, _zero_free_strings
 from .spectral import (
+    _forster,
     _sign_matrix,
+    _singular_values,
     forster_bound,
     sign_matrix_with_columns,
-    singular_values,
 )
 from .topes import _difference_masks, _threshold_masks
 from .vc import _vc_of_masks
@@ -148,8 +151,8 @@ def build_report(
     diff = _difference_masks(a)
     radon = _vc_of_masks(m, thresh) - 1
     vcr = _vc_of_masks(n, diff)
-    f_thresh = forster_bound(_sign_matrix(thresh, m).T)
-    f_diff = forster_bound(_sign_matrix(diff, n)) if diff else 0.0
+    f_thresh = _forster(_sign_matrix(thresh, m).T)
+    f_diff = _forster(_sign_matrix(diff, n)) if diff else 0.0
     rank2 = _is_rank2_masks(n, diff)
     completion = None
     if complete_d_max is not None:
@@ -167,7 +170,7 @@ def build_report(
         om_rank2_feasible=rank2,
         monotone_rank_lower_bound=max(bounds.values()),
         om_completion=completion,
-        singular_values=tuple(float(s) for s in singular_values(a)) if with_svd else None,
+        singular_values=tuple(_singular_values(a).tolist()) if with_svd else None,
         threshold_tope_strings=tuple(_zero_free_strings(thresh, m)) if with_topes else None,
         difference_tope_strings=tuple(_zero_free_strings(diff, n)) if with_topes else None,
     )

@@ -2,13 +2,15 @@
 
 The singular spectrum comes from numpy's LAPACK SVD, and the spectral norm
 is its first value.  On top of them sit the Forster sign-rank bound, the
-recursive Hadamard family, and the encoding that plants a set of sign
-vectors inside the threshold topes of a small integer matrix.
+recursive (Sylvester) Hadamard family, and the encoding that plants a set
+of sign vectors inside the threshold topes of a small integer matrix.
 
 ±1 matrices of zero-free vectors are built by _sign_matrix from their
 positive masks, which build_report passes directly;
 sign_matrix_with_columns and sign_matrix_with_rows are its adapters for a
-SignVectorSet.
+SignVectorSet.  The public functions check their input; _singular_values
+and _forster are the same computations for callers whose arrays are
+checked already.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ def spectral_norm(matrix: np.ndarray) -> float:
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All min(m, n) singular values, descending, from LAPACK's SVD."""
-    return np.linalg.svd(_finite_matrix(matrix), compute_uv=False)
+    return _singular_values(_finite_matrix(matrix))
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """singular_values of a float array that passed _finite_matrix."""
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def forster_bound(matrix: np.ndarray) -> float:
@@ -46,18 +53,27 @@ def forster_bound(matrix: np.ndarray) -> float:
     a = _finite_matrix(matrix, "sign matrix")
     if not np.all(np.abs(a) == 1.0):
         raise DomainError("sign matrix entries must be exactly +1 or -1")
-    return math.sqrt(a.size) / spectral_norm(a)
+    return _forster(a)
+
+
+def _forster(a: np.ndarray) -> float:
+    """forster_bound of a float ±1 array known to be one, such as
+    _sign_matrix builds: the same SVD on the same array, so the same
+    float."""
+    return math.sqrt(a.size) / float(_singular_values(a)[0])
 
 
 def hadamard(n: int) -> np.ndarray:
-    """The 2^n-by-2^n recursive Hadamard matrix (entries ±1, int dtype)."""
+    """The 2^n-by-2^n Sylvester Hadamard matrix, int64: n doublings
+    H -> [[H, H], [H, -H]] of H = [[1]]."""
     if n < 0:
         raise DomainError("hadamard order must be nonnegative")
     if n > _HADAMARD_MAX:
         raise ResourceLimitError(f"hadamard order {n} exceeds guard {_HADAMARD_MAX}")
-    import scipy.linalg  # on first use: scipy is slow to import
-
-    return scipy.linalg.hadamard(1 << n, dtype=np.int64)
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def sign_matrix_with_columns(vectors: SignVectorSet) -> np.ndarray:

@@ -9,7 +9,9 @@ increasing per-column distortion.
 Both are built by a numpy kernel (_threshold_masks, _difference_masks)
 that returns the sorted positive masks of the tope set; build_report
 works on these masks directly.  threshold_topes and difference_topes
-are its adapters from a matrix to a SignVectorSet.
+are its adapters from a matrix to a SignVectorSet.  The kernels sum bit
+weights 1 << row (or 1 << column) in the dtype of signs._mask_dtype, so
+they stay exact at any width.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .matrices import _finite_matrix, _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
-    _masks_from_bits,
+    _bit_weights,
     _negation_closure,
     _zero_free_set,
 )
@@ -65,18 +67,16 @@ def _threshold_masks(a: np.ndarray) -> list[int]:
     """Sorted positive masks of threshold_topes, for a float matrix already
     checked to be generic.
 
-    Each column is argsorted once.  Moving the cut past the t+1 smallest
-    entries leaves + exactly the rows of rank above t, so comparing the
-    rank of every row with t = 0..m-1 gives every cut of every column but
-    the all-plus one as one boolean array; the all-plus cut is the
-    negation of the all-minus cut at t = m-1.
+    Moving the cut down a column from above its largest entry makes + one
+    more row at each step, in the column's descending order.  So the
+    cumulative sum of 1 << row down that order gives every top set of the
+    column, from its largest entry to all rows, at once: the bits are
+    disjoint, so the sum is their OR.  The all-minus cut is the complement
+    of the all-plus one, so the negation closure of these m * n masks is
+    the whole tope set.
     """
-    m = a.shape[0]
-    order = np.argsort(a, axis=0)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(m)[:, None], axis=0)
-    plus = rank.T[:, None, :] > np.arange(m)[:, None]
-    return _negation_closure(_masks_from_bits(plus.reshape(-1, m)), m)
+    tops = np.cumsum(_bit_weights(a.shape[0])[np.argsort(a, axis=0)[::-1]], axis=0)
+    return _negation_closure(tops.ravel(), a.shape[0])
 
 
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
@@ -107,8 +107,8 @@ def difference_topes(matrix: np.ndarray) -> SignVectorSet:
 
 def _difference_masks(a: np.ndarray) -> list[int]:
     """Sorted positive masks of difference_topes, for a float matrix already
-    checked to be generic: row a_i > a_k over the pairs i < k, then the
-    negations."""
-    i, k = np.triu_indices(a.shape[0], 1)
-    return _negation_closure(_masks_from_bits(a[i] > a[k]), a.shape[1])
+    checked to be generic: row a_i > a_k over the pairs i > k, dotted with
+    the bit weights 1 << column, then the negations (the pairs i < k)."""
+    i, k = np.nonzero(np.tri(a.shape[0], k=-1, dtype=bool))
+    return _negation_closure((a[i] > a[k]) @ _bit_weights(a.shape[1]), a.shape[1])
 

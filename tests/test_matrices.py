@@ -35,7 +35,7 @@ from monorank import (
     threshold_vector,
     vc_rank,
 )
-from monorank.matrices import _require_generic
+from monorank.matrices import _is_number, _require_generic
 
 from .fixtures import DISTORTION_A, a1_csv, oracle_matrices
 
@@ -89,6 +89,94 @@ def test_parse_nonfinite_error_text(text, message):
 def test_csv_roundtrip():
     m = np.array([[1.25, -3.5], [0.1, 2.0]])
     assert np.array_equal(parse_matrix(format_matrix_csv(m)), m)
+
+
+def field_loop_parse_matrix(text: str) -> np.ndarray:
+    """Reference oracle: the former parser, one float() per stripped field."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty matrix input")
+    start = 0
+    first = [f.strip() for f in lines[0].split(",")]
+    if not all(_is_number(f) for f in first):
+        start = 1
+        if len(lines) == 1:
+            raise FormatError("header row present but no data rows")
+    rows, width = [], None
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        fields = [f.strip() for f in line.split(",")]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise FormatError(f"row {lineno}: expected {width} fields, found {len(fields)}")
+        row = []
+        for col, field in enumerate(fields, start=1):
+            try:
+                value = float(field)
+            except ValueError:
+                raise FormatError(f"row {lineno}, column {col}: cannot parse {field!r}") from None
+            if not math.isfinite(value):
+                raise FormatError(f"row {lineno}, column {col}: non-finite entry")
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+def test_parse_is_bit_identical_to_float_on_formatted_matrices():
+    rng = np.random.default_rng(16)
+    specials = [5e-324, -2.2250738585072014e-308 / 3, -0.0, 0.0, 1e308, -1e308, 2.0**-1074]
+    for shape in [(1, 1), (3, 7), (10, 10), (40, 3)]:
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        m.flat[: len(specials)] = specials[: m.size]
+        text = format_matrix_csv(m)
+        got = parse_matrix(text)
+        want = np.array(
+            [[float(f) for f in line.split(",")] for line in text.splitlines()], dtype=float
+        )
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "alpha,beta\n1,2\n3,4\n",
+        "1,2\r\n3,4\r\n",
+        "a,b\r\n\r\n1,2\r\n",
+        "1_000,2\n3,4_5.5",
+        " 1 , 2\t\n\t3,  4 ",
+        "1\u2003,\u00a02\n3,4",
+        "1\x1f,2\n3,4",
+        "5\n",
+        "1,2\n3",
+        "1,2\n3,4,5\n6,7",
+        "1,2\n3,x",
+        "1,2\n3,",
+        "1,,2\n3,4,5",
+        "1,2\n3,4\n5,6,nan",
+        "1,nan\n2,3",
+        "1,2\n-inf,3",
+        "1,2\n3,1e400",
+        "a,b\n1,NaN",
+        "1,2,3\n4,inf,x",
+        "1,2,3\n4,x,inf",
+        "1,2\n3,4\n5,x,7",
+        "header only",
+        "",
+        "\n \n",
+    ],
+)
+def test_parse_matches_field_loop(text):
+    try:
+        want = field_loop_parse_matrix(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as info:
+            parse_matrix(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = parse_matrix(text)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_column_permutation_a1_first_column():

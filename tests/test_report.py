@@ -13,10 +13,15 @@ from monorank import (
     SignVector,
     SignVectorSet,
     build_report,
+    difference_topes,
     forster_bound,
     om_completion_rank_of_matrix,
     radon_rank,
     random_representation,
+    sign_matrix_with_columns,
+    sign_matrix_with_rows,
+    singular_values,
+    threshold_topes,
     vc_rank,
 )
 from monorank.report import ceil_bound
@@ -70,6 +75,26 @@ def test_report_matches_object_assembly(complete_d_max, with_topes):
         want = object_report(a, complete_d_max, with_topes)
         assert got == want
         assert got.as_dict() == want.as_dict()
+
+
+def test_report_spectra_equal_the_public_adapters_bit_for_bit():
+    # build_report skips the input checks of forster_bound and
+    # singular_values; the floats must still be those of the public path,
+    # which the benchmark's traced assembly of a report takes
+    report_small = [
+        random_representation(m, n, d, seed).matrix
+        for seed, (m, n, d) in enumerate([(8, 8, 2), (9, 10, 3), (10, 8, 3), (10, 10, 2)])
+    ]
+    for a in MATRICES + report_small:
+        got = build_report(a, with_svd=True)
+        thresh, diff = threshold_topes(a), difference_topes(a)
+        f_thresh = forster_bound(sign_matrix_with_columns(thresh))
+        f_diff = forster_bound(sign_matrix_with_rows(diff)) if len(diff) else 0.0
+        assert got.forster_bound_thresh.hex() == f_thresh.hex()
+        assert got.forster_bound_diff.hex() == f_diff.hex()
+        assert [s.hex() for s in got.singular_values] == [
+            float(s).hex() for s in singular_values(a)
+        ]
 
 
 def test_default_report_makes_no_sign_vectors(monkeypatch):

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +26,9 @@ from monorank import (
     uniform_completion,
     vc_dimension,
 )
+from monorank.signs import _bits_from_masks, _masks_from_bits, _negation_closure
+
+from .test_topes import WORD_WIDTHS
 
 sv = SignVector.from_string
 
@@ -257,3 +261,37 @@ WITH_ZERO = SignVectorSet.from_strings(["++-", "--+", "+0-", "-0+"])
 def test_zero_free_paths_name_the_vector_with_a_zero(call):
     with pytest.raises(DomainError, match=re.escape("+0-")):
         call(WITH_ZERO)
+
+
+def word_boundary_bits(width: int) -> np.ndarray:
+    """0/1 rows of `width` bits: all ones, all zeros, the top bit alone, and
+    random rows, one of them repeated."""
+    rng = np.random.default_rng(width)
+    bits = rng.integers(0, 2, (8, width), dtype=np.uint8)
+    bits[0], bits[1], bits[2] = 1, 0, 0
+    bits[2, -1] = 1
+    bits[-1] = bits[-2]
+    return bits
+
+
+@pytest.mark.parametrize("width", WORD_WIDTHS)
+def test_mask_packing_round_trips_at_word_boundaries(width):
+    bits = word_boundary_bits(width)
+    masks = _masks_from_bits(bits)
+    assert masks == [sum(b << i for i, b in enumerate(row)) for row in bits.tolist()]
+    assert all(type(p) is int for p in masks)
+    back = _bits_from_masks(masks, width)
+    assert back.dtype == np.uint8 and np.array_equal(back, bits)
+    assert _masks_from_bits(np.zeros((0, width), dtype=np.uint8)) == []
+    empty = _bits_from_masks([], width)
+    assert empty.dtype == np.uint8 and empty.shape == (0, width)
+
+
+@pytest.mark.parametrize("width", WORD_WIDTHS)
+def test_negation_closure_at_word_boundaries(width):
+    masks = _masks_from_bits(word_boundary_bits(width))
+    full = (1 << width) - 1
+    closed = _negation_closure(masks, width)
+    assert closed == sorted(set(masks) | {full ^ p for p in masks})
+    assert all(type(p) is int for p in closed)
+    assert _negation_closure([], width) == []

@@ -128,10 +128,10 @@ def test_value_type_is_slotted_frozen_and_compares_by_fields(name):
 
 
 def test_import_loads_no_scipy():
-    # scipy is most of the import time; only the LP tope search and
-    # hadamard use it, and they import it when first called
+    # scipy is most of the import time; only the LP tope search uses it,
+    # and it imports it when first called
     code = (
-        "import sys, monorank, monorank.cli; "
+        "import sys, monorank, monorank.cli; monorank.hadamard(3); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(monorank.__file__).parent.parent)

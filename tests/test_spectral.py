@@ -158,6 +158,16 @@ def test_hadamard_one_step():
     assert np.array_equal(hadamard(1), np.array([[1, 1], [1, -1]]))
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_hadamard_matches_scipy_oracle(n):
+    import scipy.linalg
+
+    want = scipy.linalg.hadamard(1 << n, dtype=np.int64)
+    got = hadamard(n)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def test_hadamard_rows_orthogonal():
     h = hadamard(3)
     gram = h @ h.T

@@ -76,12 +76,26 @@ def test_threshold_topes_match_midpoint_reference():
         assert threshold_topes(mat) == midpoint_threshold_topes(mat)
 
 
+# masks of up to 63 bits are summed in int64 and wider ones as Python ints,
+# so the kernels are checked on either side of that word boundary
+WORD_WIDTHS = (1, 2, 62, 63, 64, 65, 70)
+
+
+def word_boundary_matrices() -> list[np.ndarray]:
+    """Generic matrices with a word-boundary number of rows (the threshold
+    width) or columns (the difference width)."""
+    rng = np.random.default_rng(16)
+    return [rng.standard_normal(shape) for w in WORD_WIDTHS for shape in ((w, 4), (4, w))]
+
+
 def test_tope_masks_match_object_builders():
-    for a in oracle_matrices():
+    for a in oracle_matrices() + word_boundary_matrices():
         thresh, diff = object_threshold_topes(a), object_difference_topes(a)
-        # same masks in the same (canonical) order
-        assert _threshold_masks(a) == [v.pos for v in thresh]
-        assert _difference_masks(a) == [v.pos for v in diff]
+        # same masks in the same (canonical) order, all of them Python ints
+        got_thresh, got_diff = _threshold_masks(a), _difference_masks(a)
+        assert got_thresh == [v.pos for v in thresh]
+        assert got_diff == [v.pos for v in diff]
+        assert all(type(p) is int for p in got_thresh + got_diff)
         assert threshold_topes(a) == thresh
         assert difference_topes(a) == diff
 
