@@ -17,20 +17,18 @@ format: _zero_free_masks is the one reader, which checks a SignVectorSet
 is zero-free and returns its masks, and _zero_free_set over
 _negation_closure is the one writer.
 
-The word-size rule: the helpers do their bit arithmetic in numpy, on
-int64 when the width fits in 63 bits and on object arrays of Python ints
-when it does not (_mask_dtype), so the same expressions stay exact at any
-width.  The one exception is _masks_from_bits on rows wider than 63 bits,
-which reads each packed row with int.from_bytes: object arithmetic there
-costs one Python operation per bit, and the VC search transposes every
-family into such rows.  Every mask they return is a Python int.
+The word-size rule: the packing helpers go through bytes
+(np.packbits, int.to_bytes), so they are exact at any width.  The tope
+kernels instead sum or dot the weights of _bit_weights, which are int64
+when the width fits in 63 bits and Python ints in an object array when it
+does not; the masks they return are Python ints either way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -182,42 +180,38 @@ def _check_lengths(x: SignVector, y: SignVector) -> None:
         )
 
 
-def _mask_dtype(width: int) -> type:
-    """The numpy dtype that holds masks of `width` bits exactly."""
-    return np.int64 if width <= 63 else object
-
-
 def _bit_weights(width: int) -> np.ndarray:
-    """1 << i for i in range(width), in _mask_dtype(width)."""
-    return np.array([1 << i for i in range(width)], dtype=_mask_dtype(width))
+    """1 << i for i in range(width): int64 when `width` fits in 63 bits,
+    an object array of Python ints when it does not, so sums and dots of
+    these weights are exact at any width."""
+    dtype = np.int64 if width <= 63 else object
+    return np.array([1 << i for i in range(width)], dtype=dtype)
 
 
 def _masks_from_bits(bits: np.ndarray) -> list[int]:
     """One int per row of a 2-D 0/1 array: entry [k, i] becomes bit i of
     mask k.  Rows of any width pack exactly, with no word-size limit."""
-    width = bits.shape[1]
-    if _mask_dtype(width) is np.int64:
-        return (bits @ _bit_weights(width)).tolist()
     packed = np.packbits(bits, axis=1, bitorder="little")
     w = packed.shape[1]
     raw = packed.tobytes()
     return [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(len(bits))]
 
 
-def _bits_from_masks(masks: Sequence[int] | np.ndarray, width: int) -> np.ndarray:
+def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
     """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array."""
-    words = np.asarray(masks, dtype=_mask_dtype(width))
-    return (words[:, None] & _bit_weights(width) != 0).view(np.uint8)
+    nbytes = (width + 7) // 8
+    raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
-def _negation_closure(masks: Sequence[int] | np.ndarray, width: int) -> list[int]:
+def _negation_closure(masks: Iterable[int], width: int) -> list[int]:
     """The distinct masks with their complements, sorted ascending: the
     canonical SignVectorSet order of the zero-free vectors they encode."""
-    words = np.asarray(masks, dtype=_mask_dtype(width))
-    closed = np.sort(np.concatenate([words, ((1 << width) - 1) - words]))
-    distinct = np.ones(len(closed), dtype=bool)
-    distinct[1:] = closed[1:] != closed[:-1]
-    return closed[distinct].tolist()
+    full = (1 << width) - 1
+    closed = set(masks)
+    closed |= {full ^ p for p in closed}
+    return sorted(closed)
 
 
 def _zero_free_strings(masks: list[int], width: int) -> list[str]:

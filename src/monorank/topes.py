@@ -10,8 +10,8 @@ Both are built by a numpy kernel (_threshold_masks, _difference_masks)
 that returns the sorted positive masks of the tope set; build_report
 works on these masks directly.  threshold_topes and difference_topes
 are its adapters from a matrix to a SignVectorSet.  The kernels sum bit
-weights 1 << row (or 1 << column) in the dtype of signs._mask_dtype, so
-they stay exact at any width.
+weights 1 << row (or 1 << column) from signs._bit_weights, int64 up to
+63 bits and Python ints beyond, so they stay exact at any width.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _threshold_masks(a: np.ndarray) -> list[int]:
     the whole tope set.
     """
     tops = np.cumsum(_bit_weights(a.shape[0])[np.argsort(a, axis=0)[::-1]], axis=0)
-    return _negation_closure(tops.ravel(), a.shape[0])
+    return _negation_closure(tops.ravel().tolist(), a.shape[0])
 
 
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
@@ -110,5 +110,6 @@ def _difference_masks(a: np.ndarray) -> list[int]:
     checked to be generic: row a_i > a_k over the pairs i > k, dotted with
     the bit weights 1 << column, then the negations (the pairs i < k)."""
     i, k = np.nonzero(np.tri(a.shape[0], k=-1, dtype=bool))
-    return _negation_closure((a[i] > a[k]) @ _bit_weights(a.shape[1]), a.shape[1])
+    masks = (a[i] > a[k]) @ _bit_weights(a.shape[1])
+    return _negation_closure(masks.tolist(), a.shape[1])
 
