@@ -14,9 +14,9 @@ to d_max) take masks, uniform_completion and om_rank_lower_bound are
 adapters that read their SignVectorSet once, and the matrix bound passes
 the tope masks straight in.  _candidates yields the potential circuits
 support by support, for potential_circuits and for the search alike, and
-holds the layer's one rank check.  _full_scan places one circuit pair per
-support through the full C4 scan, for check_circuit_axioms and for
-_first_violation.
+holds the layer's one rank check.  _full_scan finds the first C4
+violation of one circuit pair per support, for check_circuit_axioms and
+for _first_violation; _ModularScan runs the search's C4 checks.
 
 Weak elimination (C4) is checked in separator-symmetric form: for vectors
 X, Y with X != -Y and any e where they oppose, some circuit Z must satisfy
@@ -26,10 +26,16 @@ the required eliminant (colexicographically), then by canonical vector
 order, which pins down the reported violation witness deterministically.
 
 Supports are placed in sorted order, so the placed ones are always a
-prefix of the sorted support list.  A check of the full scan therefore
-waits in the bucket of the last support its eliminant could sit on (its
-trigger) and fires when that support is placed, and the search backtracks
-by undoing placements instead of copying its state (see _EliminationScan).
+prefix of the sorted support list.  A check made when support c is placed
+is decisive once the last support its eliminant could sit on (its
+trigger t) is placed, so it fires at step max(c, t): at once when t <= c,
+after that step's own checks when it has to wait.  Once it fires, every
+support inside its zone is placed, and its verdict no longer depends on
+what comes later.  So the first violation is the failing check with the
+smallest key (max(c, t), t > c, c, X, Y, e), which _full_scan finds by
+testing each check against the complete placement, with no check filed
+for later.  The search backtracks by undoing placements instead of
+copying its state (see _ModularScan).
 
 The completion search checks C4 on modular pairs only.  Signed sets that
 meet C1-C3 and eliminate on every modular pair are the circuits of an
@@ -288,73 +294,39 @@ def _tope_masks(vectors: SignVectorSet) -> list[int]:
 # circuit axioms
 
 
-class _EliminationScan:
-    """C4 checks scheduled by the support that decides them, with undo.
+class _ModularScan:
+    """The completion search's C4 checks, on modular pairs only, with undo.
 
-    Supports receive one ± pair each, in sorted (colexicographic) order, so
-    the placed supports are always a prefix of `supports`.  A check
-    (X, Y, e) asks for a placed circuit inside its zone (supp X ∪ supp Y)
-    \\ e; it is decisive once every support inside the zone is placed, that
-    is once the prefix reaches the zone's trigger, the index of the largest
-    support inside it.  The trigger and the supports inside are memoised
-    per zone as zones occur.
-
-    Placing a pair scans its checks against the placed circuits in
-    canonical order (X over the pool, Y over the new pair, e ascending).  A
-    decisive check fires at once; any other is filed in the bucket of its
-    trigger.  Then the bucket of the support just placed fires, in filing
-    order.  This fires the same checks in the same order as re-testing
-    every deferred check after each placement, so the first violation is
-    the same, and after the last support every check has fired.
+    The supports must be every (r + 1)-subset of the ground set.  They
+    receive one ± pair each, in sorted (colexicographic) order, so the
+    placed supports are always a prefix of `supports`.  Placing a pair
+    scans, in canonical order, every placed circuit X whose support and
+    the new one span r + 2 elements, the new pair's Y, and each e where
+    they oppose.  The zone of that check, (supp X ∪ supp Y) \\ e, has
+    r + 1 elements, so it is one support, and a dict built once gives its
+    index.  If that support is placed, the check tests its one pair;
+    otherwise it is dropped, since the placement that decides it fires a
+    check with the same verdict (see the module docstring).
 
     Circuits are integer keys pos << n | neg: numeric order is the
     canonical (pos, neg) order, and Z+ ⊆ A+ with Z- ⊆ A- reads
-    z & ~a == 0.
-
-    With modular set, the supports must all have one size r + 1 and the
-    pool loop skips every X whose support and the new one's span more
-    than r + 2 elements: only modular pairs are checked.  A check that is
-    not yet decisive is dropped, not filed, since the placement that
-    decides it fires a check with the same verdict (see the module
-    docstring); the buckets stay empty.  undo() drops the latest
-    placement and its pool entries, so the completion search backtracks
-    without copying state.  It is for the modular scan only: a full scan
-    would also have to take back its filings.
+    z & ~a == 0.  undo() drops the latest placement and its pool entries,
+    so the search backtracks without copying state.
     """
 
-    def __init__(self, ground_size: int, supports: Sequence[int], *, modular: bool = False):
+    def __init__(self, ground_size: int, supports: Sequence[int]):
         self.n = ground_size
         self.supports = sorted(supports)
-        # the size of a modular pair's union, or 0 to check every pair
-        self._span = self.supports[0].bit_count() + 1 if modular else 0
+        self._index = {support: i for i, support in enumerate(self.supports)}
+        # the size of a modular pair's union
+        self._span = self.supports[0].bit_count() + 1
         self.placed: list[tuple[int, int]] = []
         self.pool: list[int] = []
-        self.buckets: list[list[tuple[int, int, int, tuple[int, ...]]]] = [
-            [] for _ in self.supports
-        ]
-        self._zones: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def _zone(self, zone: int) -> tuple[int, tuple[int, ...]]:
-        inside = tuple(i for i, t in enumerate(self.supports) if t & ~zone == 0)
-        entry = (inside[-1] if inside else -1, inside)
-        self._zones[zone] = entry
-        return entry
-
-    def _has_eliminant(self, u: int, e: int, inside: tuple[int, ...]) -> bool:
-        """Some placed circuit on a support inside the zone has no sign
-        outside u = X | Y (as keys) and none at e."""
-        forbidden = ~u | e << self.n | e
-        placed = self.placed
-        for i in inside:
-            a, b = placed[i]
-            if not (a & forbidden and b & forbidden):
-                return True
-        return False
 
     def place(self, rep: SignVector) -> tuple[int, int, int] | None:
-        """Place rep and -rep on the next support; return the first C4
-        violation as keys (x, y, e), if any, for _full_scan to spell
-        out.  The placement stands, violation or not, until undo()."""
+        """Place rep and -rep on the next support; return the first failed
+        modular check as keys (x, y, e), if any.  The placement stands,
+        violation or not, until undo()."""
         n = self.n
         full = (1 << n) - 1
         k = len(self.placed)
@@ -365,36 +337,29 @@ class _EliminationScan:
         pool = self.pool
         insort(pool, a)
         insort(pool, b)
-        zones = self._zones
-        buckets = self.buckets
+        index = self._index
+        placed = self.placed
         span = self._span
         support = rep.support_mask
         for x in pool:
-            if x == a or x == b:
-                continue
             spread = (x >> n | x) & full | support  # supp X ∪ supp Y
-            if span and spread.bit_count() != span:
+            if spread.bit_count() != span:
                 continue
             for y in new:
                 sep = (x >> n & y) | (x & y >> n)  # X+ ∩ Y- ∪ X- ∩ Y+
-                u = x | y
                 while sep:
                     e = sep & -sep
                     sep ^= e
-                    trigger, inside = zones.get(spread ^ e) or self._zone(spread ^ e)
-                    if trigger > k:
-                        if not span:
-                            buckets[trigger].append((x, y, e, inside))
+                    i = index[spread ^ e]
+                    if i > k:
                         continue
-                    if not self._has_eliminant(u, e, inside):
+                    forbidden = ~(x | y) | e << n | e
+                    if placed[i][0] & forbidden and placed[i][1] & forbidden:
                         return x, y, e
-        for x, y, e, inside in buckets[k]:
-            if not self._has_eliminant(x | y, e, inside):
-                return x, y, e
         return None
 
     def undo(self) -> None:
-        """Drop the latest placement of a modular scan."""
+        """Drop the latest placement."""
         pool = self.pool
         for key in self.placed.pop():
             del pool[bisect_left(pool, key)]
@@ -435,16 +400,49 @@ def check_circuit_axioms(
 
 def _full_scan(n: int, reps_by_support: dict[int, SignVector]) -> AxiomViolation | None:
     """The first C4 violation of the circuits ±rep, one pair per support
-    (support mask -> rep), placed through the full scan in sorted order;
-    None when they meet C4."""
-    scan = _EliminationScan(n, list(reps_by_support))
-    for support in scan.supports:
-        keys = scan.place(reps_by_support[support])
-        if keys is not None:
-            low = (1 << n) - 1
-            x, y = (SignVector(n, key >> n, key & low) for key in keys[:2])
-            return AxiomViolation("C4", x, y, element=keys[2].bit_length())
-    return None
+    (support mask -> rep), placed in sorted order; None when they meet C4.
+
+    Step c makes the checks (X, Y, e) with Y on support c and X on an
+    earlier one.  A check fires at step max(c, t), where t is its trigger,
+    the index of the last support inside its zone (supp X ∪ supp Y) \\ e
+    (-1 for none): at once when t <= c, after the step's own checks when
+    it waits.  By then every support inside the zone is placed, so the
+    verdict is tested against them all, and the first violation is the
+    failing check with the smallest key (max(c, t), t > c, c, X, Y, e).
+    No check made after that key's firing step can come first.  Circuits
+    are keys as in _ModularScan.
+    """
+    full = (1 << n) - 1
+    supports = sorted(reps_by_support)
+    reps = [reps_by_support[support] for support in supports]
+    pairs = [(v.pos << n | v.neg, v.neg << n | v.pos) for v in reps]
+
+    @functools.cache
+    def zone(mask: int) -> tuple[int, list[int]]:
+        """(trigger, circuits on the supports inside the zone mask)"""
+        inside = [i for i, s in enumerate(supports) if s & ~mask == 0]
+        return max(inside, default=-1), [z for i in inside for z in pairs[i]]
+
+    first: tuple | None = None
+    for c, support in enumerate(supports):
+        if first is not None and c > first[0]:
+            break
+        for x in itertools.chain.from_iterable(pairs[:c]):
+            spread = (x >> n | x) & full | support  # supp X ∪ supp Y
+            for y in pairs[c]:
+                sep = (x >> n & y) | (x & y >> n)  # X+ ∩ Y- ∪ X- ∩ Y+
+                while sep:
+                    e = sep & -sep
+                    sep ^= e
+                    t, circuits = zone(spread ^ e)
+                    key = (max(c, t), t > c, c, x, y, e)
+                    forbidden = ~(x | y) | e << n | e
+                    if (first is None or key < first) and all(z & forbidden for z in circuits):
+                        first = key
+    if first is None:
+        return None
+    x, y = (SignVector(n, key >> n, key & full) for key in first[3:5])
+    return AxiomViolation("C4", x, y, element=first[5].bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,7 @@ def _completion(
         if not pairs:
             return CompletionResult(feasible=False, missing_support=_mask_to_set(support))
         candidates[support] = pairs
-    scan = _EliminationScan(n, list(candidates), modular=True)
+    scan = _ModularScan(n, list(candidates))
     choices = [candidates[support] for support in scan.supports]
     nodes = 0
     # tried[k]: how many candidates of support k the current branch has tried

@@ -21,7 +21,9 @@ The word-size rule: the packing helpers go through bytes
 (np.packbits, int.to_bytes), so they are exact at any width.  The tope
 kernels instead sum or dot the weights of _bit_weights, which are int64
 when the width fits in 63 bits and Python ints in an object array when it
-does not; the masks they return are Python ints either way.
+does not.  Only the threshold kernel takes the object weights: the
+difference kernel dots 63-column slices with int64 weights and shifts
+them into place.  The masks both return are Python ints either way.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ Both are built by a numpy kernel (_threshold_masks, _difference_masks)
 that returns the sorted positive masks of the tope set; build_report
 works on these masks directly.  threshold_topes and difference_topes
 are its adapters from a matrix to a SignVectorSet.  The kernels sum bit
-weights 1 << row (or 1 << column) from signs._bit_weights, int64 up to
-63 bits and Python ints beyond, so they stay exact at any width.
+weights 1 << row (or 1 << column) from signs._bit_weights, so they stay
+exact at any width.  The threshold kernel sums int64 weights up to 63
+rows and Python ints beyond; the difference kernel dots 63 columns at a
+time with int64 weights and shifts each slice into place.
 """
 
 from __future__ import annotations
@@ -108,8 +110,16 @@ def difference_topes(matrix: np.ndarray) -> SignVectorSet:
 def _difference_masks(a: np.ndarray) -> list[int]:
     """Sorted positive masks of difference_topes, for a float matrix already
     checked to be generic: row a_i > a_k over the pairs i > k, dotted with
-    the bit weights 1 << column, then the negations (the pairs i < k)."""
+    the bit weights 1 << column, then the negations (the pairs i < k).
+
+    Each slice of 63 columns is dotted with int64 weights and ORed in
+    shifted by its first column, as Python ints past the first slice, so
+    no dot takes one Python operation per entry."""
     i, k = np.nonzero(np.tri(a.shape[0], k=-1, dtype=bool))
-    masks = (a[i] > a[k]) @ _bit_weights(a.shape[1])
-    return _negation_closure(masks.tolist(), a.shape[1])
+    above, width = a[i] > a[k], a.shape[1]
+    masks = above[:, :63] @ _bit_weights(min(width, 63))
+    for j in range(63, width, 63):
+        word = above[:, j : j + 63] @ _bit_weights(min(width - j, 63))
+        masks = masks.astype(object) | word.astype(object) << j
+    return _negation_closure(masks.tolist(), width)
 

@@ -30,8 +30,8 @@ from monorank import (
 from monorank.errors import MonorankError
 from monorank.omatroid import (
     _certify_witness,
-    _EliminationScan,
     _first_violation,
+    _ModularScan,
     _is_rank2_masks,
 )
 
@@ -428,7 +428,7 @@ def test_is_rank2_linear_scaling():
 
 
 # -- reference scan (test oracle) ---------------------------------------------
-# The snapshot-based scan and the recursive search that the trigger-bucket
+# The snapshot-based scan and the recursive search that the key-ordered full
 # scan and the iterative search replaced.  Decisiveness scans every support,
 # every deferred check is re-tested after each placement, and backtracking
 # restores copies of the whole state.  The library must report exactly what
@@ -498,6 +498,58 @@ class ReferenceScan:
                 return violation
         self.deferred = []
         return None
+
+
+class ZoneMemoModularScan:
+    """The completion search's modular scan as it was before each check's
+    zone was looked up as one support: the supports inside a zone are
+    found by scanning them all, memoised per zone, and the zone's trigger
+    is the last of them.  Circuits are keys pos << n | neg, as in the
+    library."""
+
+    def __init__(self, ground_size, supports):
+        self.n = ground_size
+        self.supports = sorted(supports)
+        self.span = self.supports[0].bit_count() + 1
+        self.placed = []
+        self.pool = []
+        self.zones = {}
+
+    def zone(self, zone):
+        if zone not in self.zones:
+            inside = tuple(i for i, t in enumerate(self.supports) if t & ~zone == 0)
+            self.zones[zone] = (inside[-1] if inside else -1, inside)
+        return self.zones[zone]
+
+    def place(self, rep):
+        n = self.n
+        full = (1 << n) - 1
+        k = len(self.placed)
+        new = sorted((rep.pos << n | rep.neg, rep.neg << n | rep.pos))
+        self.placed.append(new)
+        self.pool = sorted(self.pool + new)
+        for x in self.pool:
+            if x in new:
+                continue
+            spread = (x >> n | x) & full | rep.support_mask
+            if spread.bit_count() != self.span:
+                continue
+            for y in new:
+                sep = (x >> n & y) | (x & y >> n)
+                while sep:
+                    e = sep & -sep
+                    sep ^= e
+                    trigger, inside = self.zone(spread ^ e)
+                    if trigger > k:
+                        continue
+                    forbidden = ~(x | y) | e << n | e
+                    if all(z & forbidden for i in inside for z in self.placed[i]):
+                        return x, y, e
+        return None
+
+    def undo(self):
+        for key in self.placed.pop():
+            self.pool.remove(key)
 
 
 def reference_check_circuit_axioms(circuits):
@@ -671,6 +723,46 @@ def test_completion_matches_reference_scan_on_random_sets():
     assert kinds.count("C4") >= 8
 
 
+def modular_search_log(scan, choices, max_nodes):
+    """What scan.place returned at each placement of the completion
+    search's depth-first loop over choices[k], the candidate reps of the
+    scan's k-th support, stopping after max_nodes placements."""
+    log, tried, k = [], [0] * len(choices), 0
+    while k < len(choices) and len(log) < max_nodes:
+        if tried[k] == len(choices[k]):
+            if k == 0:
+                break
+            tried[k] = 0
+            k -= 1
+            scan.undo()
+            continue
+        log.append(scan.place(choices[k][tried[k]]))
+        tried[k] += 1
+        if log[-1] is None:
+            k += 1
+        else:
+            scan.undo()
+    return log
+
+
+def test_modular_scan_matches_zone_memo_oracle_along_search_paths():
+    # the same (x, y, e) or None at every placement, and nodes exactly
+    placements = failed = 0
+    for sset, rank in random_suite():
+        candidates = {mask: reps for mask, _, reps in orthogonal_candidates(sset, rank)}
+        if not all(candidates.values()):
+            continue
+        n, supports = sset.ground_size, sorted(candidates)
+        choices = [candidates[support] for support in supports]
+        got = modular_search_log(_ModularScan(n, supports), choices, 100)
+        want = modular_search_log(ZoneMemoModularScan(n, supports), choices, 100)
+        assert got == want, (rank, sset.strings())
+        assert uniform_completion(sset, rank, max_nodes=100).nodes == len(want)
+        placements += len(got)
+        failed += sum(keys is not None for keys in got)
+    assert placements > 4000 and failed > 2000
+
+
 # searches on which the modular scan places more candidates than the full
 # scan, which prunes some branches earlier; the outcome is the same
 NODES_GROW = [
@@ -832,7 +924,7 @@ def modular_scan_ok(circuits):
     """Whether a complete uniform circuit set meets every check of the
     modular-only scan that the completion search runs."""
     by_support = {v.support_mask: v for v in circuits}
-    scan = _EliminationScan(circuits.ground_size, list(by_support), modular=True)
+    scan = _ModularScan(circuits.ground_size, list(by_support))
     return all(scan.place(by_support[support]) is None for support in scan.supports)
 
 
@@ -860,32 +952,6 @@ def test_modular_scan_verdict_matches_axiom_check_on_complete_sets():
                 verdicts.append(ok)
     assert len(verdicts) == 162
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 60
-
-
-def test_bucket_pass_fires_every_deferred_check():
-    # a check of the full scan deferred to a support's bucket is tested, in
-    # filing order, when that support is placed; the modular scan files none
-    rng = np.random.default_rng(37)
-    n, rank = 6, 2
-    by_support = {v.support_mask: v for v in chirotope_reps(n, rank, realizable_chi(rng, n, rank))}
-    scan = _EliminationScan(n, list(by_support))
-    tested = []
-    has_eliminant = scan._has_eliminant
-    scan._has_eliminant = lambda u, e, inside: (
-        tested.append((u, e)) or has_eliminant(u, e, inside)
-    )
-    fired = 0
-    for k, support in enumerate(scan.supports):
-        bucket = [(x | y, e) for x, y, e, _ in scan.buckets[k]]
-        tested.clear()
-        assert scan.place(by_support[support]) is None
-        assert tested[len(tested) - len(bucket) :] == bucket
-        fired += len(bucket)
-    assert fired > 0
-    modular = _EliminationScan(n, list(by_support), modular=True)
-    for support in modular.supports:
-        assert modular.place(by_support[support]) is None
-        assert not any(modular.buckets)
 
 
 def signed_tuples(size, missing):

@@ -14,6 +14,7 @@ from monorank import (
     threshold_vector,
 )
 
+from monorank.signs import _masks_from_bits, _negation_closure
 from monorank.topes import _difference_masks, _threshold_masks
 
 from .fixtures import (
@@ -98,6 +99,17 @@ def test_tope_masks_match_object_builders():
         assert all(type(p) is int for p in got_thresh + got_diff)
         assert threshold_topes(a) == thresh
         assert difference_topes(a) == diff
+
+
+@pytest.mark.parametrize("width", [62, 63, 64, 65, 70, 126, 127, 128, 130])
+def test_difference_masks_match_packed_bits_across_word_slices(width):
+    # the kernel dots 63 columns at a time; packbits reads any width whole
+    a = np.random.default_rng(width).standard_normal((7, width))
+    i, k = np.nonzero(np.tri(7, k=-1, dtype=bool))
+    want = _negation_closure(_masks_from_bits(a[i] > a[k]), width)
+    got = _difference_masks(a)
+    assert got == want
+    assert all(type(p) is int for p in got)
 
 
 def test_threshold_topes_a1_exact():
