@@ -26,13 +26,7 @@ from .matrices import (
     parse_matrix,
 )
 from .omatroid import CircuitCandidateSet
-from .signs import (
-    SignVector,
-    SignVectorSet,
-    _masks_from_bits,
-    _negation_closure,
-    _zero_free_set,
-)
+from .signs import SignVectorSet, _masks_from_bits, _negation_closure, _zero_free_set
 
 DEFAULT_ENUM_GUARD = 20
 _SEPARATION_MARGIN = 1e-7
@@ -373,14 +367,10 @@ def point_circuits(
     minus = plus.copy()
     np.put_along_axis(plus, subsets, null > 0, axis=1)
     np.put_along_axis(minus, subsets, null <= 0, axis=1)
-    members: list[SignVector] = []
-    for pos, neg in zip(_masks_from_bits(plus), _masks_from_bits(minus)):
-        members += (SignVector(m, pos, neg), SignVector(m, neg, pos))
-    return CircuitCandidateSet(
-        ground_size=m,
-        circuits=SignVectorSet(m, members),
-        uniform_rank=d + 1,
-    )
+    # a key's low m bits are the negative part (see the signs module)
+    keys = _masks_from_bits(np.hstack([minus, plus])) + _masks_from_bits(np.hstack([plus, minus]))
+    circuits = SignVectorSet._from_keys(m, sorted(keys))
+    return CircuitCandidateSet(ground_size=m, circuits=circuits, uniform_rank=d + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ the tope masks straight in.  _candidates yields the potential circuits
 support by support, for potential_circuits and for the search alike, and
 holds the layer's one rank check.  _full_scan finds the first C4
 violation of one circuit pair per support, for check_circuit_axioms and
-for _first_violation; _ModularScan runs the search's C4 checks.
+for _first_violation; _ModularScan runs the search's C4 checks.  Every
+circuit here is a key, the signs module's stored form, from the
+candidates to the witness's SignVectorSet; a SignVector is built only
+for an AxiomViolation or an error message.
 
 Weak elimination (C4) is checked in separator-symmetric form: for vectors
 X, Y with X != -Y and any e where they oppose, some circuit Z must satisfy
@@ -91,7 +94,9 @@ from .signs import (
     SignVector,
     SignVectorSet,
     _mask_to_set,
+    _negated,
     _negation_closure,
+    _vector,
     _zero_free_masks,
 )
 from .topes import _difference_masks, _threshold_masks
@@ -121,14 +126,14 @@ class CircuitCandidateSet:
         if not self.circuits.is_negation_closed():
             raise DomainError("circuit candidate set must be negation-closed")
         if self.uniform_rank is not None:
-            size = self.uniform_rank + 1
+            n, size = self.ground_size, self.uniform_rank + 1
             per_support: dict[int, int] = {}
-            for v in self.circuits:
-                support = v.support_mask
+            for key in self.circuits._keys():
+                support = (key >> n | key) & ((1 << n) - 1)
                 if support.bit_count() != size:
                     raise DomainError(
                         f"uniform rank {self.uniform_rank} requires supports of "
-                        f"size {size}, got {v}"
+                        f"size {size}, got {_vector(n, key)}"
                     )
                 per_support[support] = per_support.get(support, 0) + 1
             if any(count > 2 for count in per_support.values()):
@@ -215,16 +220,13 @@ def potential_circuits(vectors: SignVectorSet, rank: int) -> SignVectorSet:
     of the (zero-free, negation-closed) input set, for 1 <= rank <= n-1.
     Adapter onto _candidates."""
     n = vectors.ground_size
-    out: list[SignVector] = []
-    for _, pairs in _candidates(n, _tope_masks(vectors), rank):
-        for pair in pairs:
-            out.extend(pair)
-    return SignVectorSet(n, out, negation_closed=True)
+    keys: list[int] = []
+    for _, reps in _candidates(n, _tope_masks(vectors), rank):
+        keys += (key for rep in reps for key in (rep, _negated(n, rep)))
+    return SignVectorSet._from_keys(n, sorted(keys))
 
 
-def _candidates(
-    n: int, masks: list[int], rank: int
-) -> Iterator[tuple[int, list[tuple[SignVector, SignVector]]]]:
+def _candidates(n: int, masks: list[int], rank: int) -> Iterator[tuple[int, list[int]]]:
     """(support mask, _orthogonal_pairs) for every (rank+1)-subset of the n
     elements, in itertools.combinations order, for the positive masks of a
     zero-free, negation-closed set.  This is the layer's one rank check:
@@ -237,40 +239,27 @@ def _candidates(
     return ((support, _orthogonal_pairs(n, masks, support)) for support in supports)
 
 
-def _orthogonal_pairs(
-    n: int, masks: list[int], support: int
-) -> list[tuple[SignVector, SignVector]]:
-    """The ± pairs (v, -v) on the support bitmask that are orthogonal to
-    every member of the zero-free, negation-closed set on n elements with
-    these positive masks, in the order of _support_pairs.
+def _orthogonal_pairs(n: int, masks: list[int], support: int) -> list[int]:
+    """One key per ± pair on the support bitmask whose vectors are
+    orthogonal to every member of the zero-free, negation-closed set on n
+    elements with these positive masks: the key of the vector with + at
+    the support's smallest element, ascending.
 
     A vector v on support S fails against a zero-free y exactly when it
     agrees with y or with -y on all of S.  With -y in the set as well, that
     is when v+ is the restriction y+ ∩ S of some member y.
     """
     taken = {y & support for y in masks}
-    return [pair for pair in _support_pairs(n, support) if pair[0].pos not in taken]
-
-
-@functools.lru_cache(maxsize=4096)
-def _support_pairs(n: int, support: int) -> tuple[tuple[SignVector, SignVector], ...]:
-    """Every ± pair on the support bitmask as (v, -v), v with + at the
-    smallest element, in canonical order of v.
-
-    Cached because the completion search draws every circuit from here:
-    searches on the same ground set then share one object per circuit,
-    and the witnesses they return hold no copies.
-    """
     head = support & -support
     rest = support ^ head
-    pairs = []
+    reps = []
     sub = 0
     while True:
         pos = head | sub
-        neg = support ^ pos
-        pairs.append((SignVector(n, pos, neg), SignVector(n, neg, pos)))
+        if pos not in taken:
+            reps.append(pos << n | support ^ pos)
         if sub == rest:
-            return tuple(pairs)
+            return reps
         sub = (sub - rest) & rest  # next subset of rest in increasing order
 
 
@@ -308,10 +297,9 @@ class _ModularScan:
     otherwise it is dropped, since the placement that decides it fires a
     check with the same verdict (see the module docstring).
 
-    Circuits are integer keys pos << n | neg: numeric order is the
-    canonical (pos, neg) order, and Z+ ⊆ A+ with Z- ⊆ A- reads
-    z & ~a == 0.  undo() drops the latest placement and its pool entries,
-    so the search backtracks without copying state.
+    Circuits are keys (see the signs module).  undo() drops the latest
+    placement and its pool entries, so the search backtracks without
+    copying state.
     """
 
     def __init__(self, ground_size: int, supports: Sequence[int]):
@@ -323,15 +311,14 @@ class _ModularScan:
         self.placed: list[tuple[int, int]] = []
         self.pool: list[int] = []
 
-    def place(self, rep: SignVector) -> tuple[int, int, int] | None:
-        """Place rep and -rep on the next support; return the first failed
-        modular check as keys (x, y, e), if any.  The placement stands,
-        violation or not, until undo()."""
+    def place(self, rep: int) -> tuple[int, int, int] | None:
+        """Place the circuit with key rep and its negation on the next
+        support; return the first failed modular check as keys (x, y, e),
+        if any.  The placement stands, violation or not, until undo()."""
         n = self.n
         full = (1 << n) - 1
         k = len(self.placed)
-        a = rep.pos << n | rep.neg
-        b = rep.neg << n | rep.pos
+        a, b = rep, (rep & full) << n | rep >> n  # the key of -rep
         new = (a, b) if a < b else (b, a)
         self.placed.append(new)
         pool = self.pool
@@ -340,7 +327,7 @@ class _ModularScan:
         index = self._index
         placed = self.placed
         span = self._span
-        support = rep.support_mask
+        support = (a >> n | a) & full
         for x in pool:
             spread = (x >> n | x) & full | support  # supp X ∪ supp Y
             if spread.bit_count() != span:
@@ -374,33 +361,33 @@ def check_circuit_axioms(
     supports only within a ± pair.  C4: weak elimination, scanned in the
     deterministic support order described on the module.
     """
-    members = list(circuits)
-    ground = circuits.ground_size
-    for v in members:
-        if v.support_mask == 0:
-            return AxiomReport(False, AxiomViolation("C1", v))
-    index = set(members)
-    for v in members:
-        if -v not in index:
-            return AxiomReport(False, AxiomViolation("C2", v))
-    ordered = sorted(index, key=SignVector.sort_key)
-    masks = [(v.pos, v.neg, v.support_mask) for v in ordered]
-    for i, (xp, xn, sx) in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            yp, yn, sy = masks[j]
-            if (sx & ~sy == 0 or sy & ~sx == 0) and (xp != yn or xn != yp):
-                return AxiomReport(False, AxiomViolation("C3", ordered[i], ordered[j]))
+    vectors = circuits.circuits if isinstance(circuits, CircuitCandidateSet) else circuits
+    n, keys = vectors.ground_size, vectors._keys()
+    if keys[:1] == [0]:  # the empty vector's key is the smallest
+        return AxiomReport(False, AxiomViolation("C1", _vector(n, 0)))
+    index = set(keys)
+    for key in keys:
+        if _negated(n, key) not in index:
+            return AxiomReport(False, AxiomViolation("C2", _vector(n, key)))
+    supports = [(key >> n | key) & ((1 << n) - 1) for key in keys]
+    for i, sx in enumerate(supports):
+        for j in range(i + 1, len(keys)):
+            sy = supports[j]
+            if (sx & ~sy == 0 or sy & ~sx == 0) and keys[j] != _negated(n, keys[i]):
+                x, y = _vector(n, keys[i]), _vector(n, keys[j])
+                return AxiomReport(False, AxiomViolation("C3", x, y))
     # after C1-C3 every support carries exactly one ± pair
-    by_support: dict[int, SignVector] = {}
-    for v in ordered:
-        by_support.setdefault(v.support_mask, v)
-    violation = _full_scan(ground, by_support)
+    by_support: dict[int, int] = {}
+    for key, support in zip(keys, supports):
+        by_support.setdefault(support, key)
+    violation = _full_scan(n, by_support)
     return AxiomReport(violation is None, violation)
 
 
-def _full_scan(n: int, reps_by_support: dict[int, SignVector]) -> AxiomViolation | None:
+def _full_scan(n: int, reps_by_support: dict[int, int]) -> AxiomViolation | None:
     """The first C4 violation of the circuits ±rep, one pair per support
-    (support mask -> rep), placed in sorted order; None when they meet C4.
+    (support mask -> key of rep), placed in sorted order; None when they
+    meet C4.
 
     Step c makes the checks (X, Y, e) with Y on support c and X on an
     earlier one.  A check fires at step max(c, t), where t is its trigger,
@@ -410,12 +397,11 @@ def _full_scan(n: int, reps_by_support: dict[int, SignVector]) -> AxiomViolation
     verdict is tested against them all, and the first violation is the
     failing check with the smallest key (max(c, t), t > c, c, X, Y, e).
     No check made after that key's firing step can come first.  Circuits
-    are keys as in _ModularScan.
+    are keys (see the signs module).
     """
     full = (1 << n) - 1
     supports = sorted(reps_by_support)
-    reps = [reps_by_support[support] for support in supports]
-    pairs = [(v.pos << n | v.neg, v.neg << n | v.pos) for v in reps]
+    pairs = [(rep, _negated(n, rep)) for rep in map(reps_by_support.get, supports)]
 
     @functools.cache
     def zone(mask: int) -> tuple[int, list[int]]:
@@ -441,7 +427,7 @@ def _full_scan(n: int, reps_by_support: dict[int, SignVector]) -> AxiomViolation
                         first = key
     if first is None:
         return None
-    x, y = (SignVector(n, key >> n, key & full) for key in first[3:5])
+    x, y = (_vector(n, key) for key in first[3:5])
     return AxiomViolation("C4", x, y, element=first[5].bit_length())
 
 
@@ -484,11 +470,11 @@ def _completion(
         raise ResourceLimitError(
             f"ground set size {n} exceeds completion guard {max_ground}"
         )
-    candidates: dict[int, list[tuple[SignVector, SignVector]]] = {}
-    for support, pairs in _candidates(n, masks, rank):
-        if not pairs:
+    candidates: dict[int, list[int]] = {}
+    for support, reps in _candidates(n, masks, rank):
+        if not reps:
             return CompletionResult(feasible=False, missing_support=_mask_to_set(support))
-        candidates[support] = pairs
+        candidates[support] = reps
     scan = _ModularScan(n, list(candidates))
     choices = [candidates[support] for support in scan.supports]
     nodes = 0
@@ -508,27 +494,24 @@ def _completion(
         if max_nodes is not None and nodes >= max_nodes:
             return CompletionResult(feasible=False, timed_out=True, nodes=nodes)
         nodes += 1
-        violation = scan.place(choices[k][tried[k]][0])
+        violation = scan.place(choices[k][tried[k]])
         tried[k] += 1
         if violation is None:
             k += 1
             continue
         scan.undo()
-    chosen = [pairs[i - 1] for pairs, i in zip(choices, tried)]
-    _certify_witness(n, rank, [rep for rep, _ in chosen], masks)
+    _certify_witness(n, rank, [keys[i - 1] for keys, i in zip(choices, tried)], masks)
+    # the scan's pool holds every placed circuit, sorted
     witness = CircuitCandidateSet(
-        ground_size=n,
-        circuits=SignVectorSet(n, itertools.chain.from_iterable(chosen)),
-        uniform_rank=rank,
+        ground_size=n, circuits=SignVectorSet._from_keys(n, scan.pool), uniform_rank=rank
     )
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
 
 
-def _first_violation(
-    n: int, candidates: dict[int, list[tuple[SignVector, SignVector]]]
-) -> AxiomViolation:
+def _first_violation(n: int, candidates: dict[int, list[int]]) -> AxiomViolation:
     """The first C4 violation a full-scan search meets, for an infeasible
-    search over these candidates (support mask -> pairs).
+    search over these candidates (support mask -> keys of one circuit per
+    ± pair).
 
     Before its first violation the depth-first search never backtracks,
     so it has placed the first candidate of every support up to the one
@@ -537,7 +520,7 @@ def _first_violation(
     C4, so the search was wrong to call the candidates infeasible: that
     raises MonorankError.
     """
-    violation = _full_scan(n, {support: pairs[0][0] for support, pairs in candidates.items()})
+    violation = _full_scan(n, {support: reps[0] for support, reps in candidates.items()})
     if violation is None:
         raise MonorankError(
             "completion search found the candidates infeasible, but their first "
@@ -546,15 +529,13 @@ def _first_violation(
     return violation
 
 
-def _certify_witness(
-    n: int, rank: int, reps: Sequence[SignVector], masks: list[int]
-) -> int:
+def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -> int:
     """Check a completion witness by other means than the search's C4
     scan; return the number of Grassmann–Plücker relations checked.
 
-    reps holds one circuit of each ± pair, one pair per (rank+1)-subset of
-    the n elements, and masks the positive masks of the zero-free input
-    set.  Three checks, each raising MonorankError
+    reps holds the key of one circuit of each ± pair, one pair per
+    (rank+1)-subset of the n elements, and masks the positive masks of the
+    zero-free input set.  Three checks, each raising MonorankError
     with its name on failure:
 
     - orthogonality: a circuit v on support S fails against an input y
@@ -575,19 +556,19 @@ def _certify_witness(
     So a witness passes exactly when check_circuit_axioms accepts it.
     Failure means the search is at fault, hence the base error class.
     """
-    for v in reps:
-        support = v.support_mask
+    full = (1 << n) - 1
+    for rep in reps:
+        support = (rep >> n | rep) & full
         taken = {y & support for y in masks}
-        if v.pos in taken or v.neg in taken:
+        if rep >> n in taken or rep & full in taken:
             raise MonorankError(
-                f"completion witness fails orthogonality: circuit {v} "
+                f"completion witness fails orthogonality: circuit {_vector(n, rep)} "
                 "conforms to an input vector"
             )
 
     # signs are parities (0 for +, 1 for -): χ(S ∖ s) = ε_S ^ t_S(s),
     # t_S(s) = [C_S(s) = -] ^ (number of elements of S below s)
-    circuits = {v.support_mask: v for v in reps}
-    full = (1 << n) - 1
+    circuits = {(rep >> n | rep) & full: rep for rep in reps}
     start = (1 << rank) - 1
     chi = {start: 0}
     queue = [start]
@@ -601,13 +582,13 @@ def _certify_witness(
             if support in done:
                 continue
             done.add(support)
-            v = circuits.get(support)
-            if v is None:
+            rep = circuits.get(support)
+            if rep is None:
                 raise MonorankError(
                     f"completion witness fails chirotope: no circuit on support "
                     f"{sorted(_mask_to_set(support))}"
                 )
-            neg = v.neg
+            neg = rep & full
             eps = chi[basis] ^ (1 if neg & e else 0) ^ ((support & (e - 1)).bit_count() & 1)
             rest, i = support, 0
             while rest:
@@ -622,7 +603,7 @@ def _certify_witness(
                     queue.append(other)
                 elif known != sign:
                     raise MonorankError(
-                        f"completion witness fails chirotope: circuit {v} gives "
+                        f"completion witness fails chirotope: circuit {_vector(n, rep)} gives "
                         f"basis {sorted(_mask_to_set(other))} the opposite sign"
                     )
     if len(done) != len(reps):

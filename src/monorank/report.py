@@ -31,7 +31,7 @@ from .omatroid import (
     _completion_rank_of_masks,
     _is_rank2_masks,
 )
-from .signs import SignVectorSet, _zero_free_strings
+from .signs import SignVectorSet, _zero_free_set
 from .spectral import (
     _forster,
     _sign_matrix,
@@ -171,8 +171,8 @@ def build_report(
         monotone_rank_lower_bound=max(bounds.values()),
         om_completion=completion,
         singular_values=tuple(_singular_values(a).tolist()) if with_svd else None,
-        threshold_tope_strings=tuple(_zero_free_strings(thresh, m)) if with_topes else None,
-        difference_tope_strings=tuple(_zero_free_strings(diff, n)) if with_topes else None,
+        threshold_tope_strings=tuple(_zero_free_set(m, thresh).strings()) if with_topes else None,
+        difference_tope_strings=tuple(_zero_free_set(n, diff).strings()) if with_topes else None,
     )
 
 

@@ -8,14 +8,24 @@ combinatorics convention; only raw entry sequences are 0-indexed.
 
 Text form: one character per entry, '+', '-' or '0', no separators.
 
+The key of a vector of length n is the int pos << n | neg.  Its numeric
+order is the canonical (pos, neg) order, and Z+ ⊆ A+ with Z- ⊆ A- reads
+z & ~a == 0.  Keys are the one stored form of a set: a SignVectorSet
+holds its sorted, distinct keys, each n // 4 + 1 big-endian bytes, in one
+bytes string, and builds a SignVector only when one is asked for.  The
+completion layer works on keys throughout.  This module owns the format:
+SignVectorSet._from_keys builds a set from sorted keys, _keys() reads
+them back, and _vector and _negated turn a key into a vector or into the
+key of its negation.
+
 A zero-free vector is determined by its positive mask alone, so the bulk
 kernels (topes, VC dimension, sign matrices, rank-two recognition,
 completion) work on lists of positive masks and convert between those and
 0/1 numpy rows with the packing helpers below.  Sorted ascending, such a
-list is in the canonical SignVectorSet order.  This module owns that
-format: _zero_free_masks is the one reader, which checks a SignVectorSet
-is zero-free and returns its masks, and _zero_free_set over
-_negation_closure is the one writer.
+list is in the canonical SignVectorSet order.  _zero_free_masks decodes a
+zero-free SignVectorSet into its masks, checking it is zero-free, and
+_zero_free_set over _negation_closure encodes masks into a set; neither
+builds an object per member.
 
 The word-size rule: the packing helpers go through bytes
 (np.packbits, int.to_bytes), so they are exact at any width.  The tope
@@ -28,6 +38,7 @@ them into place.  The masks both return are Python ints either way.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -48,6 +59,8 @@ class SignVector:
     neg: int
 
     def __post_init__(self):
+        for name in ("length", "pos", "neg"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.length < 0:
             raise ValueError("length must be nonnegative")
         full = (1 << self.length) - 1
@@ -70,7 +83,8 @@ class SignVector:
 
     @classmethod
     def from_signs(cls, signs: Iterable[int]) -> "SignVector":
-        """Build from an iterable of {-1, 0, +1} (any numeric sign works)."""
+        """Build from an iterable of {-1, 0, +1} (any numeric sign works;
+        NaN is a DomainError)."""
         pos = neg = 0
         n = 0
         for i, s in enumerate(signs):
@@ -78,6 +92,8 @@ class SignVector:
                 pos |= 1 << i
             elif s < 0:
                 neg |= 1 << i
+            elif s != 0:
+                raise DomainError(f"sign {s!r} at position {i + 1} is not a number")
             n = i + 1
         return cls(n, pos, neg)
 
@@ -216,17 +232,11 @@ def _negation_closure(masks: Iterable[int], width: int) -> list[int]:
     return sorted(closed)
 
 
-def _zero_free_strings(masks: list[int], width: int) -> list[str]:
-    """Text form of the zero-free vectors with these positive masks."""
-    chars = np.where(_bits_from_masks(masks, width), ord("+"), ord("-"))
-    raw = chars.astype(np.uint8).tobytes().decode("ascii")
-    return [raw[k * width : (k + 1) * width] for k in range(len(masks))]
-
-
 def _zero_free_set(width: int, masks: Iterable[int]) -> SignVectorSet:
-    """The SignVectorSet of the zero-free vectors with these positive masks."""
+    """The SignVectorSet of the zero-free vectors with these positive
+    masks, which must be ascending and distinct."""
     full = (1 << width) - 1
-    return SignVectorSet(width, (SignVector(width, p, full ^ p) for p in masks))
+    return SignVectorSet._from_keys(width, (p << width | full ^ p for p in masks))
 
 
 def _zero_free_masks(vectors: SignVectorSet, purpose: str) -> list[int]:
@@ -235,13 +245,27 @@ def _zero_free_masks(vectors: SignVectorSet, purpose: str) -> list[int]:
     Raises DomainError naming the first member with a zero entry; `purpose`
     names the operation that needs zero-free input.
     """
-    full = (1 << vectors.ground_size) - 1
-    masks = []
-    for v in vectors:
-        if v.pos | v.neg != full:
-            raise DomainError(f"{purpose} requires zero-free vectors, got {v}")
-        masks.append(v.pos)
-    return masks
+    n = vectors.ground_size
+    full = (1 << n) - 1
+    keys = vectors._keys()
+    for key in keys:
+        if (key >> n | key) & full != full:
+            raise DomainError(f"{purpose} requires zero-free vectors, got {_vector(n, key)}")
+    return [key >> n for key in keys]
+
+
+def _vector(n: int, key: int) -> SignVector:
+    """The sign vector of length n with this key."""
+    return SignVector(n, key >> n, key & ((1 << n) - 1))
+
+
+def _negated(n: int, key: int) -> int:
+    """The key of the negation of the vector with this key."""
+    return (key & ((1 << n) - 1)) << n | key >> n
+
+
+def _packed(n: int, keys: Iterable[int]) -> bytes:
+    return b"".join(key.to_bytes(n // 4 + 1, "big") for key in keys)
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -258,11 +282,12 @@ class SignVectorSet:
     """Deduplicated, immutable collection of sign vectors on a fixed ground set.
 
     Iteration order is canonical (lexicographic on (pos, neg) masks), so
-    serialized output is deterministic.
+    serialized output is deterministic.  The members are stored as packed
+    keys (see the module docstring).
     """
 
     ground_size: int
-    _members: tuple[SignVector, ...]
+    _data: bytes
 
     def __init__(
         self,
@@ -270,17 +295,35 @@ class SignVectorSet:
         members: Iterable[SignVector] = (),
         negation_closed: bool = False,
     ):
-        seen = set()
+        keys = set()
         for v in members:
             if v.length != ground_size:
                 raise DimensionMismatchError(
                     f"vector {v} has length {v.length}, ground set has size {ground_size}"
                 )
-            seen.add(v)
+            keys.add(v.pos << ground_size | v.neg)
         object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "_members", tuple(sorted(seen, key=SignVector.sort_key)))
+        object.__setattr__(self, "_data", _packed(ground_size, sorted(keys)))
         if negation_closed and not self.is_negation_closed():
             raise ValueError("set declared negation-closed but is not")
+
+    @classmethod
+    def _from_keys(cls, ground_size: int, keys: Iterable[int]) -> "SignVectorSet":
+        """The set with these keys, which must be ascending and distinct;
+        unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ground_size", ground_size)
+        object.__setattr__(out, "_data", _packed(ground_size, keys))
+        return out
+
+    def _keys(self) -> list[int]:
+        """The members' keys, ascending, as Python ints.  Keys of up to 8
+        bytes are read as uint64 words in bulk, wider ones one at a time."""
+        data, width = self._data, self.ground_size // 4 + 1
+        if width > 8:
+            return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
+        rows = np.frombuffer(data, np.uint8).reshape(-1, width).astype(np.uint64)
+        return (rows @ np.array([1 << 8 * j for j in reversed(range(width))], np.uint64)).tolist()
 
     @classmethod
     def from_strings(cls, strings: Iterable[str], ground_size: int | None = None):
@@ -292,33 +335,39 @@ class SignVectorSet:
         return cls(ground_size, vecs)
 
     def __iter__(self) -> Iterator[SignVector]:
-        return iter(self._members)
+        return (_vector(self.ground_size, key) for key in self._keys())
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._data) // (self.ground_size // 4 + 1)
 
     def __contains__(self, v: object) -> bool:
-        if not isinstance(v, SignVector):
+        if not isinstance(v, SignVector) or v.length != self.ground_size:
             return False
-        members = self._members
-        i = bisect_left(members, v.sort_key(), key=SignVector.sort_key)
-        return i < len(members) and members[i] == v
+        w = v.length // 4 + 1
+        target = (v.pos << v.length | v.neg).to_bytes(w, "big")
+        i = bisect_left(range(len(self)), target, key=lambda i: self._data[i * w : i * w + w])
+        return self._data[i * w : i * w + w] == target
 
     def __repr__(self) -> str:
-        return f"SignVectorSet({self.ground_size}, {[str(v) for v in self._members]})"
+        return f"SignVectorSet({self.ground_size}, {self.strings()})"
 
     def with_members(self, extra: Iterable[SignVector]) -> "SignVectorSet":
-        return SignVectorSet(self.ground_size, (*self._members, *extra))
+        return SignVectorSet(self.ground_size, (*self, *extra))
 
     def is_negation_closed(self) -> bool:
-        keys = {(v.pos, v.neg) for v in self._members}
-        return all((neg, pos) in keys for pos, neg in keys)
+        n, keys = self.ground_size, set(self._keys())
+        full = (1 << n) - 1
+        return {(key & full) << n | key >> n for key in keys} == keys  # the negations' keys
 
     def is_zero_free(self) -> bool:
-        return all(v.is_zero_free() for v in self._members)
+        return all(v.is_zero_free() for v in self)
 
     def strings(self) -> list[str]:
-        return [str(v) for v in self._members]
+        n, keys = self.ground_size, self._keys()
+        bits = _bits_from_masks(keys, 2 * n)  # the negative part, then the positive
+        chars = np.where(bits[:, n:], ord("+"), np.where(bits[:, :n], ord("-"), ord("0")))
+        raw = chars.astype(np.uint8).tobytes().decode("ascii")
+        return [raw[k * n : (k + 1) * n] for k in range(len(keys))]
 
 
 # -- sign-vector file format ----------------------------------------------

@@ -44,6 +44,12 @@ from .fixtures import (
 )
 
 
+def keys(vectors):
+    """The keys pos << n | neg of sign vectors, as the completion layer's
+    internals take them."""
+    return [v.pos << v.length | v.neg for v in vectors]
+
+
 def full_cube(n: int) -> SignVectorSet:
     full = (1 << n) - 1
     return SignVectorSet(
@@ -754,7 +760,7 @@ def test_modular_scan_matches_zone_memo_oracle_along_search_paths():
             continue
         n, supports = sset.ground_size, sorted(candidates)
         choices = [candidates[support] for support in supports]
-        got = modular_search_log(_ModularScan(n, supports), choices, 100)
+        got = modular_search_log(_ModularScan(n, supports), list(map(keys, choices)), 100)
         want = modular_search_log(ZoneMemoModularScan(n, supports), choices, 100)
         assert got == want, (rank, sset.strings())
         assert uniform_completion(sset, rank, max_nodes=100).nodes == len(want)
@@ -825,7 +831,7 @@ def test_completion_matches_full_scan_reference_on_larger_suite():
 def test_first_violation_raises_when_the_first_candidates_meet_c4():
     result = uniform_completion(random_sign_set(np.random.default_rng(3), 6, 2), 3)
     assert result.feasible
-    candidates = {v.support_mask: [(v, -v)] for v in witness_reps(result.witness)}
+    candidates = {v.support_mask: keys([v]) for v in witness_reps(result.witness)}
     with pytest.raises(MonorankError, match="first candidates meet C4") as info:
         _first_violation(6, candidates)
     assert type(info.value) is MonorankError
@@ -923,7 +929,7 @@ def test_axiom_check_matches_reference_scan():
 def modular_scan_ok(circuits):
     """Whether a complete uniform circuit set meets every check of the
     modular-only scan that the completion search runs."""
-    by_support = {v.support_mask: v for v in circuits}
+    by_support = {v.support_mask: key for v, key in zip(circuits, keys(circuits))}
     scan = _ModularScan(circuits.ground_size, list(by_support))
     return all(scan.place(by_support[support]) is None for support in scan.supports)
 
@@ -1044,7 +1050,7 @@ def flipped_chi(chi, flips):
 def certificate_verdict(n, rank, reps):
     """The name of the check the certificate failed on, or "ok"."""
     try:
-        _certify_witness(n, rank, reps, [])
+        _certify_witness(n, rank, keys(reps), [])
     except MonorankError as exc:
         assert type(exc) is MonorankError
         return str(exc).split(":")[0].removeprefix("completion witness fails ")
@@ -1096,7 +1102,7 @@ def test_certificate_accepts_search_witnesses():
         if result.feasible:
             n = vectors.ground_size
             masks = [v.pos for v in vectors]
-            relations = _certify_witness(n, rank, witness_reps(result.witness), masks)
+            relations = _certify_witness(n, rank, keys(witness_reps(result.witness)), masks)
             assert relations == gp_relations(n, rank)
             certified += 1
     assert certified >= 300
@@ -1108,7 +1114,7 @@ def test_certificate_counts_every_grassmann_plucker_relation():
     for n in range(2, 11):
         for rank in range(1, n):
             reps = chirotope_reps(n, rank, realizable_chi(rng, n, rank))
-            assert _certify_witness(n, rank, reps, []) == gp_relations(n, rank)
+            assert _certify_witness(n, rank, keys(reps), []) == gp_relations(n, rank)
     assert gp_relations(8, 3) == 280
 
 
@@ -1116,30 +1122,30 @@ def test_certificate_names_each_failure():
     cycle = uniform_completion(RANK2_CYCLE, 2)
     reps = witness_reps(cycle.witness)
     masks = [v.pos for v in RANK2_CYCLE]
-    assert _certify_witness(3, 2, reps, masks) == 0
+    assert _certify_witness(3, 2, keys(reps), masks) == 0
     # an input vector that agrees with the circuit, or its negative, on
     # the whole support
     for conforming in (reps[0].pos, reps[0].neg):
         with pytest.raises(MonorankError, match="orthogonality"):
-            _certify_witness(3, 2, reps, [conforming])
+            _certify_witness(3, 2, keys(reps), [conforming])
     # rank one: {1,2} and {1,3} force the sign of {2,3}'s circuit
     flipped = [SignVector.from_string(s) for s in ("+-0", "+0-", "0++")]
     assert reference_check_circuit_axioms(
         SignVectorSet(3, flipped + [-v for v in flipped])
     ).violation.axiom == "C4"
     with pytest.raises(MonorankError, match=r"chirotope: circuit 0\+\+ "):
-        _certify_witness(3, 1, flipped, [])
+        _certify_witness(3, 1, keys(flipped), [])
     with pytest.raises(MonorankError, match=r"chirotope: no circuit on support \[2, 3\]"):
-        _certify_witness(3, 1, flipped[:2], [])
+        _certify_witness(3, 1, keys(flipped[:2]), [])
     valid = [SignVector.from_string(s) for s in ("+-0", "+0-", "0+-")]
-    assert _certify_witness(3, 1, valid, []) == 0
+    assert _certify_witness(3, 1, keys(valid), []) == 0
     with pytest.raises(MonorankError, match="chirotope: 4 circuits for 3 supports"):
-        _certify_witness(3, 1, valid + [SignVector.from_string("+-+")], [])
+        _certify_witness(3, 1, keys(valid + [SignVector.from_string("+-+")]), [])
     # alternating and consistent, but [13][24] breaks [12][34] - [13][24] + [14][23] = 0
     chi = {(0, 2): -1}
     bad = chirotope_reps(4, 2, lambda basis: chi.get(basis, 1))
     with pytest.raises(MonorankError, match="Grassmann–Plücker"):
-        _certify_witness(4, 2, bad, [])
+        _certify_witness(4, 2, keys(bad), [])
     assert not reference_check_circuit_axioms(SignVectorSet(4, bad + [-v for v in bad])).ok
 
 
@@ -1209,6 +1215,43 @@ def test_completion_counts_nodes():
     assert uniform_completion(topes, 3, max_nodes=3) == full
     short = uniform_completion(topes, 3, max_nodes=2)
     assert short.timed_out and short.violation is None and short.nodes == 2
+
+
+def sign_vectors_reachable(root):
+    """(outside, inside): the SignVectors reachable from root by references
+    that pass through no AxiomViolation, and those held by the
+    AxiomViolations reached that way."""
+    import gc
+
+    outside, inside, seen, stack = [], [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, AxiomViolation):
+            inside += [v for v in (obj.x, obj.y) if v is not None]
+            continue
+        if isinstance(obj, SignVector):
+            outside.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return outside, inside
+
+
+def test_completion_outputs_hold_no_sign_vector_but_in_violations():
+    # the search, its witnesses and its matrix bounds hold keys; a
+    # SignVector is built only for an AxiomViolation
+    outputs = [uniform_completion(sset, rank, max_nodes=100) for sset, rank in random_suite()]
+    outputs += [
+        om_completion_rank_of_matrix(random_representation(m, n, d, seed=s).matrix, d + 1)
+        for m, n, d in ((7, 7, 2), (7, 6, 3), (6, 7, 2))
+        for s in (1, 2)
+    ]
+    outside, inside = sign_vectors_reachable(outputs)
+    assert outside == []
+    assert len(inside) >= 16
+    kinds = {outcome_kind(result) for result in outputs[:-6]}
+    assert kinds == {"feasible", "C4", "missing_support", "timed_out"}
 
 
 def test_report_completion_matches_matrix_completion():

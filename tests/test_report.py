@@ -117,15 +117,22 @@ def test_default_report_makes_no_sign_vectors(monkeypatch):
 
 def test_completion_builds_no_sign_vector_set_but_its_witnesses(monkeypatch):
     # the completion search runs on tope masks: the only SignVectorSets it
-    # builds are the circuit sets of the feasible attempts' witnesses
+    # builds are the circuit sets of the feasible attempts' witnesses.  A
+    # set is built by __init__ or, from sorted keys, by _from_keys.
     made = []
     init = SignVectorSet.__init__
+    from_keys = SignVectorSet._from_keys
 
     def counted(self, *args, **kwargs):
         made.append(self)
         init(self, *args, **kwargs)
 
+    def counted_from_keys(cls, *args, **kwargs):
+        made.append(from_keys(*args, **kwargs))
+        return made[-1]
+
     monkeypatch.setattr(SignVectorSet, "__init__", counted)
+    monkeypatch.setattr(SignVectorSet, "_from_keys", classmethod(counted_from_keys))
     witnesses = 0
     for a in MATRICES:
         for build in (

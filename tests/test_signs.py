@@ -1,4 +1,6 @@
+import random
 import re
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -26,7 +28,13 @@ from monorank import (
     uniform_completion,
     vc_dimension,
 )
-from monorank.signs import _bits_from_masks, _masks_from_bits, _negation_closure
+from monorank.signs import (
+    _bits_from_masks,
+    _masks_from_bits,
+    _negation_closure,
+    _zero_free_masks,
+    _zero_free_set,
+)
 
 from .test_topes import WORD_WIDTHS
 
@@ -51,6 +59,32 @@ def sign_vectors(length):
 def test_sign_vector_rejects_invalid_masks(length, pos, neg, message):
     with pytest.raises(ValueError, match=message):
         SignVector(length, pos, neg)
+
+
+@pytest.mark.parametrize("n", [8, 70])
+def test_sign_vector_stores_numpy_ints_as_python_ints(n):
+    pos, neg = 1 | 1 << (n - 1), 0b110
+    plain = SignVector(n, pos, neg)
+    # numpy ints where they fit, as rng.integers returns them
+    made = SignVector(np.int64(n), np.int64(pos) if pos < 2**63 else pos, np.uint8(neg))
+    assert all(type(x) is int for x in (made.length, made.pos, made.neg))
+    assert made == plain and hash(made) == hash(plain)
+    assert made in SignVectorSet(n, [plain]) and plain in SignVectorSet(n, [made])
+    assert str(made) == str(plain)
+
+
+@pytest.mark.parametrize("fields", [(2.0, 1, 0), (2, 1.0, 0), (2, 0, np.float64(2))])
+def test_sign_vector_refuses_float_fields(fields):
+    with pytest.raises(TypeError):
+        SignVector(*fields)
+
+
+def test_from_signs_refuses_nan():
+    with pytest.raises(DomainError, match="position 1 "):
+        SignVector.from_signs([float("nan"), 1])
+    with pytest.raises(DomainError, match="position 3 "):
+        SignVector.from_signs(np.array([1.0, -2.0, np.nan]))
+    assert SignVector.from_signs(np.array([0.0, 2.5, -1e-300])) == sv("0+-")
 
 
 def test_compose_componentwise():
@@ -295,3 +329,116 @@ def test_negation_closure_at_word_boundaries(width):
     assert closed == sorted(set(masks) | {full ^ p for p in masks})
     assert all(type(p) is int for p in closed)
     assert _negation_closure([], width) == []
+
+
+# -- the packed set against the former tuple-of-vectors set ---------------------
+# Key widths step at every multiple of 4 (n // 4 + 1 bytes) and Python's
+# machine words at 32 and 64 bits.
+PACKED_SIZES = (0, 1, 3, 4, 5, 31, 32, 33, 63, 64, 70)
+
+
+class TupleSignVectorSet:
+    """SignVectorSet as it was when it held one SignVector per member, in
+    a sorted tuple: the test oracle for the packed set."""
+
+    def __init__(self, ground_size, members=()):
+        seen = set()
+        for v in members:
+            if v.length != ground_size:
+                raise DimensionMismatchError("length mismatch")
+            seen.add(v)
+        self.ground_size = ground_size
+        self.members = tuple(sorted(seen, key=SignVector.sort_key))
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self):
+        return len(self.members)
+
+    def __contains__(self, v):
+        if not isinstance(v, SignVector):
+            return False
+        i = bisect_left(self.members, v.sort_key(), key=SignVector.sort_key)
+        return i < len(self.members) and self.members[i] == v
+
+    def __eq__(self, other):
+        return (self.ground_size, self.members) == (other.ground_size, other.members)
+
+    def __repr__(self):
+        return f"SignVectorSet({self.ground_size}, {[str(v) for v in self.members]})"
+
+    def with_members(self, extra):
+        return TupleSignVectorSet(self.ground_size, (*self.members, *extra))
+
+    def is_negation_closed(self):
+        keys = {(v.pos, v.neg) for v in self.members}
+        return all((neg, pos) in keys for pos, neg in keys)
+
+    def is_zero_free(self):
+        return all(v.is_zero_free() for v in self.members)
+
+    def strings(self):
+        return [str(v) for v in self.members]
+
+
+def random_vector(rng, n, zero_free):
+    full = (1 << n) - 1
+    pos = rng.getrandbits(n) if n else 0
+    neg = full ^ pos if zero_free else (rng.getrandbits(n) if n else 0) & ~pos
+    return SignVector(n, pos, neg)
+
+
+def member_lists(n):
+    """Member lists on n elements: empty, with zeros, zero-free, their
+    negation closures, with duplicates, and the extremes."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    lists = [[]]
+    for zero_free in (False, True):
+        vectors = [random_vector(rng, n, zero_free) for _ in range(9)]
+        lists += [vectors, vectors + [-v for v in vectors], vectors + vectors[:3]]
+    lists.append([SignVector(n, full, 0), SignVector(n, 0, full), SignVector(n, 0, 0)])
+    return lists
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_set_matches_tuple_oracle(n):
+    lists = member_lists(n)
+    packed = [SignVectorSet(n, members) for members in lists]
+    oracle = [TupleSignVectorSet(n, members) for members in lists]
+    rng = random.Random(-n)
+    strangers = [random_vector(rng, n, zero_free) for zero_free in (False, True) * 4]
+    for got, want, members in zip(packed, oracle, lists):
+        assert list(got) == list(want)
+        assert len(got) == len(want)
+        assert repr(got) == repr(want)
+        assert got.strings() == want.strings()
+        assert got.is_negation_closed() == want.is_negation_closed()
+        assert got.is_zero_free() == want.is_zero_free()
+        for v in members + strangers:
+            assert (v in got) == (v in want)
+        for v in members:
+            assert SignVector(n + 1, v.pos, v.neg) not in got
+        for other in (str(members[0]) if members else "", n, None, (0, 0)):
+            assert other not in got
+        assert SignVectorSet(n, reversed(members)) == got
+        assert hash(SignVectorSet(n, reversed(members))) == hash(got)
+        extra = strangers[:3]
+        assert list(got.with_members(extra)) == list(want.with_members(extra))
+    for i in range(len(lists)):
+        for j in range(len(lists)):
+            assert (packed[i] == packed[j]) == (oracle[i] == oracle[j])
+    assert SignVectorSet(n + 1, []) != SignVectorSet(n, [])
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_zero_free_set_and_masks_round_trip(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    masks = sorted({rng.getrandbits(n) if n else 0 for _ in range(12)} | {0, full})
+    vectors = _zero_free_set(n, masks)
+    assert vectors == SignVectorSet(n, [SignVector(n, p, full ^ p) for p in masks])
+    assert _zero_free_masks(vectors, "test") == masks
+    assert _zero_free_set(n, _zero_free_masks(vectors, "test")) == vectors
+    assert _zero_free_set(n, []) == SignVectorSet(n, [])
