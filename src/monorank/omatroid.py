@@ -70,6 +70,10 @@ in (x, p), (y, q) and (z, e), so the checks q from (x, z) and p from
 of the three; placing it scans both of those checks, which are decisive
 since x and y are placed, so place() fails exactly where filing and
 re-testing the check would make it fail.  This holds at every rank.
+Negating both circuits changes no verdict either: (-x, -y, e) has the
+spread, separator and zone of (x, y, e), and -z eliminates it exactly
+when z eliminates (x, y, e), so the modular scan takes one circuit of
+each placed pair against both circuits of the new one.
 
 A witness is certified before the search returns it, by checks that share
 no code with the C4 scan: every circuit is orthogonal to the input, the
@@ -82,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -289,17 +292,18 @@ class _ModularScan:
     The supports must be every (r + 1)-subset of the ground set.  They
     receive one ± pair each, in sorted (colexicographic) order, so the
     placed supports are always a prefix of `supports`.  Placing a pair
-    scans, in canonical order, every placed circuit X whose support and
-    the new one span r + 2 elements, the new pair's Y, and each e where
-    they oppose.  The zone of that check, (supp X ∪ supp Y) \\ e, has
-    r + 1 elements, so it is one support, and a dict built once gives its
-    index.  If that support is placed, the check tests its one pair;
-    otherwise it is dropped, since the placement that decides it fires a
-    check with the same verdict (see the module docstring).
+    scans, in placement order, one circuit X of every placed pair whose
+    support and the new one span r + 2 elements, both circuits Y of the
+    new pair, and each e where they oppose; (-X, -Y, e) has the verdict of
+    (X, Y, e) (see the module docstring), so X's negation adds nothing.
+    The zone of that check, (supp X ∪ supp Y) \\ e, has r + 1 elements,
+    so it is one support, and a dict built once gives its index.  If that
+    support is placed, the check tests its one pair; otherwise it is
+    dropped, since the placement that decides it fires a check with the
+    same verdict (see the module docstring).
 
-    Circuits are keys (see the signs module).  undo() drops the latest
-    placement and its pool entries, so the search backtracks without
-    copying state.
+    Circuits are keys (see the signs module).  undo() pops the latest
+    placement, so the search backtracks without copying state.
     """
 
     def __init__(self, ground_size: int, supports: Sequence[int]):
@@ -309,26 +313,21 @@ class _ModularScan:
         # the size of a modular pair's union
         self._span = self.supports[0].bit_count() + 1
         self.placed: list[tuple[int, int]] = []
-        self.pool: list[int] = []
 
     def place(self, rep: int) -> tuple[int, int, int] | None:
         """Place the circuit with key rep and its negation on the next
-        support; return the first failed modular check as keys (x, y, e),
-        if any.  The placement stands, violation or not, until undo()."""
+        support; return a failed modular check as keys (x, y, e), if any.
+        The placement stands, violation or not, until undo()."""
         n = self.n
         full = (1 << n) - 1
         k = len(self.placed)
-        a, b = rep, (rep & full) << n | rep >> n  # the key of -rep
-        new = (a, b) if a < b else (b, a)
-        self.placed.append(new)
-        pool = self.pool
-        insort(pool, a)
-        insort(pool, b)
-        index = self._index
+        new = rep, (rep & full) << n | rep >> n  # the keys of rep and -rep
         placed = self.placed
+        placed.append(new)
+        index = self._index
         span = self._span
-        support = (a >> n | a) & full
-        for x in pool:
+        support = (rep >> n | rep) & full
+        for x, _ in placed:  # (-x, -y, e) has the verdict of (x, y, e)
             spread = (x >> n | x) & full | support  # supp X ∪ supp Y
             if spread.bit_count() != span:
                 continue
@@ -347,9 +346,7 @@ class _ModularScan:
 
     def undo(self) -> None:
         """Drop the latest placement."""
-        pool = self.pool
-        for key in self.placed.pop():
-            del pool[bisect_left(pool, key)]
+        self.placed.pop()
 
 
 def check_circuit_axioms(
@@ -501,10 +498,9 @@ def _completion(
             continue
         scan.undo()
     _certify_witness(n, rank, [keys[i - 1] for keys, i in zip(choices, tried)], masks)
-    # the scan's pool holds every placed circuit, sorted
-    witness = CircuitCandidateSet(
-        ground_size=n, circuits=SignVectorSet._from_keys(n, scan.pool), uniform_rank=rank
-    )
+    # the scan holds every placed ± pair, one per support
+    circuits = SignVectorSet._from_keys(n, sorted(itertools.chain.from_iterable(scan.placed)))
+    witness = CircuitCandidateSet(ground_size=n, circuits=circuits, uniform_rank=rank)
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
 
 

@@ -510,7 +510,8 @@ class ZoneMemoModularScan:
     """The completion search's modular scan as it was before each check's
     zone was looked up as one support: the supports inside a zone are
     found by scanning them all, memoised per zone, and the zone's trigger
-    is the last of them.  Circuits are keys pos << n | neg, as in the
+    is the last of them.  It walks every placed circuit, both of each ±
+    pair, in sorted order.  Circuits are keys pos << n | neg, as in the
     library."""
 
     def __init__(self, ground_size, supports):
@@ -527,17 +528,17 @@ class ZoneMemoModularScan:
             self.zones[zone] = (inside[-1] if inside else -1, inside)
         return self.zones[zone]
 
-    def place(self, rep):
+    def checks(self):
+        """The modular checks (x, y, e) of the latest placement, in the
+        order place() tests them."""
         n = self.n
         full = (1 << n) - 1
-        k = len(self.placed)
-        new = sorted((rep.pos << n | rep.neg, rep.neg << n | rep.pos))
-        self.placed.append(new)
-        self.pool = sorted(self.pool + new)
+        new = self.placed[-1]
+        support = (new[0] >> n | new[0]) & full
         for x in self.pool:
             if x in new:
                 continue
-            spread = (x >> n | x) & full | rep.support_mask
+            spread = (x >> n | x) & full | support
             if spread.bit_count() != self.span:
                 continue
             for y in new:
@@ -545,13 +546,25 @@ class ZoneMemoModularScan:
                 while sep:
                     e = sep & -sep
                     sep ^= e
-                    trigger, inside = self.zone(spread ^ e)
-                    if trigger > k:
-                        continue
-                    forbidden = ~(x | y) | e << n | e
-                    if all(z & forbidden for i in inside for z in self.placed[i]):
-                        return x, y, e
-        return None
+                    yield x, y, e
+
+    def fails(self, x, y, e):
+        """Whether the check (x, y, e) is decisive on the placed supports
+        and no placed circuit in its zone eliminates."""
+        n = self.n
+        full = (1 << n) - 1
+        trigger, inside = self.zone(((x | y) >> n | x | y) & full ^ e)
+        if trigger >= len(self.placed):
+            return False
+        forbidden = ~(x | y) | e << n | e
+        return all(z & forbidden for i in inside for z in self.placed[i])
+
+    def place(self, rep):
+        n = self.n
+        new = sorted((rep.pos << n | rep.neg, rep.neg << n | rep.pos))
+        self.placed.append(new)
+        self.pool = sorted(self.pool + new)
+        return next((check for check in self.checks() if self.fails(*check)), None)
 
     def undo(self):
         for key in self.placed.pop():
@@ -751,22 +764,82 @@ def modular_search_log(scan, choices, max_nodes):
     return log
 
 
-def test_modular_scan_matches_zone_memo_oracle_along_search_paths():
-    # the same (x, y, e) or None at every placement, and nodes exactly
-    placements = failed = 0
+def search_paths():
+    """(sign set, rank, scan supports, candidate reps per support) for the
+    random suite's searches that reach the C4 scan."""
     for sset, rank in random_suite():
         candidates = {mask: reps for mask, _, reps in orthogonal_candidates(sset, rank)}
-        if not all(candidates.values()):
-            continue
-        n, supports = sset.ground_size, sorted(candidates)
-        choices = [candidates[support] for support in supports]
-        got = modular_search_log(_ModularScan(n, supports), list(map(keys, choices)), 100)
-        want = modular_search_log(ZoneMemoModularScan(n, supports), choices, 100)
-        assert got == want, (rank, sset.strings())
-        assert uniform_completion(sset, rank, max_nodes=100).nodes == len(want)
-        placements += len(got)
-        failed += sum(keys is not None for keys in got)
+        if all(candidates.values()):
+            supports = sorted(candidates)
+            yield sset, rank, supports, [candidates[support] for support in supports]
+
+
+class LockstepScan:
+    """_ModularScan and ZoneMemoModularScan placed and undone together.
+    At each placement they must agree on whether a check fails, and the
+    check the library returns must be one of the oracle's modular checks
+    that fails by the oracle's own zone test.  Which failing check comes
+    back is free: the search only asks whether there is one."""
+
+    def __init__(self, n, supports):
+        self.scan = _ModularScan(n, supports)
+        self.oracle = ZoneMemoModularScan(n, supports)
+
+    def place(self, rep):
+        got = self.scan.place(*keys([rep]))
+        want = self.oracle.place(rep)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got in set(self.oracle.checks()) and self.oracle.fails(*got)
+        return got
+
+    def undo(self):
+        self.scan.undo()
+        self.oracle.undo()
+
+
+def test_modular_scan_matches_zone_memo_oracle_along_search_paths():
+    # the same verdict at every placement, a failing returned check, and
+    # nodes exactly
+    placements = failed = 0
+    for sset, rank, supports, choices in search_paths():
+        log = modular_search_log(LockstepScan(sset.ground_size, supports), choices, 100)
+        assert uniform_completion(sset, rank, max_nodes=100).nodes == len(log)
+        placements += len(log)
+        failed += sum(check is not None for check in log)
     assert placements > 4000 and failed > 2000
+
+
+class NegationCheckingScan(ZoneMemoModularScan):
+    """The oracle scan, which asserts at each placement that every modular
+    check (x, y, e) has the verdict of (-x, -y, e)."""
+
+    def __init__(self, ground_size, supports):
+        super().__init__(ground_size, supports)
+        self.checked = self.failed = 0
+
+    def place(self, rep):
+        violation = super().place(rep)
+        n = self.n
+        full = (1 << n) - 1
+        for x, y, e in self.checks():
+            minus_x, minus_y = (x & full) << n | x >> n, (y & full) << n | y >> n
+            fails = self.fails(x, y, e)
+            assert self.fails(minus_x, minus_y, e) == fails
+            self.checked += 1
+            self.failed += fails
+        return violation
+
+
+def test_negated_modular_checks_share_one_verdict_along_search_paths():
+    # the identity that lets the library walk one circuit of each placed pair
+    checked = failed = 0
+    for sset, _, supports, choices in search_paths():
+        scan = NegationCheckingScan(sset.ground_size, supports)
+        modular_search_log(scan, choices, 100)
+        checked += scan.checked
+        failed += scan.failed
+    assert checked > 100_000 and failed > 10_000
 
 
 # searches on which the modular scan places more candidates than the full
