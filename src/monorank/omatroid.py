@@ -193,7 +193,8 @@ class CompletionResult:
     search that checks every pair, which can prune earlier.  A
     witness has passed _certify_witness: its circuits are orthogonal to the
     input and read off a chirotope that meets every 3-term
-    Grassmann–Plücker relation.
+    Grassmann–Plücker relation.  Searches stopped by the same missing
+    support return one shared result.
     """
 
     feasible: bool
@@ -470,7 +471,7 @@ def _completion(
     candidates: dict[int, list[int]] = {}
     for support, reps in _candidates(n, masks, rank):
         if not reps:
-            return CompletionResult(feasible=False, missing_support=_mask_to_set(support))
+            return _missing_support_result(support)
         candidates[support] = reps
     scan = _ModularScan(n, list(candidates))
     choices = [candidates[support] for support in scan.supports]
@@ -502,6 +503,14 @@ def _completion(
     circuits = SignVectorSet._from_keys(n, sorted(itertools.chain.from_iterable(scan.placed)))
     witness = CircuitCandidateSet(ground_size=n, circuits=circuits, uniform_rank=rank)
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
+
+
+@functools.lru_cache(maxsize=1024)
+def _missing_support_result(support: int) -> CompletionResult:
+    """The result of a search stopped by a support with no potential
+    circuit.  It is a frozen value of the support mask alone, so searches
+    that stop at the same support share one object."""
+    return CompletionResult(feasible=False, missing_support=_mask_to_set(support))
 
 
 def _first_violation(n: int, candidates: dict[int, list[int]]) -> AxiomViolation:

@@ -184,6 +184,13 @@ def test_completion_missing_support_immediate():
     assert result.missing_support == frozenset({1, 2, 3})
 
 
+def test_searches_stopped_at_one_support_share_one_result():
+    first, again = uniform_completion(full_cube(3), 2), uniform_completion(full_cube(3), 2)
+    other = uniform_completion(full_cube(4), 2)
+    assert first is again is other
+    assert first == CompletionResult(feasible=False, missing_support=frozenset({1, 2, 3}))
+
+
 def test_completion_guard():
     vectors = full_cube(11)
     with pytest.raises(ResourceLimitError):
