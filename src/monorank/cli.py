@@ -181,7 +181,7 @@ def complete(signs_file, rank):
     """Run the uniform completion search at one rank.
 
     The JSON carries the outcome and `nodes`, the number of candidate
-    circuits the search placed.
+    circuits the search tried.
     """
     vectors = signs.parse_sign_file(Path(signs_file).read_text())
     result = omatroid.uniform_completion(vectors, rank, max_ground=_ground_guard())

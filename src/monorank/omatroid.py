@@ -16,7 +16,9 @@ the tope masks straight in.  _candidates yields the potential circuits
 support by support, for potential_circuits and for the search alike, and
 holds the layer's one rank check.  _full_scan finds the first C4
 violation of one circuit pair per support, for check_circuit_axioms and
-for _first_violation; _ModularScan runs the search's C4 checks.  Every
+for _first_violation.  The search's C4 checks depend on (n, rank)
+alone: _modular_checks lists them, cached per (n, rank), and
+_modular_violation tests one support's list against a candidate.  Every
 circuit here is a key, the signs module's stored form, from the
 candidates to the witness's SignVectorSet; a SignVector is built only
 for an AxiomViolation or an error message.
@@ -37,8 +39,9 @@ support inside its zone is placed, and its verdict no longer depends on
 what comes later.  So the first violation is the failing check with the
 smallest key (max(c, t), t > c, c, X, Y, e), which _full_scan finds by
 testing each check against the complete placement, with no check filed
-for later.  The search backtracks by undoing placements instead of
-copying its state (see _ModularScan).
+for later.  The search keeps its placed pairs on a list and backtracks by
+popping them instead of copying its state; a candidate that fails a
+check is never placed.
 
 The completion search checks C4 on modular pairs only.  Signed sets that
 meet C1-C3 and eliminate on every modular pair are the circuits of an
@@ -55,25 +58,27 @@ the first violation, so it lies on the path of first candidates, and
 _first_violation replays that path through the full scan.
 check_circuit_axioms, whose input is any antichain, keeps the full scan.
 
-The modular scan files no check for later: it drops a check whose
-eliminant's support is not placed yet, because the placement that would
-decide it fires a check with the same verdict.  Take circuits x, y, z on
-U∖p, U∖q and U∖e, where |U| = r + 2, and the check e from (x, y), with
-y's sign chosen so that x(e) = -y(e).  Its zone is U∖e, so ±z are the only
-candidate eliminants, and s·z eliminates exactly when s = y(p)z(p) =
-x(q)z(q) and no k in U∖{p, q, e} has x(k) = y(k) = -s·z(k).  In terms
-that no choice of signs changes, the check passes exactly when
+The search files no check for later: _modular_checks leaves out each
+check whose eliminant's support comes after the new one, because the
+placement that decides it makes a check with the same verdict.  Take
+circuits x, y, z on U∖p, U∖q and U∖e, where |U| = r + 2, and the check e
+from (x, y), with y's sign chosen so that x(e) = -y(e).  Its zone is
+U∖e, so ±z are the only candidate eliminants, and s·z eliminates exactly
+when s = y(p)z(p) = x(q)z(q) and no k in U∖{p, q, e} has x(k) = y(k) =
+-s·z(k).  In terms that no choice of signs changes, the check passes
+exactly when
 x(q)x(e)·y(p)y(e)·z(p)z(q) = -1 and no such k has x(e)y(e)x(k)y(k) =
 x(q)z(q)x(k)z(k) = y(p)z(p)y(k)z(k) = -1.  Both conditions are symmetric
 in (x, p), (y, q) and (z, e), so the checks q from (x, z) and p from
 (y, z) share the verdict.  A check waits only when z's support comes last
-of the three; placing it scans both of those checks, which are decisive
-since x and y are placed, so place() fails exactly where filing and
-re-testing the check would make it fail.  This holds at every rank.
+of the three; placing z makes both of those checks, which are decisive
+since x and y are placed, so the search rejects z exactly where filing
+and re-testing the check would reject it.  This holds at every rank.
 Negating both circuits changes no verdict either: (-x, -y, e) has the
 spread, separator and zone of (x, y, e), and -z eliminates it exactly
-when z eliminates (x, y, e), so the modular scan takes one circuit of
-each placed pair against both circuits of the new one.
+when z eliminates (x, y, e).  So each modular neighbour j and element e
+is one check: one circuit x of pair j, and the one circuit of the new
+pair that opposes x at e.
 
 A witness is certified before the search returns it, by checks that share
 no code with the C4 scan: every circuit is orthogonal to the input, the
@@ -188,7 +193,7 @@ class CompletionResult:
     feasible implies a witness; infeasible with violation=None and
     missing_support set means some support admitted no potential circuit.
     timed_out marks an exhausted node budget, in which case infeasibility
-    is not certified.  nodes counts the candidate circuits placed; as the
+    is not certified.  nodes counts the candidate circuits tried; as the
     search checks C4 on modular pairs only, it may exceed the count of a
     search that checks every pair, which can prune earlier.  A
     witness has passed _certify_witness: its circuits are orthogonal to the
@@ -287,67 +292,59 @@ def _tope_masks(vectors: SignVectorSet) -> list[int]:
 # circuit axioms
 
 
-class _ModularScan:
-    """The completion search's C4 checks, on modular pairs only, with undo.
+@functools.lru_cache(maxsize=64)
+def _modular_checks(n: int, rank: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The completion search's C4 checks on n elements at this rank: row k
+    lists, for the k-th (rank+1)-subset S_k in sorted (colexicographic)
+    order, the triples (j, e, i) in (j, e) order.  j < k indexes a support
+    with |S_j ∪ S_k| = rank + 2, a modular pair's span; e is the bit of an
+    element of S_j ∩ S_k; and i < k indexes the check's zone (S_j ∪ S_k)
+    \\ e, which has rank + 1 elements and so is one support.  A check whose
+    zone comes after S_k is left out, since the placement that decides it
+    makes a check with the same verdict (see the module docstring).
 
-    The supports must be every (r + 1)-subset of the ground set.  They
-    receive one ± pair each, in sorted (colexicographic) order, so the
-    placed supports are always a prefix of `supports`.  Placing a pair
-    scans, in placement order, one circuit X of every placed pair whose
-    support and the new one span r + 2 elements, both circuits Y of the
-    new pair, and each e where they oppose; (-X, -Y, e) has the verdict of
-    (X, Y, e) (see the module docstring), so X's negation adds nothing.
-    The zone of that check, (supp X ∪ supp Y) \\ e, has r + 1 elements,
-    so it is one support, and a dict built once gives its index.  If that
-    support is placed, the check tests its one pair; otherwise it is
-    dropped, since the placement that decides it fires a check with the
-    same verdict (see the module docstring).
-
-    Circuits are keys (see the signs module).  undo() pops the latest
-    placement, so the search backtracks without copying state.
+    The table depends on (n, rank) alone, so searches share it.  It is
+    built span by span, with no test of other pairs: for each b outside
+    S_k, the supports inside U = S_k ∪ b other than S_k are the U \\ c for
+    c in S_k.  Each such j = U \\ a before S_k is a modular neighbour, and
+    its checks are the e in S_k other than a whose zone i = U \\ e is
+    also before S_k.
     """
+    supports = sorted(map(_mask, itertools.combinations(range(n), rank + 1)))
+    index = {support: k for k, support in enumerate(supports)}
+    bits = [1 << i for i in range(n)]
+    rows = []
+    for k, support in enumerate(supports):
+        row = []
+        for span in (support | b for b in bits if not support & b):
+            below = [(index[span ^ c], c) for c in bits if support & c and index[span ^ c] < k]
+            row += [(j, e, i) for j, _ in below for i, e in below if i != j]
+        rows.append(tuple(sorted(row)))
+    return tuple(rows)
 
-    def __init__(self, ground_size: int, supports: Sequence[int]):
-        self.n = ground_size
-        self.supports = sorted(supports)
-        self._index = {support: i for i, support in enumerate(self.supports)}
-        # the size of a modular pair's union
-        self._span = self.supports[0].bit_count() + 1
-        self.placed: list[tuple[int, int]] = []
 
-    def place(self, rep: int) -> tuple[int, int, int] | None:
-        """Place the circuit with key rep and its negation on the next
-        support; return a failed modular check as keys (x, y, e), if any.
-        The placement stands, violation or not, until undo()."""
-        n = self.n
-        full = (1 << n) - 1
-        k = len(self.placed)
-        new = rep, (rep & full) << n | rep >> n  # the keys of rep and -rep
-        placed = self.placed
-        placed.append(new)
-        index = self._index
-        span = self._span
-        support = (rep >> n | rep) & full
-        for x, _ in placed:  # (-x, -y, e) has the verdict of (x, y, e)
-            spread = (x >> n | x) & full | support  # supp X ∪ supp Y
-            if spread.bit_count() != span:
-                continue
-            for y in new:
-                sep = (x >> n & y) | (x & y >> n)  # X+ ∩ Y- ∪ X- ∩ Y+
-                while sep:
-                    e = sep & -sep
-                    sep ^= e
-                    i = index[spread ^ e]
-                    if i > k:
-                        continue
-                    forbidden = ~(x | y) | e << n | e
-                    if placed[i][0] & forbidden and placed[i][1] & forbidden:
-                        return x, y, e
-        return None
+def _modular_violation(
+    n: int, row: Sequence[tuple[int, int, int]], placed: list[tuple[int, int]], rep: int
+) -> tuple[int, int, int] | None:
+    """A failed C4 check, as keys (x, y, e), of placing the circuit with key
+    rep and its negation on the support whose row of _modular_checks this
+    is, or None.  placed holds the keys of the ± pairs placed on the
+    earlier supports.
 
-    def undo(self) -> None:
-        """Drop the latest placement."""
-        self.placed.pop()
+    Each triple (j, e, i) takes x, one circuit of pair j, and y, the one of
+    ±rep that opposes x at e; (-x, -y, e) has the verdict of (x, y, e) (see
+    the module docstring).  The check fails when neither circuit of pair i
+    lies inside the zone with the signs of x and y.
+    """
+    minus_rep = _negated(n, rep)
+    for j, e, i in row:
+        x = placed[j][0]
+        y = rep if (x ^ rep) >> n & e else minus_rep
+        forbidden = ~(x | y)
+        z, minus_z = placed[i]
+        if z & forbidden and minus_z & forbidden:
+            return x, y, e
+    return None
 
 
 def check_circuit_axioms(
@@ -420,7 +417,7 @@ def _full_scan(n: int, reps_by_support: dict[int, int]) -> AxiomViolation | None
                     sep ^= e
                     t, circuits = zone(spread ^ e)
                     key = (max(c, t), t > c, c, x, y, e)
-                    forbidden = ~(x | y) | e << n | e
+                    forbidden = ~(x | y)
                     if (first is None or key < first) and all(z & forbidden for z in circuits):
                         first = key
     if first is None:
@@ -462,7 +459,8 @@ def _completion(
 
     The search is depth first over the supports in sorted order, on an
     explicit stack of candidate positions, so its depth is not bounded by
-    the interpreter's recursion limit.
+    the interpreter's recursion limit.  A candidate is placed only when it
+    passes its support's row of _modular_checks.
     """
     if n > max_ground:
         raise ResourceLimitError(
@@ -473,8 +471,10 @@ def _completion(
         if not reps:
             return _missing_support_result(support)
         candidates[support] = reps
-    scan = _ModularScan(n, list(candidates))
-    choices = [candidates[support] for support in scan.supports]
+    choices = [candidates[support] for support in sorted(candidates)]
+    rows = _modular_checks(n, rank)
+    # placed[j]: the keys of the ± pair on support j, for every j < k
+    placed: list[tuple[int, int]] = []
     nodes = 0
     # tried[k]: how many candidates of support k the current branch has tried
     tried = [0] * len(choices)
@@ -487,20 +487,18 @@ def _completion(
                 )
             tried[k] = 0
             k -= 1
-            scan.undo()
+            placed.pop()
             continue
         if max_nodes is not None and nodes >= max_nodes:
             return CompletionResult(feasible=False, timed_out=True, nodes=nodes)
         nodes += 1
-        violation = scan.place(choices[k][tried[k]])
+        rep = choices[k][tried[k]]
         tried[k] += 1
-        if violation is None:
+        if _modular_violation(n, rows[k], placed, rep) is None:
+            placed.append((rep, _negated(n, rep)))
             k += 1
-            continue
-        scan.undo()
-    _certify_witness(n, rank, [keys[i - 1] for keys, i in zip(choices, tried)], masks)
-    # the scan holds every placed ± pair, one per support
-    circuits = SignVectorSet._from_keys(n, sorted(itertools.chain.from_iterable(scan.placed)))
+    _certify_witness(n, rank, [rep for rep, _ in placed], masks)
+    circuits = SignVectorSet._from_keys(n, sorted(itertools.chain.from_iterable(placed)))
     witness = CircuitCandidateSet(ground_size=n, circuits=circuits, uniform_rank=rank)
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
 

@@ -31,8 +31,9 @@ from monorank.errors import MonorankError
 from monorank.omatroid import (
     _certify_witness,
     _first_violation,
-    _ModularScan,
     _is_rank2_masks,
+    _modular_checks,
+    _modular_violation,
 )
 
 from .fixtures import (
@@ -205,7 +206,7 @@ def test_completion_node_budget_sets_timeout():
 
 
 def test_rank_bound_raises_when_a_rank_hits_the_node_budget():
-    # rank 1 fails on a missing support with no node placed; rank 2 times out
+    # rank 1 fails on a missing support with no node tried; rank 2 times out
     with pytest.raises(ResourceLimitError, match="rank 2 hit node budget"):
         om_rank_lower_bound(RANK2_CYCLE, 2, max_nodes=0)
 
@@ -782,18 +783,23 @@ def search_paths():
 
 
 class LockstepScan:
-    """_ModularScan and ZoneMemoModularScan placed and undone together.
+    """The search's checks (_modular_violation on the rows of
+    _modular_checks) and ZoneMemoModularScan, placed and undone together.
     At each placement they must agree on whether a check fails, and the
     check the library returns must be one of the oracle's modular checks
     that fails by the oracle's own zone test.  Which failing check comes
     back is free: the search only asks whether there is one."""
 
     def __init__(self, n, supports):
-        self.scan = _ModularScan(n, supports)
+        self.n = n
+        self.rows = _modular_checks(n, supports[0].bit_count() - 1)
+        self.placed = []
         self.oracle = ZoneMemoModularScan(n, supports)
 
     def place(self, rep):
-        got = self.scan.place(*keys([rep]))
+        row = self.rows[len(self.placed)]
+        got = _modular_violation(self.n, row, self.placed, *keys([rep]))
+        self.placed.append(tuple(keys([rep, -rep])))
         want = self.oracle.place(rep)
         assert (got is None) == (want is None)
         if got is not None:
@@ -801,7 +807,7 @@ class LockstepScan:
         return got
 
     def undo(self):
-        self.scan.undo()
+        self.placed.pop()
         self.oracle.undo()
 
 
@@ -849,7 +855,7 @@ def test_negated_modular_checks_share_one_verdict_along_search_paths():
     assert checked > 100_000 and failed > 10_000
 
 
-# searches on which the modular scan places more candidates than the full
+# searches on which the modular scan tries more candidates than the full
 # scan, which prunes some branches earlier; the outcome is the same
 NODES_GROW = [
     (["+++----", "+-+++--", "+--+-+-", "-++-++-", "++-+++-", "+-++++-", "-+++++-",
@@ -891,7 +897,7 @@ def larger_random_suite():
 
 def test_completion_matches_full_scan_reference_on_larger_suite():
     # the modular scan reaches the same outcome as the full scan, after
-    # placing at least as many candidates
+    # trying at least as many candidates
     kinds, grew = [], 0
     for sset, rank in larger_random_suite():
         result = uniform_completion(sset, rank, max_nodes=500)
@@ -1009,9 +1015,37 @@ def test_axiom_check_matches_reference_scan():
 def modular_scan_ok(circuits):
     """Whether a complete uniform circuit set meets every check of the
     modular-only scan that the completion search runs."""
-    by_support = {v.support_mask: key for v, key in zip(circuits, keys(circuits))}
-    scan = _ModularScan(circuits.ground_size, list(by_support))
-    return all(scan.place(by_support[support]) is None for support in scan.supports)
+    n = circuits.ground_size
+    pairs = {v.support_mask: tuple(keys([v, -v])) for v in circuits}
+    placed = [pairs[support] for support in sorted(pairs)]
+    rows = _modular_checks(n, next(iter(pairs)).bit_count() - 1)
+    # row k reads only the pairs placed before support k
+    return all(
+        _modular_violation(n, row, placed, rep) is None for row, (rep, _) in zip(rows, placed)
+    )
+
+
+def test_modular_checks_list_each_modular_check_once():
+    # row k, by the definition: every (j, e) with S_j ∪ S_k of rank + 2
+    # elements and e in S_j ∩ S_k whose zone (S_j ∪ S_k) ∖ e comes before S_k
+    total = 0
+    for n in range(2, 9):
+        for rank in range(1, n):
+            supports = sorted(map(sum, itertools.combinations([1 << i for i in range(n)], rank + 1)))
+            index = {support: k for k, support in enumerate(supports)}
+            want = tuple(
+                tuple(
+                    (j, e, index[(s_j | s_k) ^ e])
+                    for j, s_j in enumerate(supports[:k])
+                    if (s_j | s_k).bit_count() == rank + 2
+                    for e in (1 << i for i in range(n))
+                    if s_j & s_k & e and index[(s_j | s_k) ^ e] < k
+                )
+                for k, s_k in enumerate(supports)
+            )
+            assert _modular_checks(n, rank) == want, (n, rank)
+            total += sum(map(len, want))
+    assert total > 5000
 
 
 def test_modular_scan_verdict_matches_axiom_check_on_complete_sets():
