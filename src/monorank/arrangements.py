@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -388,16 +389,23 @@ class ValidationReport:
 
 
 def _check_permutations(perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
-    """The permutations as tuples, if they are a nonempty list of
-    permutations of one ground set 1..m; DomainError otherwise."""
-    perms = tuple(tuple(p) for p in perms)
+    """The permutations as tuples of Python ints, if they are a nonempty
+    list of permutations of one ground set 1..m; DomainError otherwise.
+    The input is read once, so it may be an iterator."""
+    perms = tuple(map(tuple, perms))
     if not perms:
         raise DomainError("empty permutation sequence")
     ground = tuple(range(1, len(perms[0]) + 1))
+    checked = []
     for p in perms:
+        try:
+            p = tuple(map(operator.index, p))
+        except TypeError:
+            raise DomainError(f"{p} has an entry that is not an integer") from None
         if tuple(sorted(p)) != ground:
             raise DomainError(f"{p} is not a permutation of 1..{len(ground)}")
-    return perms
+        checked.append(p)
+    return tuple(checked)
 
 
 def _reversal_runs(cur: Permutation, nxt: Permutation) -> list[tuple[int, int]] | None:
@@ -481,7 +489,8 @@ class AllowableSequence:
     permutations: tuple[Permutation, ...]
     report: ValidationReport = field(compare=False)
 
-    def __init__(self, perms: Sequence[Permutation]):
+    def __init__(self, perms: Iterable[Permutation]):
+        perms = _check_permutations(perms)
         report = validate_allowable(perms)
         if not report.valid:
             raise DomainError(f"not an allowable sequence: {report.violation}")
@@ -502,8 +511,7 @@ class AllowableSequence:
         return f"AllowableSequence({list(self.permutations)!r})"
 
 
-def _canonical_rotation(perms: Sequence[Permutation]) -> tuple[Permutation, ...]:
-    perms = [tuple(p) for p in perms]
+def _canonical_rotation(perms: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
     length = len(perms)
     start = min(range(length), key=lambda i: perms[i])
     succ = perms[(start + 1) % length]

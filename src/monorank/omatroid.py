@@ -83,8 +83,15 @@ pair that opposes x at e.
 A witness is certified before the search returns it, by checks that share
 no code with the C4 scan: every circuit is orthogonal to the input, the
 circuits are those of one chirotope, and that chirotope meets every 3-term
-Grassmann–Plücker relation (see _certify_witness).  A witness that fails
-raises MonorankError; no check is an assert, so python -O keeps them all.
+Grassmann–Plücker relation (see _certify_witness).  The chirotope check
+walks the (r+1)-supports in sorted order, from a list of its own rather
+than _modular_checks'; each support takes its sign from its basis without
+its largest element, which an earlier support has always signed, so no
+search for a spanning order is needed.  A witness that fails raises
+MonorankError; no check is an assert, so python -O keeps them all.  A
+certified witness is built once, unchecked: the certificate has proved
+one ± pair on every support and nothing else, which is all that
+CircuitCandidateSet's constructor would check again.
 """
 
 from __future__ import annotations
@@ -121,7 +128,9 @@ class CircuitCandidateSet:
     """A negation-closed set of candidate circuits on [ground_size].
 
     When uniform_rank is set, every support has size uniform_rank + 1 and
-    carries at most one ± pair, as in a uniform oriented matroid.
+    carries at most one ± pair, as in a uniform oriented matroid.  The
+    constructor checks both; only a certified completion witness skips
+    the checks (_certified).
     """
 
     ground_size: int
@@ -146,6 +155,17 @@ class CircuitCandidateSet:
                 per_support[support] = per_support.get(support, 0) + 1
             if any(count > 2 for count in per_support.values()):
                 raise DomainError("more than one ± pair on a support")
+
+    @classmethod
+    def _certified(cls, circuits: SignVectorSet, rank: int) -> CircuitCandidateSet:
+        """The uniform rank-`rank` witness with these circuits, which
+        _certify_witness has accepted; unchecked, as the certificate proved
+        one ± pair on every (rank+1)-support and nothing else."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ground_size", circuits.ground_size)
+        object.__setattr__(out, "circuits", circuits)
+        object.__setattr__(out, "uniform_rank", rank)
+        return out
 
     def __iter__(self):
         return iter(self.circuits)
@@ -499,7 +519,7 @@ def _completion(
             k += 1
     _certify_witness(n, rank, [rep for rep, _ in placed], masks)
     circuits = SignVectorSet._from_keys(n, sorted(itertools.chain.from_iterable(placed)))
-    witness = CircuitCandidateSet(ground_size=n, circuits=circuits, uniform_rank=rank)
+    witness = CircuitCandidateSet._certified(circuits, rank)
     return CompletionResult(feasible=True, witness=witness, nodes=nodes)
 
 
@@ -544,9 +564,14 @@ def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -
     - orthogonality: a circuit v on support S fails against an input y
       when y ∩ S is v+ or v-;
     - chirotope: with S = s_0 < ... < s_r, C_S(s_i) = ε_S (-1)^i χ(S ∖ s_i)
-      for one sign ε_S per support.  Starting from χ({1..r}) = +1, each
-      basis B with a known sign gives ε_S on every support S ⊃ B and so
-      χ on all of S's bases; every basis must get one sign;
+      for one sign ε_S per support.  From χ({1..r}) = +1, the supports are
+      walked in sorted (colexicographic) order: S reads ε_S off the sign of
+      its basis S ∖ max S and gives χ to its other bases, which must agree
+      with the signs they already have.  S ∖ max S is signed by then: it is
+      {1..r} for the first support, and for any other it lies in the
+      earlier support (S ∖ max S) ∪ x, x the smallest element outside S,
+      which is below max S.  Every support must carry one circuit, and
+      there must be no other circuits;
     - Grassmann–Plücker (r >= 2): for every (r-2)-set A and a < b < c < d
       outside it, χ(Aab)χ(Acd), -χ(Aac)χ(Abd) and χ(Aad)χ(Abc) (sets
       read in sorted order) do not all have one sign.  There are
@@ -572,47 +597,31 @@ def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -
     # signs are parities (0 for +, 1 for -): χ(S ∖ s) = ε_S ^ t_S(s),
     # t_S(s) = [C_S(s) = -] ^ (number of elements of S below s)
     circuits = {(rep >> n | rep) & full: rep for rep in reps}
-    start = (1 << rank) - 1
-    chi = {start: 0}
-    queue = [start]
-    done: set[int] = set()
-    for basis in queue:  # grows as bases get their sign
-        outside = full ^ basis
-        while outside:
-            e = outside & -outside
-            outside ^= e
-            support = basis | e
-            if support in done:
-                continue
-            done.add(support)
-            rep = circuits.get(support)
-            if rep is None:
+    supports = sorted(map(_mask, itertools.combinations(range(n), rank + 1)))
+    bits = [1 << i for i in range(n)]
+    chi = {(1 << rank) - 1: 0}
+    for support in supports:
+        rep = circuits.get(support)
+        if rep is None:
+            raise MonorankError(
+                f"completion witness fails chirotope: no circuit on support "
+                f"{sorted(_mask_to_set(support))}"
+            )
+        neg = rep & full
+        top = 1 << (support.bit_length() - 1)
+        eps = chi[support ^ top] ^ (1 if neg & top else 0) ^ (rank & 1)
+        for i, s in enumerate(b for b in bits if support & b):
+            sign = eps ^ (1 if neg & s else 0) ^ (i & 1)
+            other = support ^ s
+            if chi.setdefault(other, sign) != sign:
                 raise MonorankError(
-                    f"completion witness fails chirotope: no circuit on support "
-                    f"{sorted(_mask_to_set(support))}"
+                    f"completion witness fails chirotope: circuit {_vector(n, rep)} gives "
+                    f"basis {sorted(_mask_to_set(other))} the opposite sign"
                 )
-            neg = rep & full
-            eps = chi[basis] ^ (1 if neg & e else 0) ^ ((support & (e - 1)).bit_count() & 1)
-            rest, i = support, 0
-            while rest:
-                s = rest & -rest
-                rest ^= s
-                sign = eps ^ (1 if neg & s else 0) ^ (i & 1)
-                i += 1
-                other = support ^ s
-                known = chi.get(other)
-                if known is None:
-                    chi[other] = sign
-                    queue.append(other)
-                elif known != sign:
-                    raise MonorankError(
-                        f"completion witness fails chirotope: circuit {_vector(n, rep)} gives "
-                        f"basis {sorted(_mask_to_set(other))} the opposite sign"
-                    )
-    if len(done) != len(reps):
+    if len(supports) != len(reps):
         raise MonorankError(
             f"completion witness fails chirotope: {len(reps)} circuits for "
-            f"{len(done)} supports"
+            f"{len(supports)} supports"
         )
 
     relations = 0

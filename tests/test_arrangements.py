@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -538,6 +539,32 @@ def test_allowable_sequence_canonical_rotation():
     rotated = base[2:] + base[:2]
     assert AllowableSequence(base) == AllowableSequence(rotated)
     assert AllowableSequence(base) == AllowableSequence(list(reversed(base)))
+
+
+def test_allowable_sequence_reads_an_iterator_once():
+    base = [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (1, 3, 2)]
+    assert AllowableSequence(iter(base)) == AllowableSequence(base)
+    assert AllowableSequence(tuple(p) for p in base).is_simple
+
+
+def test_allowable_sequence_stores_python_ints():
+    base = [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (1, 3, 2)]
+    seq = AllowableSequence([np.array(p, dtype=np.int64) for p in base])
+    assert seq == AllowableSequence(base)
+    assert all(type(i) is int for p in seq for i in p)
+    assert repr(seq) == repr(AllowableSequence(base))
+    assert json.loads(json.dumps(list(seq))) == [list(p) for p in seq]
+
+
+def test_allowable_sequence_rejects_non_integer_entries():
+    base = [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (1, 3, 2)]
+    floats = [tuple(map(float, p)) for p in base]
+    with pytest.raises(DomainError, match=r"\(1\.0, 2\.0, 3\.0\) has an entry that is not an integer"):
+        AllowableSequence(floats)
+    with pytest.raises(DomainError, match="not an integer"):
+        validate_allowable(floats)
+    with pytest.raises(DomainError, match="not an integer"):
+        matrix_from_allowable([(1.0, 2.0)])
 
 
 def test_matrix_from_allowable_roundtrip():

@@ -1263,6 +1263,54 @@ def test_certificate_names_each_failure():
     assert not reference_check_circuit_axioms(SignVectorSet(4, bad + [-v for v in bad])).ok
 
 
+def test_circuit_candidate_set_rejects_malformed_sets():
+    pair = [SignVector.from_string(s) for s in ("+-0", "-+0")]
+    with pytest.raises(DomainError, match="ground size mismatch"):
+        CircuitCandidateSet(4, SignVectorSet(3, pair))
+    with pytest.raises(DomainError, match="must be negation-closed"):
+        CircuitCandidateSet(3, SignVectorSet(3, pair[:1]))
+    wide = SignVectorSet.from_strings(["+-0", "-+0", "+-+", "-+-"])
+    with pytest.raises(DomainError, match=r"requires supports of size 2, got [-+]{3}"):
+        CircuitCandidateSet(3, wide, uniform_rank=1)
+    doubled = SignVectorSet.from_strings(["+-0", "-+0", "++0", "--0"])
+    with pytest.raises(DomainError, match="more than one ± pair on a support"):
+        CircuitCandidateSet(3, doubled, uniform_rank=1)
+    # with no uniform rank, supports are not constrained
+    assert len(CircuitCandidateSet(3, wide)) == len(CircuitCandidateSet(3, doubled)) == 4
+
+
+def test_certificate_rejects_what_the_constructor_rejects():
+    # three circuits for the three supports of rank one on three elements,
+    # but one on a support of the wrong size, or two pairs on {1, 2}: the
+    # support {2, 3} is left bare
+    valid = [SignVector.from_string(s) for s in ("+-0", "+0-", "0+-")]
+    for odd in ("+-+", "++0"):
+        reps = valid[:2] + [SignVector.from_string(odd)]
+        with pytest.raises(MonorankError, match=r"chirotope: no circuit on support \[2, 3\]"):
+            _certify_witness(3, 1, keys(reps), [])
+        with pytest.raises(DomainError):
+            CircuitCandidateSet(3, SignVectorSet(3, reps + [-v for v in reps]), uniform_rank=1)
+
+
+def test_feasible_witness_is_validated_once(monkeypatch):
+    cases = [(vectors, rank) for vectors, rank in random_suite() if vectors.ground_size >= 6]
+    results = [uniform_completion(vectors, rank, max_nodes=1000) for vectors, rank in cases]
+    witnesses = [result.witness for result in results if result.feasible]
+    assert len(witnesses) >= 20
+    for witness in witnesses:
+        public = CircuitCandidateSet(witness.ground_size, witness.circuits, witness.uniform_rank)
+        assert witness == public and hash(witness) == hash(public)
+
+    def refuse(self):
+        raise RuntimeError("CircuitCandidateSet re-validated")
+
+    monkeypatch.setattr(CircuitCandidateSet, "__post_init__", refuse)
+    again = [uniform_completion(vectors, rank, max_nodes=1000) for vectors, rank in cases]
+    assert [result.witness for result in again if result.feasible] == witnesses
+    with pytest.raises(RuntimeError, match="re-validated"):
+        CircuitCandidateSet(witnesses[0].ground_size, witnesses[0].circuits)
+
+
 def brute_force_completion(vectors, rank):
     """The first choice of one orthogonal pair per support, in sorted
     support order and canonical candidate order, that passes
