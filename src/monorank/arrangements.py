@@ -30,6 +30,7 @@ from .omatroid import CircuitCandidateSet
 from .signs import SignVectorSet, _masks_from_bits, _negation_closure, _zero_free_set
 
 DEFAULT_ENUM_GUARD = 20
+_DISTORTION_ARITY = {"identity": 0, "exp-scale": 1, "power-odd": 1, "piecewise-linear": 2}
 _SEPARATION_MARGIN = 1e-7
 _POSITION_TOL = 1e-9
 
@@ -101,10 +102,35 @@ class HyperplaneArrangement:
 
 @dataclass(frozen=True, slots=True)
 class MonotoneDistortion:
-    """A strictly increasing function on R from a small closed family."""
+    """A strictly increasing function on R from a small closed family.
+
+    The constructor checks the kind and its parameters, so every instance
+    is strictly increasing; the classmethods normalise their arguments
+    first."""
 
     kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        arity = _DISTORTION_ARITY.get(self.kind)
+        if arity is None:
+            raise DomainError(f"unknown distortion kind {self.kind!r}")
+        if len(self.params) != arity:
+            raise DomainError(f"{self.kind} expects {arity} parameters, got {self.params!r}")
+        if self.kind == "exp-scale" and not 0 < self.params[0] < math.inf:
+            raise DomainError("exp-scale parameter must be positive and finite")
+        if self.kind == "power-odd" and not (self.params[0] >= 1 and self.params[0] % 2 == 1):
+            raise DomainError("power-odd exponent must be odd and positive")
+        if self.kind == "piecewise-linear":
+            bp, vals = self.params
+            if len(bp) != len(vals) or len(bp) < 2:
+                raise DomainError("need at least two matching breakpoints and values")
+            if not np.isfinite(np.array([bp, vals], dtype=float)).all():
+                raise DomainError("breakpoints and values must be finite")
+            if not all(b2 > b1 for b1, b2 in zip(bp, bp[1:])):
+                raise DomainError("breakpoints must be strictly increasing")
+            if not all(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
+                raise DomainError("values must be strictly increasing")
 
     @classmethod
     def identity(cls) -> "MonotoneDistortion":
@@ -112,14 +138,10 @@ class MonotoneDistortion:
 
     @classmethod
     def exp_scale(cls, alpha: float) -> "MonotoneDistortion":
-        if alpha <= 0:
-            raise DomainError("exp-scale parameter must be positive")
         return cls("exp-scale", (float(alpha),))
 
     @classmethod
     def power_odd(cls, k: int) -> "MonotoneDistortion":
-        if k < 1 or k % 2 == 0:
-            raise DomainError("power-odd exponent must be odd and positive")
         return cls("power-odd", (int(k),))
 
     @classmethod
@@ -127,14 +149,7 @@ class MonotoneDistortion:
         cls, breakpoints: Sequence[float], values: Sequence[float]
     ) -> "MonotoneDistortion":
         bp = tuple(float(b) for b in breakpoints)
-        vals = tuple(float(v) for v in values)
-        if len(bp) != len(vals) or len(bp) < 2:
-            raise DomainError("need at least two matching breakpoints and values")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise DomainError("breakpoints must be strictly increasing")
-        if any(v2 <= v1 for v1, v2 in zip(vals, vals[1:])):
-            raise DomainError("values must be strictly increasing")
-        return cls("piecewise-linear", (bp, vals))
+        return cls("piecewise-linear", (bp, tuple(float(v) for v in values)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -146,20 +161,18 @@ class MonotoneDistortion:
         if self.kind == "power-odd":
             (k,) = self.params
             return np.sign(x) * np.abs(x) ** k
-        if self.kind == "piecewise-linear":
-            bp, vals = self.params
-            bp = np.asarray(bp)
-            vals = np.asarray(vals)
-            # extend with the end slopes so the map is increasing on all of R
-            lo = (vals[1] - vals[0]) / (bp[1] - bp[0])
-            hi = (vals[-1] - vals[-2]) / (bp[-1] - bp[-2])
-            out = np.interp(x, bp, vals)
-            below = x < bp[0]
-            above = x > bp[-1]
-            out = np.where(below, vals[0] + lo * (x - bp[0]), out)
-            out = np.where(above, vals[-1] + hi * (x - bp[-1]), out)
-            return out
-        raise DomainError(f"unknown distortion kind {self.kind!r}")
+        bp, vals = self.params
+        bp = np.asarray(bp)
+        vals = np.asarray(vals)
+        # extend with the end slopes so the map is increasing on all of R
+        lo = (vals[1] - vals[0]) / (bp[1] - bp[0])
+        hi = (vals[-1] - vals[-2]) / (bp[-1] - bp[-2])
+        out = np.interp(x, bp, vals)
+        below = x < bp[0]
+        above = x > bp[-1]
+        out = np.where(below, vals[0] + lo * (x - bp[0]), out)
+        out = np.where(above, vals[-1] + hi * (x - bp[-1]), out)
+        return out
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -435,7 +448,11 @@ def validate_allowable(perms: Sequence[Permutation]) -> ValidationReport:
     substrings, and one order reversal per pair per half-period (the list
     must be antipodal: the opposite permutation sits half a period away).
     """
-    perms = _check_permutations(perms)
+    return _validate(_check_permutations(perms))
+
+
+def _validate(perms: tuple[Permutation, ...]) -> ValidationReport:
+    """validate_allowable of permutations that passed _check_permutations."""
     m = len(perms[0])
     length = len(perms)
     present = set(perms)
@@ -491,7 +508,7 @@ class AllowableSequence:
 
     def __init__(self, perms: Iterable[Permutation]):
         perms = _check_permutations(perms)
-        report = validate_allowable(perms)
+        report = _validate(perms)
         if not report.valid:
             raise DomainError(f"not an allowable sequence: {report.violation}")
         object.__setattr__(self, "report", report)

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: analyze, generate, hadamard, encode, isrank2, complete, sweep.
-JSON goes to stdout; structured errors go to stderr with exit codes 1
-(internal fault), 2 (input format), 3 (genericity), 4 (resource guard).
+JSON goes to stdout.  The group is the one error boundary: a MonorankError
+from any subcommand becomes a JSON error on stderr and the exit code of
+its class, 1 (internal fault), 2 (input format), 3 (genericity) or 4
+(resource guard).
 
 Guard override: MONORANK_MAX_GROUND (completion-search ground set, default
 10).
@@ -11,7 +13,6 @@ Guard override: MONORANK_MAX_GROUND (completion-search ground set, default
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -37,23 +38,31 @@ def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+def _write(text: str, output: str | None) -> None:
+    """Write text to the file `output`, or to stdout when it is None."""
+    if output:
+        Path(output).write_text(text)
+    else:
+        click.echo(text, nl=False)
+
+
+class _ErrorBoundary(click.Group):
+    """A group that reports a MonorankError from any subcommand as JSON on
+    stderr, with the tied positions of a GenericityError, and exits with
+    the error's code."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except MonorankError as exc:
-            payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-            ties = getattr(exc, "ties", ())
-            if ties:
-                payload["error"]["ties"] = [list(t) for t in ties]
-            click.echo(json.dumps(payload, indent=2), err=True)
+            error = {"kind": type(exc).__name__, "message": str(exc)}
+            if getattr(exc, "ties", ()):
+                error["ties"] = [list(t) for t in exc.ties]
+            click.echo(json.dumps({"error": error}, indent=2), err=True)
             sys.exit(exc.exit_code)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main():
     """Combinatorial lower bounds on the monotone rank of a real matrix."""
 
@@ -70,7 +79,6 @@ def main():
                    "use only.")
 @click.option("--tol", type=click.FloatRange(min=0), default=0.0, show_default=True,
               help="Tie tolerance for the genericity check.")
-@_handle_errors
 def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
     matrix = parse_matrix(Path(matrix_file).read_text())
@@ -99,17 +107,12 @@ def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
               help="Write the matrix CSV here instead of stdout.")
 @click.option("--provenance", type=click.Path(dir_okay=False), default=None,
               help="Write the generating points/normals/distortions as JSON.")
-@_handle_errors
 def generate(m, n, d, seed, distortion, output, provenance):
     """Sample a random rank-d representation and write its matrix."""
     rep = arr.random_representation(
         m, n, d, seed, identity_distortions=(distortion == "identity")
     )
-    csv_text = format_matrix_csv(rep.matrix)
-    if output:
-        Path(output).write_text(csv_text)
-    else:
-        click.echo(csv_text, nl=False)
+    _write(format_matrix_csv(rep.matrix), output)
     if provenance:
         payload = {
             "seed": seed,
@@ -127,15 +130,10 @@ def generate(m, n, d, seed, distortion, output, provenance):
 @main.command()
 @click.argument("n", type=int)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def hadamard(n, output):
     """Write the 2^n-by-2^n ±1 Hadamard matrix as CSV."""
     h = spectral.hadamard(n)
-    text = "\n".join(",".join(str(int(x)) for x in row) for row in h) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(",".join(str(int(x)) for x in row) for row in h) + "\n", output)
 
 
 @main.command()
@@ -144,7 +142,6 @@ def hadamard(n, output):
               help="Write the encoded matrix CSV here.")
 @click.option("--json", "as_json", is_flag=True,
               help="Emit a JSON report (with the matrix) instead of bare CSV.")
-@_handle_errors
 def encode(signs_file, output, as_json):
     """Encode sign vectors into a matrix whose threshold topes contain them.
 
@@ -153,20 +150,16 @@ def encode(signs_file, output, as_json):
     """
     vectors = signs.parse_sign_file(Path(signs_file).read_text())
     matrix = spectral.encode_signs_as_matrix(vectors)
-    csv_text = format_matrix_csv(matrix)
-    if output:
-        Path(output).write_text(csv_text)
+    if output or not as_json:
+        _write(format_matrix_csv(matrix), output)
     if as_json:
         payload = report.encode_report(vectors)
         payload["matrix"] = [[float(x) for x in row] for row in matrix]
         _emit(payload)
-    elif not output:
-        click.echo(csv_text, nl=False)
 
 
 @main.command()
 @click.argument("signs_file", type=click.Path(exists=True, dir_okay=False))
-@_handle_errors
 def isrank2(signs_file):
     """Decide rank-two oriented-matroid completability of a sign file."""
     vectors = signs.parse_sign_file(Path(signs_file).read_text())
@@ -176,7 +169,6 @@ def isrank2(signs_file):
 @main.command()
 @click.argument("signs_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("rank", type=int)
-@_handle_errors
 def complete(signs_file, rank):
     """Run the uniform completion search at one rank.
 
@@ -185,13 +177,9 @@ def complete(signs_file, rank):
     """
     vectors = signs.parse_sign_file(Path(signs_file).read_text())
     result = omatroid.uniform_completion(vectors, rank, max_ground=_ground_guard())
-    payload: dict = {"rank": rank, "feasible": result.feasible}
-    if result.witness is not None:
+    payload = report._attempt_dict(rank, result)
+    if result.witness is not None:  # only a feasible result has one
         payload["witness"] = result.witness.circuits.strings()
-    if result.violation is not None:
-        payload["violation"] = result.violation.as_dict()
-    if result.missing_support is not None:
-        payload["missing_support"] = sorted(result.missing_support)
     payload["nodes"] = result.nodes
     _emit(payload)
 
@@ -199,7 +187,6 @@ def complete(signs_file, rank):
 @main.command()
 @click.argument("points_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
-@_handle_errors
 def sweep(points_file, as_json):
     """Sweep permutations of a planar point set (CSV, one point per row)."""
     pts = arr.parse_points_csv(Path(points_file).read_text())

@@ -40,42 +40,29 @@ def parse_matrix(text: str) -> np.ndarray:
         if len(lines) == 1:
             raise FormatError("header row present but no data rows")
     # float() ignores the same whitespace as strip() but for \x1c-\x1f, of
-    # which splitlines() leaves only \x1f in a line.  Whatever this bulk
-    # parse refuses, the field loop decides: it names the error, or parses
-    # the fields that strip() cleans.
-    try:
-        a = np.array([list(map(float, ln.split(","))) for ln in lines[start:]], dtype=float)
-    except ValueError:
-        a = None
-    if a is None or not np.isfinite(a).all():
-        a = _parse_fields(lines, start)
-    return a
-
-
-def _parse_fields(lines: list[str], start: int) -> np.ndarray:
-    """parse_matrix field by field, raising FormatError at the first
-    ragged row or bad field."""
+    # which splitlines() leaves only \x1f in a line.  A row that map(float)
+    # refuses, or whose sum is not finite (a non-finite entry, or an
+    # overflow), goes field by field: that path names the first bad field,
+    # or parses the fields that strip() cleans.
     rows: list[list[float]] = []
-    width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        fields = [f.strip() for f in line.split(",")]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise FormatError(
-                f"row {lineno}: expected {width} fields, found {len(fields)}"
-            )
-        row = []
-        for col, field in enumerate(fields, start=1):
-            try:
-                value = float(field)
-            except ValueError:
-                raise FormatError(
-                    f"row {lineno}, column {col}: cannot parse {field!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise FormatError(f"row {lineno}, column {col}: non-finite entry")
-            row.append(value)
+        fields = line.split(",")
+        if rows and len(fields) != len(rows[0]):
+            raise FormatError(f"row {lineno}: expected {len(rows[0])} fields, found {len(fields)}")
+        try:
+            row = list(map(float, fields))
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            row = []
+            for col, field in enumerate(map(str.strip, fields), start=1):
+                at = f"row {lineno}, column {col}"
+                try:
+                    row.append(float(field))
+                except ValueError:
+                    raise FormatError(f"{at}: cannot parse {field!r}") from None
+                if not math.isfinite(row[-1]):
+                    raise FormatError(f"{at}: non-finite entry")
         rows.append(row)
     return np.array(rows, dtype=float)
 

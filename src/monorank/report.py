@@ -26,6 +26,7 @@ import numpy as np
 from .matrices import _require_generic
 from .omatroid import (
     DEFAULT_GROUND_GUARD,
+    CompletionResult,
     MatrixCompletionRank,
     OmRankBound,
     _completion_rank_of_masks,
@@ -117,15 +118,19 @@ def _integer_bounds(radon, vcr, f_thresh, f_diff, completion) -> dict[str, int]:
 
 
 def _bound_dict(bound: OmRankBound) -> dict:
-    attempts = []
-    for rank, result in bound.attempts:
-        entry: dict = {"rank": rank, "feasible": result.feasible}
-        if result.violation is not None:
-            entry["violation"] = result.violation.as_dict()
-        if result.missing_support is not None:
-            entry["missing_support"] = sorted(result.missing_support)
-        attempts.append(entry)
+    attempts = [_attempt_dict(rank, result) for rank, result in bound.attempts]
     return {"rank_bound": bound.value, "exceeds_d_max": bound.exceeds, "attempts": attempts}
+
+
+def _attempt_dict(rank: int, result: CompletionResult) -> dict:
+    """The JSON of one completion attempt: rank, feasible, then the C4
+    violation or the missing support of an infeasible one."""
+    entry: dict = {"rank": rank, "feasible": result.feasible}
+    if result.violation is not None:
+        entry["violation"] = result.violation.as_dict()
+    if result.missing_support is not None:
+        entry["missing_support"] = sorted(result.missing_support)
+    return entry
 
 
 def build_report(

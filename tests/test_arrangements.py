@@ -100,6 +100,38 @@ def test_piecewise_linear_validation():
         MonotoneDistortion.piecewise_linear([0.0, 1.0], [1.0, 0.5])
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("exp-scale", (-1.0,), "exp-scale parameter must be positive"),
+        ("exp-scale", (0.0,), "exp-scale parameter must be positive"),
+        ("exp-scale", (math.inf,), "exp-scale parameter must be positive and finite"),
+        ("power-odd", (0,), "power-odd exponent must be odd and positive"),
+        ("power-odd", (2,), "power-odd exponent must be odd and positive"),
+        ("piecewise-linear", ((0.0, 1.0), (1.0, 0.5)), "values must be strictly increasing"),
+        ("piecewise-linear", ((1.0, 0.0), (0.0, 1.0)), "breakpoints must be strictly increasing"),
+        ("piecewise-linear", ((0.0, 1.0), (0.0, math.nan)), "must be finite"),
+        ("piecewise-linear", ((0.0,), (0.0,)), "at least two matching breakpoints"),
+        ("cubic", (), "unknown distortion kind 'cubic'"),
+        ("exp-scale", (), r"exp-scale expects 1 parameters, got \(\)"),
+    ],
+)
+def test_distortion_constructor_checks_its_parameters(kind, params, message):
+    # each would be a map that decreases somewhere, is constant, is not
+    # defined everywhere, or (an unknown kind) fails only when called
+    with pytest.raises(DomainError, match=message):
+        MonotoneDistortion(kind, params)
+
+
+def test_distortion_classmethods_normalise_before_the_check():
+    assert MonotoneDistortion.exp_scale(2) == MonotoneDistortion("exp-scale", (2.0,))
+    assert type(MonotoneDistortion.power_odd(3.0).params[0]) is int
+    f = MonotoneDistortion.piecewise_linear([0, 1], np.array([0, 2]))
+    assert f.params == ((0.0, 1.0), (0.0, 2.0))
+    with pytest.raises(DomainError, match="exp-scale parameter must be positive"):
+        MonotoneDistortion.exp_scale(0)
+
+
 # -- topes of arrangements ----------------------------------------------------
 
 
@@ -539,6 +571,21 @@ def test_allowable_sequence_canonical_rotation():
     rotated = base[2:] + base[:2]
     assert AllowableSequence(base) == AllowableSequence(rotated)
     assert AllowableSequence(base) == AllowableSequence(list(reversed(base)))
+
+
+def test_allowable_sequence_checks_its_permutations_once(monkeypatch):
+    calls = []
+    check = arrangements._check_permutations
+    monkeypatch.setattr(
+        arrangements, "_check_permutations", lambda perms: calls.append(1) or check(perms)
+    )
+    base = [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2), (1, 3, 2)]
+    assert AllowableSequence(base).is_simple
+    assert len(calls) == 1
+    sweep_permutations(PointArrangement(2, [[0.0, 0.0], [2.0, 0.3], [0.7, 1.9]]))
+    assert len(calls) == 2
+    assert validate_allowable(base).valid
+    assert len(calls) == 3
 
 
 def test_allowable_sequence_reads_an_iterator_once():

@@ -356,3 +356,138 @@ def test_guard_env_override_not_an_integer(runner, tmp_path, monkeypatch):
     err = json.loads(result.stderr)["error"]
     assert err["kind"] == "FormatError"
     assert "MONORANK_MAX_GROUND" in err["message"] and "'ten'" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "args, files, kind, message, code",
+    [
+        (["analyze", "{}"], "1,2\n3,nan\n", "FormatError", "row 2, column 2: non-finite entry", 2),
+        (["generate", "0", "3", "2", "--seed", "3"], None, "DomainError",
+         "m, n, d must all be at least 1", 2),
+        (["hadamard", "22"], None, "ResourceLimitError", "hadamard order 22 exceeds guard 12", 4),
+        (["encode", "{}"], "+0\n-+\n", "DomainError",
+         "encoding requires zero-free vectors, got +0", 2),
+        (["isrank2", "{}"], "++q\n", "FormatError", "line 1: invalid sign character 'q'", 2),
+        (["complete", "{}", "1"], "+++++++++++\n-----------\n", "ResourceLimitError",
+         "ground set size 11 exceeds completion guard 10", 4),
+        (["sweep", "{}"], "0,0,1\n1,2,3\n", "DomainError",
+         "sweeps are defined for planar arrangements", 2),
+    ],
+    ids=["analyze", "generate", "hadamard", "encode", "isrank2", "complete", "sweep"],
+)
+def test_every_subcommand_reports_errors_as_json(
+    runner, tmp_path, monkeypatch, args, files, kind, message, code
+):
+    monkeypatch.delenv("MONORANK_MAX_GROUND", raising=False)
+    if files is not None:
+        args = [a.format(write(tmp_path, "input", files)) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert result.stdout == ""
+    error = {"kind": kind, "message": message}
+    assert result.stderr == json.dumps({"error": error}, indent=2) + "\n"
+
+
+def test_genericity_error_lists_ties_after_the_message(runner, tmp_path):
+    result = runner.invoke(main, ["analyze", write(tmp_path, "tied.csv", "1,1\n1,2\n")])
+    assert result.exit_code == 3 and result.stdout == ""
+    error = {"kind": "GenericityError", "message": "tied entries: column 1 rows {1,2}",
+             "ties": [[1, 1, 2]]}
+    assert result.stderr == json.dumps({"error": error}, indent=2) + "\n"
+
+
+# Texts the commands print on these inputs; comparing text rather than
+# parsed JSON also fixes the order of the keys.
+COMPLETE_FEASIBLE = """{
+  "rank": 2,
+  "feasible": true,
+  "witness": [
+    "+--",
+    "-++"
+  ],
+  "nodes": 1
+}
+"""
+
+COMPLETE_C4 = """{
+  "rank": 2,
+  "feasible": false,
+  "violation": {
+    "axiom": "C4",
+    "x": "+--0",
+    "y": "-0+-",
+    "element": 3
+  },
+  "nodes": 3
+}
+"""
+
+COMPLETE_MISSING_SUPPORT = """{
+  "rank": 2,
+  "feasible": false,
+  "missing_support": [
+    1,
+    2,
+    3
+  ],
+  "nodes": 0
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "vectors, expected",
+    [
+        (RANK2_CYCLE.strings(), COMPLETE_FEASIBLE),
+        (RANK3_REJECT.strings(), COMPLETE_C4),
+        (["".join(s) for s in itertools.product("+-", repeat=3)], COMPLETE_MISSING_SUPPORT),
+    ],
+    ids=["feasible", "c4", "missing-support"],
+)
+def test_complete_output_text(runner, tmp_path, vectors, expected):
+    path = write(tmp_path, "s.txt", "\n".join(vectors) + "\n")
+    assert invoke(runner, "complete", path, "2").stdout == expected
+
+
+def test_analyze_with_completion_output_text(runner, tmp_path):
+    def attempt(rank, **outcome):
+        return {"rank": rank, "feasible": not outcome, **outcome}
+
+    c4 = {"axiom": "C4", "x": "+--0-", "y": "-+0-+", "element": 5}
+    expected = {
+        "shape": [5, 5],
+        "generic": True,
+        "perturbed_ties": False,
+        "radon_rank": 2,
+        "vc_rank": 3,
+        "forster_bound_thresh": 1.8414886848750625,
+        "forster_bound_diff": 1.5811388300841893,
+        "om_rank2_feasible": False,
+        "monotone_rank_lower_bound": 3,
+        "om_completion_rank": 3,
+        "om_completion_exceeds_d_max": False,
+        "om_completion_threshold": {
+            "rank_bound": 4,
+            "exceeds_d_max": False,
+            "attempts": [
+                attempt(1, missing_support=[1, 2]),
+                attempt(2, missing_support=[1, 2, 3]),
+                attempt(3, violation=c4),
+                attempt(4),
+            ],
+        },
+        "om_completion_difference": {
+            "rank_bound": 3,
+            "exceeds_d_max": False,
+            "attempts": [
+                attempt(1, missing_support=[1, 3]),
+                attempt(2, missing_support=[1, 3, 4]),
+                attempt(3),
+            ],
+        },
+    }
+    path = write(tmp_path, "a4.csv", a4_csv())
+    text = invoke(runner, "analyze", path, "--complete", "3").stdout
+    # the dict above is in output order, so the texts agree only if the
+    # keys come out in the same order
+    assert text == json.dumps(expected, indent=2) + "\n"
