@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, ResourceLimitError
+from .errors import DimensionMismatchError, DomainError, FormatError, ResourceLimitError
 from .matrices import (
     Permutation,
     _finite_matrix,
@@ -27,7 +28,13 @@ from .matrices import (
     parse_matrix,
 )
 from .omatroid import CircuitCandidateSet
-from .signs import SignVectorSet, _masks_from_bits, _negation_closure, _zero_free_set
+from .signs import (
+    SignVectorSet,
+    _content_lines,
+    _masks_from_bits,
+    _negation_closure,
+    _zero_free_set,
+)
 
 DEFAULT_ENUM_GUARD = 20
 _DISTORTION_ARITY = {"identity": 0, "exp-scale": 1, "power-odd": 1, "piecewise-linear": 2}
@@ -142,6 +149,8 @@ class MonotoneDistortion:
 
     @classmethod
     def power_odd(cls, k: int) -> "MonotoneDistortion":
+        if not (isinstance(k, numbers.Integral) or float(k).is_integer()):
+            raise DomainError(f"power-odd exponent must be an integer, got {k!r}")
         return cls("power-odd", (int(k),))
 
     @classmethod
@@ -529,15 +538,13 @@ class AllowableSequence:
 
 
 def _canonical_rotation(perms: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
-    length = len(perms)
-    start = min(range(length), key=lambda i: perms[i])
-    succ = perms[(start + 1) % length]
-    pred = perms[(start - 1) % length]
-    if succ <= pred:
-        rotated = [perms[(start + i) % length] for i in range(length)]
-    else:
-        rotated = [perms[(start - i) % length] for i in range(length)]
-    return tuple(rotated)
+    """The smaller of the two orientations read from the smallest
+    permutation.  A validated sequence never repeats a permutation, so
+    above length 2 they differ at the second entry: the orientation whose
+    successor is smaller."""
+    start = perms.index(min(perms))
+    forward = perms[start:] + perms[:start]
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
 def sweep_permutations(arrangement: PointArrangement) -> AllowableSequence:
@@ -611,17 +618,14 @@ def parse_allowable_file(text: str) -> list[Permutation]:
     """One permutation per line as space-separated integers; circular
     closure implied."""
     perms: list[Permutation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         try:
             perm = tuple(int(tok) for tok in line.split())
         except ValueError:
-            raise DomainError(f"line {lineno}: not a permutation line") from None
+            raise FormatError(f"line {lineno}: not a permutation line") from None
         perms.append(perm)
     if not perms:
-        raise DomainError("no permutations found")
+        raise FormatError("no permutations found")
     return perms
 
 

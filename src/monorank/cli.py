@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommands: analyze, generate, hadamard, encode, isrank2, complete, sweep.
-JSON goes to stdout.  The group is the one error boundary: a MonorankError
-from any subcommand becomes a JSON error on stderr and the exit code of
-its class, 1 (internal fault), 2 (input format), 3 (genericity) or 4
-(resource guard).
+JSON goes to stdout.  Every input file is read as UTF-8 through _read.
+The group is the one error boundary: a MonorankError from any subcommand
+becomes a JSON error on stderr and the exit code of its class, 1
+(internal fault), 2 (input format), 3 (genericity) or 4 (resource guard);
+an OSError (an input that cannot be read, an output that cannot be
+written) becomes the same JSON with exit code 2.
 
 Guard override: MONORANK_MAX_GROUND (completion-search ground set, default
 10).
@@ -38,6 +40,14 @@ def _emit(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
+def _read(path: str) -> str:
+    """The text of an input file, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
 def _write(text: str, output: str | None) -> None:
     """Write text to the file `output`, or to stdout when it is None."""
     if output:
@@ -47,19 +57,20 @@ def _write(text: str, output: str | None) -> None:
 
 
 class _ErrorBoundary(click.Group):
-    """A group that reports a MonorankError from any subcommand as JSON on
-    stderr, with the tied positions of a GenericityError, and exits with
-    the error's code."""
+    """A group that reports a MonorankError or an OSError from any
+    subcommand as JSON on stderr, with the tied positions of a
+    GenericityError, and exits with the error's code (2 for an OSError,
+    an input or output problem)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except MonorankError as exc:
+        except (MonorankError, OSError) as exc:
             error = {"kind": type(exc).__name__, "message": str(exc)}
             if getattr(exc, "ties", ()):
                 error["ties"] = [list(t) for t in exc.ties]
             click.echo(json.dumps({"error": error}, indent=2), err=True)
-            sys.exit(exc.exit_code)
+            sys.exit(getattr(exc, "exit_code", 2))
 
 
 @click.group(cls=_ErrorBoundary)
@@ -81,7 +92,7 @@ def main():
               help="Tie tolerance for the genericity check.")
 def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
-    matrix = parse_matrix(Path(matrix_file).read_text())
+    matrix = parse_matrix(_read(matrix_file))
     perturbed = perturb and not check_generic(matrix, tol).is_generic
     if perturbed:
         matrix = perturb_ties(matrix, tol)
@@ -112,7 +123,8 @@ def generate(m, n, d, seed, distortion, output, provenance):
     rep = arr.random_representation(
         m, n, d, seed, identity_distortions=(distortion == "identity")
     )
-    _write(format_matrix_csv(rep.matrix), output)
+    # provenance first, so a provenance path that cannot be written leaves
+    # stdout empty
     if provenance:
         payload = {
             "seed": seed,
@@ -124,7 +136,8 @@ def generate(m, n, d, seed, distortion, output, provenance):
             "normals": [[repr(float(x)) for x in row] for row in rep.normals.normals],
             "distortions": [f.as_dict() for f in rep.distortions],
         }
-        Path(provenance).write_text(json.dumps(payload, indent=2) + "\n")
+        _write(json.dumps(payload, indent=2) + "\n", provenance)
+    _write(format_matrix_csv(rep.matrix), output)
 
 
 @main.command()
@@ -148,7 +161,7 @@ def encode(signs_file, output, as_json):
     The report carries the Forster bound of the input set and the implied
     monotone-rank lower bound of the encoded matrix.
     """
-    vectors = signs.parse_sign_file(Path(signs_file).read_text())
+    vectors = signs.parse_sign_file(_read(signs_file))
     matrix = spectral.encode_signs_as_matrix(vectors)
     if output or not as_json:
         _write(format_matrix_csv(matrix), output)
@@ -162,7 +175,7 @@ def encode(signs_file, output, as_json):
 @click.argument("signs_file", type=click.Path(exists=True, dir_okay=False))
 def isrank2(signs_file):
     """Decide rank-two oriented-matroid completability of a sign file."""
-    vectors = signs.parse_sign_file(Path(signs_file).read_text())
+    vectors = signs.parse_sign_file(_read(signs_file))
     _emit({"rank2": omatroid.is_rank2_topes(vectors)})
 
 
@@ -175,7 +188,7 @@ def complete(signs_file, rank):
     The JSON carries the outcome and `nodes`, the number of candidate
     circuits the search tried.
     """
-    vectors = signs.parse_sign_file(Path(signs_file).read_text())
+    vectors = signs.parse_sign_file(_read(signs_file))
     result = omatroid.uniform_completion(vectors, rank, max_ground=_ground_guard())
     payload = report._attempt_dict(rank, result)
     if result.witness is not None:  # only a feasible result has one
@@ -189,7 +202,7 @@ def complete(signs_file, rank):
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 def sweep(points_file, as_json):
     """Sweep permutations of a planar point set (CSV, one point per row)."""
-    pts = arr.parse_points_csv(Path(points_file).read_text())
+    pts = arr.parse_points_csv(_read(points_file))
     seq = arr.sweep_permutations(pts)
     if as_json:
         _emit({

@@ -2,7 +2,10 @@
 
 CLI exit codes: 1 for internal faults (MonorankError itself, such as a
 completion witness that fails its certificate), 2 for input/format
-problems, 3 for genericity failures, 4 for resource-guard refusals.
+problems, 3 for genericity failures, 4 for resource-guard refusals.  The
+CLI reads its inputs as UTF-8, so undecodable bytes are a FormatError,
+and it reports an OSError (an input it cannot read, an output it cannot
+write) under the OSError's own class name, also with exit code 2.
 """
 
 

@@ -108,6 +108,7 @@ from .matrices import _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
+    _is_negation_closed,
     _mask_to_set,
     _negated,
     _negation_closure,
@@ -303,7 +304,7 @@ def _tope_masks(vectors: SignVectorSet) -> list[int]:
     """The positive masks of a tope set, which must be zero-free and
     negation-closed."""
     masks = _zero_free_masks(vectors, "tope set")
-    if _negation_closure(masks, vectors.ground_size) != masks:
+    if not _is_negation_closed(masks, vectors.ground_size):
         raise DomainError("tope sets must be negation-closed")
     return masks
 
@@ -391,11 +392,9 @@ def check_circuit_axioms(
             if (sx & ~sy == 0 or sy & ~sx == 0) and keys[j] != _negated(n, keys[i]):
                 x, y = _vector(n, keys[i]), _vector(n, keys[j])
                 return AxiomReport(False, AxiomViolation("C3", x, y))
-    # after C1-C3 every support carries exactly one ± pair
-    by_support: dict[int, int] = {}
-    for key, support in zip(keys, supports):
-        by_support.setdefault(support, key)
-    violation = _full_scan(n, by_support)
+    # after C1-C3 every support carries exactly one ± pair, and the scan
+    # takes either circuit of a pair
+    violation = _full_scan(n, dict(zip(supports, keys)))
     return AxiomReport(violation is None, violation)
 
 
@@ -493,20 +492,19 @@ def _completion(
         candidates[support] = reps
     choices = [candidates[support] for support in sorted(candidates)]
     rows = _modular_checks(n, rank)
-    # placed[j]: the keys of the ± pair on support j, for every j < k
+    # placed[j]: the keys of the ± pair on support j; the search is at
+    # support k = len(placed)
     placed: list[tuple[int, int]] = []
     nodes = 0
     # tried[k]: how many candidates of support k the current branch has tried
     tried = [0] * len(choices)
-    k = 0
-    while k < len(choices):
+    while (k := len(placed)) < len(choices):
         if tried[k] == len(choices[k]):
-            if k == 0:
+            if not placed:
                 return CompletionResult(
                     feasible=False, violation=_first_violation(n, candidates), nodes=nodes
                 )
             tried[k] = 0
-            k -= 1
             placed.pop()
             continue
         if max_nodes is not None and nodes >= max_nodes:
@@ -516,7 +514,6 @@ def _completion(
         tried[k] += 1
         if _modular_violation(n, rows[k], placed, rep) is None:
             placed.append((rep, _negated(n, rep)))
-            k += 1
     _certify_witness(n, rank, [rep for rep, _ in placed], masks)
     circuits = SignVectorSet._from_keys(n, sorted(itertools.chain.from_iterable(placed)))
     witness = CircuitCandidateSet._certified(circuits, rank)
@@ -740,7 +737,8 @@ def _completion_rank_of_masks(
 
 def is_rank2_topes(vectors: SignVectorSet) -> bool:
     """Decide whether some rank-two oriented matroid contains every given
-    zero-free vector among its topes, in O(mn) time.  Adapter onto
+    zero-free vector among its topes, in O(mn) time for m vectors on n
+    elements (one sort and one walk, see _is_rank2_masks).  Adapter onto
     _is_rank2_masks.
 
     Degenerate ground sets (n <= 2) are always completable; this matches
@@ -757,9 +755,12 @@ def _is_rank2_masks(n: int, masks: list[int]) -> bool:
 
     The topes of a rank-two matroid sit in a circular order in which each
     coordinate flips exactly once per half-turn.  Starting from the
-    canonically smallest vector X*, the candidates are bucket-sorted by
-    |sep(X, X*)| and greedily chained while the separator stays nested;
-    the set is completable iff the chain reaches one of each ± pair.
+    canonically smallest vector X*, the candidates are walked in order of
+    |sep(X, X*)|, ties in canonical order (the sort is stable), and
+    greedily chained while the separator stays nested; the set is
+    completable iff the chain reaches one of each ± pair.  The walk keeps
+    only the chain's last member and the set of its members.  Sorting the
+    m closed masks costs O(m log m), which is O(mn) since m <= 2^n.
     """
     if not masks:
         return True
@@ -767,17 +768,9 @@ def _is_rank2_masks(n: int, masks: list[int]) -> bool:
     ordered = _negation_closure(masks, n)
     xstar = ordered[0]
     neg_xstar = full ^ xstar
-    buckets: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in ordered:
-        buckets[(v ^ xstar).bit_count()].append(v)
-    chain = [xstar]
-    chain_set = {xstar}
-    for bucket in buckets:
-        for v in bucket:
-            last = chain[-1]
-            if v == last:
-                continue
-            if (last ^ v) | (v ^ neg_xstar) == last ^ neg_xstar:
-                chain.append(v)
-                chain_set.add(v)
-    return all(v in chain_set or full ^ v in chain_set for v in ordered)
+    last, chain = xstar, {xstar}
+    for v in sorted(ordered, key=lambda v: (v ^ xstar).bit_count()):
+        if v != last and (last ^ v) | (v ^ neg_xstar) == last ^ neg_xstar:
+            last = v
+            chain.add(v)
+    return all(v in chain or full ^ v in chain for v in ordered)

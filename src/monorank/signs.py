@@ -25,7 +25,8 @@ completion) work on lists of positive masks and convert between those and
 list is in the canonical SignVectorSet order.  _zero_free_masks decodes a
 zero-free SignVectorSet into its masks, checking it is zero-free, and
 _zero_free_set over _negation_closure encodes masks into a set; neither
-builds an object per member.
+builds an object per member.  _is_negation_closed is the one closure test
+on such a sorted list, for the VC and completion layers.
 
 The word-size rule: the packing helpers go through bytes
 (np.packbits, int.to_bytes), so they are exact at any width.  The tope
@@ -85,8 +86,8 @@ class SignVector:
     def from_signs(cls, signs: Iterable[int]) -> "SignVector":
         """Build from an iterable of {-1, 0, +1} (any numeric sign works;
         NaN is a DomainError)."""
+        signs = list(signs)
         pos = neg = 0
-        n = 0
         for i, s in enumerate(signs):
             if s > 0:
                 pos |= 1 << i
@@ -94,8 +95,7 @@ class SignVector:
                 neg |= 1 << i
             elif s != 0:
                 raise DomainError(f"sign {s!r} at position {i + 1} is not a number")
-            n = i + 1
-        return cls(n, pos, neg)
+        return cls(len(signs), pos, neg)
 
     # -- basic structure ---------------------------------------------------
 
@@ -230,6 +230,14 @@ def _negation_closure(masks: Iterable[int], width: int) -> list[int]:
     closed = set(masks)
     closed |= {full ^ p for p in closed}
     return sorted(closed)
+
+
+def _is_negation_closed(masks: list[int], width: int) -> bool:
+    """Whether ascending, distinct masks hold the complement of each of
+    theirs.  Complementing reverses the order, so they do iff the
+    complement of the j-th smallest is the j-th largest."""
+    full = (1 << width) - 1
+    return all(p ^ q == full for p, q in zip(masks, reversed(masks)))
 
 
 def _zero_free_set(width: int, masks: Iterable[int]) -> SignVectorSet:
@@ -375,26 +383,30 @@ class SignVectorSet:
 # starting with '#' are ignored; all vectors must share one length.
 
 
-def parse_sign_file(text: str) -> SignVectorSet:
-    vecs = []
-    length = None
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The 1-based number and stripped text of each line of a line-based
+    file that is neither blank nor a '#' comment: the walk shared by the
+    sign-vector and the allowable-sequence format."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def parse_sign_file(text: str) -> SignVectorSet:
+    vecs = []
+    for lineno, line in _content_lines(text):
         if not set(line) <= _CHARS:
             bad = next(c for c in line if c not in _CHARS)
             raise FormatError(f"line {lineno}: invalid sign character {bad!r}")
-        if length is None:
-            length = len(line)
-        elif len(line) != length:
+        if vecs and len(line) != vecs[0].length:
             raise FormatError(
-                f"line {lineno}: vector length {len(line)} differs from {length}"
+                f"line {lineno}: vector length {len(line)} differs from {vecs[0].length}"
             )
         vecs.append(SignVector.from_string(line))
-    if length is None:
+    if not vecs:
         raise FormatError("no sign vectors found")
-    return SignVectorSet(length, vecs)
+    return SignVectorSet(vecs[0].length, vecs)
 
 
 def format_sign_file(vectors: SignVectorSet) -> str:

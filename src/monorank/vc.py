@@ -36,7 +36,13 @@ from typing import Iterable
 import numpy as np
 
 from .matrices import _require_generic
-from .signs import SignVectorSet, _bits_from_masks, _masks_from_bits, _zero_free_masks
+from .signs import (
+    SignVectorSet,
+    _bits_from_masks,
+    _is_negation_closed,
+    _masks_from_bits,
+    _zero_free_masks,
+)
 from .topes import _difference_masks, _threshold_masks
 
 
@@ -78,13 +84,12 @@ def _vc_of_masks(n: int, masks: list[int]) -> int:
     hereditary, so every shattered set is reached through its shattered
     prefixes.
 
-    The family is negation-closed iff the complement of the j-th smallest
-    mask is the j-th largest (masks out of order at worst miss the
-    closure and keep both classes).  Then the root's children start from
-    their + class alone, and every descendant, which has the same first
-    element, keeps only classes with + there (halving, module docstring).
-    A node's classes are kept sorted by member count, and a split tries
-    them smallest first.
+    The family is negation-closed iff signs._is_negation_closed says so
+    (masks out of order at worst miss the closure and keep both classes).
+    Then the root's children start from their + class alone, and every
+    descendant, which has the same first element, keeps only classes with
+    + there (halving, module docstring).  A node's classes are kept
+    sorted by member count, and a split tries them smallest first.
 
     Three cut-offs bound the search.  A shattered k-set needs 2^k members,
     so the search ends once it finds a set of size floor(log2 |F|) (or n).
@@ -97,8 +102,7 @@ def _vc_of_masks(n: int, masks: list[int]) -> int:
     if not masks:
         return 0
     count = len(masks)
-    full = (1 << n) - 1
-    closed = all(p ^ q == full for p, q in zip(masks, reversed(masks)))
+    closed = _is_negation_closed(masks, n)
     cols = _masks_from_bits(_bits_from_masks(masks, n).T)
     ceiling = min(n, count.bit_length() - 1)
     best = 0

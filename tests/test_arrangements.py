@@ -125,11 +125,20 @@ def test_distortion_constructor_checks_its_parameters(kind, params, message):
 
 def test_distortion_classmethods_normalise_before_the_check():
     assert MonotoneDistortion.exp_scale(2) == MonotoneDistortion("exp-scale", (2.0,))
-    assert type(MonotoneDistortion.power_odd(3.0).params[0]) is int
+    for k in (3.0, np.int64(3), np.float64(3.0)):
+        assert MonotoneDistortion.power_odd(k).params == (3,)
+        assert type(MonotoneDistortion.power_odd(k).params[0]) is int
     f = MonotoneDistortion.piecewise_linear([0, 1], np.array([0, 2]))
     assert f.params == ((0.0, 1.0), (0.0, 2.0))
     with pytest.raises(DomainError, match="exp-scale parameter must be positive"):
         MonotoneDistortion.exp_scale(0)
+
+
+@pytest.mark.parametrize("k", [3.5, 1.9, -0.5, math.nan, math.inf, -math.inf, np.float64(2.5)])
+def test_power_odd_refuses_an_exponent_that_is_not_an_integer(k):
+    # truncating 3.5 to 3 would record an exponent the caller did not give
+    with pytest.raises(DomainError, match="power-odd exponent must be an integer"):
+        MonotoneDistortion.power_odd(k)
 
 
 # -- topes of arrangements ----------------------------------------------------
@@ -573,6 +582,21 @@ def test_allowable_sequence_canonical_rotation():
     assert AllowableSequence(base) == AllowableSequence(list(reversed(base)))
 
 
+def test_canonical_rotation_is_the_least_rotation_of_either_orientation():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        m = int(rng.integers(3, 8))
+        perms = list(sweep_permutations(PointArrangement(2, rng.standard_normal((m, 2)))))
+        assert len(set(perms)) == len(perms)  # a sweep never repeats a permutation
+        expected = min(
+            tuple(seq[i:] + seq[:i]) for seq in (perms, perms[::-1]) for i in range(len(perms))
+        )
+        for k in range(len(perms)):
+            rotated = perms[k:] + perms[:k]
+            assert AllowableSequence(rotated).permutations == expected
+            assert AllowableSequence(rotated[::-1]).permutations == expected
+
+
 def test_allowable_sequence_checks_its_permutations_once(monkeypatch):
     calls = []
     check = arrangements._check_permutations
@@ -650,3 +674,20 @@ def test_allowable_file_roundtrip():
     parsed = parse_allowable_file(text)
     assert AllowableSequence(parsed) == seq
     assert parse_allowable_file("# note\n1 2 3\n3 2 1\n") == [(1, 2, 3), (3, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2 3\n# note\n2 x 3\n", "line 3: not a permutation line"),
+        ("1 2 3\n1.0 2 3\n", "line 2: not a permutation line"),
+        ("", "no permutations found"),
+        ("# only a comment\n\n", "no permutations found"),
+    ],
+)
+def test_allowable_file_errors_are_format_errors(text, message):
+    from monorank import FormatError, parse_allowable_file
+
+    with pytest.raises(FormatError, match=message) as caught:
+        parse_allowable_file(text)
+    assert caught.value.exit_code == 2

@@ -403,6 +403,47 @@ def test_is_rank2_matches_object_reference():
     assert min(agree.values()) >= 50
 
 
+def bucket_is_rank2_masks(n: int, masks: list[int]) -> bool:
+    """Reference oracle: the former mask recognizer, which bucket-sorted
+    the closed masks by their distance from X* and kept the whole chain."""
+    if not masks:
+        return True
+    full = (1 << n) - 1
+    ordered = sorted(set(masks) | {full ^ p for p in masks})
+    xstar = ordered[0]
+    neg_xstar = full ^ xstar
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]
+    for v in ordered:
+        buckets[(v ^ xstar).bit_count()].append(v)
+    chain = [xstar]
+    chain_set = {xstar}
+    for bucket in buckets:
+        for v in bucket:
+            last = chain[-1]
+            if v == last:
+                continue
+            if (last ^ v) | (v ^ neg_xstar) == last ^ neg_xstar:
+                chain.append(v)
+                chain_set.add(v)
+    return all(v in chain_set or full ^ v in chain_set for v in ordered)
+
+
+def test_is_rank2_masks_match_the_bucket_version():
+    rng = np.random.default_rng(23)
+    verdicts = {True: 0, False: 0}
+    for trial in range(3000):
+        n = int(rng.integers(0, 9))
+        full = (1 << n) - 1
+        masks = {int(p) for p in rng.integers(0, 1 << n, size=int(rng.integers(0, 14)))}
+        if trial % 2:  # negation-closed on odd trials, arbitrary on even ones
+            masks |= {full ^ p for p in masks}
+        masks = sorted(masks)
+        expected = bucket_is_rank2_masks(n, masks)
+        assert _is_rank2_masks(n, masks) == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 300
+
+
 def test_is_rank2_linear_scaling():
     # the recognizer does O(m) word-parallel operations, each an xor of
     # whole n-bit masks: doubling m should roughly double the operation

@@ -30,6 +30,8 @@ from monorank import (
 )
 from monorank.signs import (
     _bits_from_masks,
+    _content_lines,
+    _is_negation_closed,
     _masks_from_bits,
     _negation_closure,
     _zero_free_masks,
@@ -329,6 +331,49 @@ def test_negation_closure_at_word_boundaries(width):
     assert closed == sorted(set(masks) | {full ^ p for p in masks})
     assert all(type(p) is int for p in closed)
     assert _negation_closure([], width) == []
+
+
+@pytest.mark.parametrize(
+    "masks, width, closed",
+    [
+        ([], 0, True),
+        ([], 3, True),
+        ([0], 0, True),  # the empty vector is its own negation
+        ([0, 1], 1, True),
+        ([0], 1, False),
+        ([1], 1, False),
+        ([0b000, 0b011, 0b100, 0b111], 3, True),
+        ([0b000, 0b011, 0b110, 0b111], 3, False),  # 0b100 is missing
+        ([0b001, 0b011, 0b100, 0b110], 3, True),
+    ],
+)
+def test_is_negation_closed_small_cases(masks, width, closed):
+    assert _is_negation_closed(masks, width) is closed
+    assert (_negation_closure(masks, width) == masks) is closed
+
+
+def test_is_negation_closed_matches_the_closure():
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for width in list(range(9)) + [63, 64, 65]:
+        full = (1 << width) - 1
+        for _ in range(200):
+            masks = {rng.getrandbits(width) for _ in range(rng.randint(0, 8))}
+            if rng.random() < 0.5:
+                masks |= {full ^ p for p in masks}
+                if masks and rng.random() < 0.5:
+                    masks.discard(rng.choice(sorted(masks)))  # drop one member
+            masks = sorted(masks)
+            closed = _negation_closure(masks, width) == masks
+            assert _is_negation_closed(masks, width) is closed
+            verdicts[closed] += 1
+    assert min(verdicts.values()) >= 500
+
+
+def test_content_lines_skip_blanks_and_comments():
+    text = "  # note\n\n +-0 \r\n\t\n#\n-+\n"
+    assert list(_content_lines(text)) == [(3, "+-0"), (6, "-+")]
+    assert list(_content_lines("")) == []
 
 
 # -- the packed set against the former tuple-of-vectors set ---------------------
