@@ -222,10 +222,13 @@ def random_representation(
     m: int, n: int, d: int, seed: int, *, identity_distortions: bool = False
 ) -> RandomRepresentation:
     """Standard-normal points and normals with random per-column distortions,
-    resampled until the realized matrix is generic.  Deterministic per seed.
+    resampled until the realized matrix is generic.  Deterministic per seed,
+    which must be an integer >= 0 (a numpy integer will do).
     """
     if m < 1 or n < 1 or d < 1:
         raise DomainError("m, n, d must all be at least 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         pts = PointArrangement(d, rng.standard_normal((m, d)))

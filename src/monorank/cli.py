@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: analyze, generate, hadamard, encode, isrank2, complete, sweep.
-JSON goes to stdout.  Every input file is read as UTF-8 through _read.
+JSON goes to stdout.  Every input file is read as UTF-8 through _read,
+which drops a leading byte-order mark.
 The group is the one error boundary: a MonorankError from any subcommand
 becomes a JSON error on stderr and the exit code of its class, 1
 (internal fault), 2 (input format), 3 (genericity) or 4 (resource guard);
@@ -41,9 +42,11 @@ def _emit(payload: dict) -> None:
 
 
 def _read(path: str) -> str:
-    """The text of an input file, decoded as UTF-8."""
+    """The text of an input file, decoded as UTF-8, without a leading
+    byte-order mark.  (The utf-8-sig codec would drop it too, but would
+    count the byte offset of an undecodable byte from after the mark.)"""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
 

@@ -99,7 +99,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -109,6 +109,7 @@ from .signs import (
     SignVector,
     SignVectorSet,
     _is_negation_closed,
+    _mask,
     _mask_to_set,
     _negated,
     _negation_closure,
@@ -291,13 +292,6 @@ def _orthogonal_pairs(n: int, masks: list[int], support: int) -> list[int]:
         if sub == rest:
             return reps
         sub = (sub - rest) & rest  # next subset of rest in increasing order
-
-
-def _mask(elements: Iterable[int]) -> int:
-    mask = 0
-    for i in elements:
-        mask |= 1 << i
-    return mask
 
 
 def _tope_masks(vectors: SignVectorSet) -> list[int]:

@@ -28,13 +28,13 @@ _zero_free_set over _negation_closure encodes masks into a set; neither
 builds an object per member.  _is_negation_closed is the one closure test
 on such a sorted list, for the VC and completion layers.
 
-The word-size rule: the packing helpers go through bytes
-(np.packbits, int.to_bytes), so they are exact at any width.  The tope
-kernels instead sum or dot the weights of _bit_weights, which are int64
-when the width fits in 63 bits and Python ints in an object array when it
-does not.  Only the threshold kernel takes the object weights: the
-difference kernel dots 63-column slices with int64 weights and shifts
-them into place.  The masks both return are Python ints either way.
+The word-size rule: bit rows become ints through bytes.  np.packbits
+packs 0/1 rows into little-endian byte rows, and _decode is the one
+reader of byte rows, for _masks_from_bits, the tope kernels and _keys():
+rows of up to 8 bytes are read as uint64 words in bulk, wider ones with
+int.from_bytes, so every mask is an exact Python int at any width and no
+other code knows the machine word.  The way back goes through
+int.to_bytes (_bits_from_masks, _packed).
 """
 
 from __future__ import annotations
@@ -198,21 +198,22 @@ def _check_lengths(x: SignVector, y: SignVector) -> None:
         )
 
 
-def _bit_weights(width: int) -> np.ndarray:
-    """1 << i for i in range(width): int64 when `width` fits in 63 bits,
-    an object array of Python ints when it does not, so sums and dots of
-    these weights are exact at any width."""
-    dtype = np.int64 if width <= 63 else object
-    return np.array([1 << i for i in range(width)], dtype=dtype)
+def _decode(rows: np.ndarray) -> list[int]:
+    """One Python int per row of a 2-D uint8 array of little-endian byte
+    rows.  Rows of up to 8 bytes are read as uint64 words in bulk, wider
+    ones one at a time."""
+    count, width = rows.shape
+    if width <= 8:
+        words = np.zeros((count, 8), np.uint8)
+        words[:, :width] = rows
+        return words.view("<u8").ravel().tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _masks_from_bits(bits: np.ndarray) -> list[int]:
     """One int per row of a 2-D 0/1 array: entry [k, i] becomes bit i of
-    mask k.  Rows of any width pack exactly, with no word-size limit."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    w = packed.shape[1]
-    raw = packed.tobytes()
-    return [int.from_bytes(raw[k * w : (k + 1) * w], "little") for k in range(len(bits))]
+    mask k."""
+    return _decode(np.packbits(bits, axis=1, bitorder="little"))
 
 
 def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
@@ -276,6 +277,14 @@ def _packed(n: int, keys: Iterable[int]) -> bytes:
     return b"".join(key.to_bytes(n // 4 + 1, "big") for key in keys)
 
 
+def _mask(elements: Iterable[int]) -> int:
+    """The mask with bit i set for each 0-based element i."""
+    mask = 0
+    for i in elements:
+        mask |= 1 << i
+    return mask
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
     out = []
     while mask:
@@ -325,13 +334,9 @@ class SignVectorSet:
         return out
 
     def _keys(self) -> list[int]:
-        """The members' keys, ascending, as Python ints.  Keys of up to 8
-        bytes are read as uint64 words in bulk, wider ones one at a time."""
-        data, width = self._data, self.ground_size // 4 + 1
-        if width > 8:
-            return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
-        rows = np.frombuffer(data, np.uint8).reshape(-1, width).astype(np.uint64)
-        return (rows @ np.array([1 << 8 * j for j in reversed(range(width))], np.uint64)).tolist()
+        """The members' keys, ascending, as Python ints."""
+        rows = np.frombuffer(self._data, np.uint8).reshape(-1, self.ground_size // 4 + 1)
+        return _decode(rows[:, ::-1])  # stored big-endian
 
     @classmethod
     def from_strings(cls, strings: Iterable[str], ground_size: int | None = None):
@@ -371,11 +376,13 @@ class SignVectorSet:
         return all(v.is_zero_free() for v in self)
 
     def strings(self) -> list[str]:
-        n, keys = self.ground_size, self._keys()
-        bits = _bits_from_masks(keys, 2 * n)  # the negative part, then the positive
+        n = self.ground_size
+        rows = np.frombuffer(self._data, np.uint8).reshape(-1, n // 4 + 1)
+        # bit j of each key, from the low end: the negative part, then the positive
+        bits = np.unpackbits(rows[:, ::-1], axis=1, count=2 * n, bitorder="little")
         chars = np.where(bits[:, n:], ord("+"), np.where(bits[:, :n], ord("-"), ord("0")))
         raw = chars.astype(np.uint8).tobytes().decode("ascii")
-        return [raw[k * n : (k + 1) * n] for k in range(len(keys))]
+        return [raw[k * n : (k + 1) * n] for k in range(len(rows))]
 
 
 # -- sign-vector file format ----------------------------------------------

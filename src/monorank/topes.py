@@ -9,11 +9,9 @@ increasing per-column distortion.
 Both are built by a numpy kernel (_threshold_masks, _difference_masks)
 that returns the sorted positive masks of the tope set; build_report
 works on these masks directly.  threshold_topes and difference_topes
-are its adapters from a matrix to a SignVectorSet.  The kernels sum bit
-weights 1 << row (or 1 << column) from signs._bit_weights, so they stay
-exact at any width.  The threshold kernel sums int64 weights up to 63
-rows and Python ints beyond; the difference kernel dots 63 columns at a
-time with int64 weights and shifts each slice into place.
+are its adapters from a matrix to a SignVectorSet.  The kernels pack
+their 0/1 rows with np.packbits and read them with the signs module's
+decoder, which holds the word-size rule.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from .matrices import _finite_matrix, _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
-    _bit_weights,
+    _decode,
+    _masks_from_bits,
     _negation_closure,
     _zero_free_set,
 )
@@ -71,14 +70,15 @@ def _threshold_masks(a: np.ndarray) -> list[int]:
 
     Moving the cut down a column from above its largest entry makes + one
     more row at each step, in the column's descending order.  So the
-    cumulative sum of 1 << row down that order gives every top set of the
-    column, from its largest entry to all rows, at once: the bits are
-    disjoint, so the sum is their OR.  The all-minus cut is the complement
-    of the all-plus one, so the negation closure of these m * n masks is
-    the whole tope set.
+    cumulative OR of the one-hot rows, packed into bytes, down that order
+    gives every top set of the column, from its largest entry to all rows,
+    at once.  The all-minus cut is the complement of the all-plus one, so
+    the negation closure of these m * n masks is the whole tope set.
     """
-    tops = np.cumsum(_bit_weights(a.shape[0])[np.argsort(a, axis=0)[::-1]], axis=0)
-    return _negation_closure(tops.ravel().tolist(), a.shape[0])
+    m = a.shape[0]
+    one_hot = np.packbits(np.eye(m, dtype=bool), axis=1, bitorder="little")
+    tops = np.bitwise_or.accumulate(one_hot[np.argsort(a, axis=0)[::-1]], axis=0)
+    return _negation_closure(_decode(tops.reshape(m * a.shape[1], -1)), m)
 
 
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
@@ -109,17 +109,7 @@ def difference_topes(matrix: np.ndarray) -> SignVectorSet:
 
 def _difference_masks(a: np.ndarray) -> list[int]:
     """Sorted positive masks of difference_topes, for a float matrix already
-    checked to be generic: row a_i > a_k over the pairs i > k, dotted with
-    the bit weights 1 << column, then the negations (the pairs i < k).
-
-    Each slice of 63 columns is dotted with int64 weights and ORed in
-    shifted by its first column, as Python ints past the first slice, so
-    no dot takes one Python operation per entry."""
+    checked to be generic: the masks of row a_i > a_k over the pairs
+    i > k, then the negations (the pairs i < k)."""
     i, k = np.nonzero(np.tri(a.shape[0], k=-1, dtype=bool))
-    above, width = a[i] > a[k], a.shape[1]
-    masks = above[:, :63] @ _bit_weights(min(width, 63))
-    for j in range(63, width, 63):
-        word = above[:, j : j + 63] @ _bit_weights(min(width - j, 63))
-        masks = masks.astype(object) | word.astype(object) << j
-    return _negation_closure(masks.tolist(), width)
-
+    return _negation_closure(_masks_from_bits(a[i] > a[k]), a.shape[1])

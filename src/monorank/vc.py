@@ -40,6 +40,7 @@ from .signs import (
     SignVectorSet,
     _bits_from_masks,
     _is_negation_closed,
+    _mask,
     _masks_from_bits,
     _zero_free_masks,
 )
@@ -58,9 +59,7 @@ def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
     patterns = _zero_free_masks(vectors, "VC dimension")
     if not patterns:
         return False
-    mask = 0
-    for i in idx:
-        mask |= 1 << (i - 1)
+    mask = _mask(i - 1 for i in idx)
     return len({p & mask for p in patterns}) == 1 << len(idx)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ def test_random_representation_deterministic():
     assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(a.points.points, b.points.points)
     assert a.distortions == b.distortions
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, -(2**70), 1.5, 3.0, float("nan"), "3", None, np.int64(-1), np.float64(2.0)]
+)
+def test_random_representation_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(DomainError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+        random_representation(3, 3, 2, seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5), np.int32(5)])
+def test_random_representation_takes_numpy_integer_seeds(seed):
+    a, b = random_representation(4, 3, 2, seed), random_representation(4, 3, 2, 5)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert a.distortions == b.distortions
+
+
+def test_random_representation_takes_seeds_past_a_machine_word():
+    a = random_representation(4, 3, 2, 2**70)
+    assert np.array_equal(a.matrix, random_representation(4, 3, 2, 2**70).matrix)
+    assert not np.array_equal(a.matrix, random_representation(4, 3, 2, 0).matrix)
 
 
 def test_random_representation_rank1_single_sweep_order():

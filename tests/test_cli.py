@@ -364,6 +364,8 @@ def test_guard_env_override_not_an_integer(runner, tmp_path, monkeypatch):
         (["analyze", "{}"], "1,2\n3,nan\n", "FormatError", "row 2, column 2: non-finite entry", 2),
         (["generate", "0", "3", "2", "--seed", "3"], None, "DomainError",
          "m, n, d must all be at least 1", 2),
+        (["generate", "3", "3", "2", "--seed", "-1"], None, "DomainError",
+         "seed must be an integer >= 0, got -1", 2),
         (["hadamard", "22"], None, "ResourceLimitError", "hadamard order 22 exceeds guard 12", 4),
         (["encode", "{}"], "+0\n-+\n", "DomainError",
          "encoding requires zero-free vectors, got +0", 2),
@@ -373,7 +375,8 @@ def test_guard_env_override_not_an_integer(runner, tmp_path, monkeypatch):
         (["sweep", "{}"], "0,0,1\n1,2,3\n", "DomainError",
          "sweeps are defined for planar arrangements", 2),
     ],
-    ids=["analyze", "generate", "hadamard", "encode", "isrank2", "complete", "sweep"],
+    ids=["analyze", "generate", "generate-seed", "hadamard", "encode", "isrank2", "complete",
+         "sweep"],
 )
 def test_every_subcommand_reports_errors_as_json(
     runner, tmp_path, monkeypatch, args, files, kind, message, code
@@ -509,6 +512,38 @@ def test_input_that_is_not_utf8_is_a_format_error(runner, tmp_path, args):
         "kind": "FormatError",
         "message": f"{path}: not UTF-8 at byte 0 (invalid start byte)",
     }
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["analyze", "{}", "--topes"], "1,2\n3,5\n2,4\n"),
+        (["encode", "{}", "--json"], "++-\n--+\n+-+\n"),
+        (["isrank2", "{}"], "++-\n--+\n"),
+        (["complete", "{}", "2"], "++-+\n--+-\n+-++\n-+--\n"),
+        (["sweep", "{}"], "0,0\n1,0\n0,1\n"),
+    ],
+    ids=["analyze", "encode", "isrank2", "complete", "sweep"],
+)
+def test_leading_byte_order_mark_is_ignored(runner, tmp_path, args, text):
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        result = runner.invoke(main, [a.format(path) for a in args])
+        assert result.exit_code == 0 and result.stderr == ""
+        outputs.append(result.stdout_bytes)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_undecodable_byte_after_a_byte_order_mark_is_named_at_its_file_offset(runner, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf1,\xff")
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"]["message"] == (
+        f"{path}: not UTF-8 at byte 5 (invalid start byte)"
+    )
 
 
 @pytest.mark.parametrize(

@@ -377,8 +377,9 @@ def test_content_lines_skip_blanks_and_comments():
 
 
 # -- the packed set against the former tuple-of-vectors set ---------------------
-# Key widths step at every multiple of 4 (n // 4 + 1 bytes) and Python's
-# machine words at 32 and 64 bits.
+# Key widths step at every multiple of 4 (n // 4 + 1 bytes), the decoder's
+# word path ends at 8 bytes (n = 31) and Python's machine words are 32 and
+# 64 bits.
 PACKED_SIZES = (0, 1, 3, 4, 5, 31, 32, 33, 63, 64, 70)
 
 

@@ -14,7 +14,6 @@ from monorank import (
     threshold_vector,
 )
 
-from monorank.signs import _masks_from_bits, _negation_closure
 from monorank.topes import _difference_masks, _threshold_masks
 
 from .fixtures import (
@@ -77,9 +76,10 @@ def test_threshold_topes_match_midpoint_reference():
         assert threshold_topes(mat) == midpoint_threshold_topes(mat)
 
 
-# masks of up to 63 bits are summed in int64 and wider ones as Python ints,
-# so the kernels are checked on either side of that word boundary
-WORD_WIDTHS = (1, 2, 62, 63, 64, 65, 70)
+# the decoder reads masks of up to 8 bytes (64 bits) as uint64 words and
+# wider ones with int.from_bytes, so the kernels are checked on either side
+# of that boundary and well past it
+WORD_WIDTHS = (1, 2, 62, 63, 64, 65, 70, 128, 130)
 
 
 def word_boundary_matrices() -> list[np.ndarray]:
@@ -102,11 +102,9 @@ def test_tope_masks_match_object_builders():
 
 
 @pytest.mark.parametrize("width", [62, 63, 64, 65, 70, 126, 127, 128, 130])
-def test_difference_masks_match_packed_bits_across_word_slices(width):
-    # the kernel dots 63 columns at a time; packbits reads any width whole
+def test_difference_masks_match_object_builder_across_words(width):
     a = np.random.default_rng(width).standard_normal((7, width))
-    i, k = np.nonzero(np.tri(7, k=-1, dtype=bool))
-    want = _negation_closure(_masks_from_bits(a[i] > a[k]), width)
+    want = [v.pos for v in object_difference_topes(a)]
     got = _difference_masks(a)
     assert got == want
     assert all(type(p) is int for p in got)
