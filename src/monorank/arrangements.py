@@ -23,6 +23,8 @@ from .errors import DimensionMismatchError, DomainError, FormatError, ResourceLi
 from .matrices import (
     Permutation,
     _finite_matrix,
+    _integer,
+    _matrix_with_orders,
     check_generic,
     column_permutations,
     parse_matrix,
@@ -111,9 +113,11 @@ class HyperplaneArrangement:
 class MonotoneDistortion:
     """A strictly increasing function on R from a small closed family.
 
-    The constructor checks the kind and its parameters, so every instance
-    is strictly increasing; the classmethods normalise their arguments
-    first."""
+    The constructor normalises the parameters as it checks them: a float
+    scale, a Python-int exponent, and two tuples of float breakpoints and
+    values, so every instance is strictly increasing, hashable and
+    JSON-ready through as_dict.  Any other value is a DomainError; the
+    classmethods pass their arguments straight through."""
 
     kind: str
     params: tuple = ()
@@ -122,22 +126,33 @@ class MonotoneDistortion:
         arity = _DISTORTION_ARITY.get(self.kind)
         if arity is None:
             raise DomainError(f"unknown distortion kind {self.kind!r}")
-        if len(self.params) != arity:
+        params = _items(self.params, f"{self.kind} parameters")
+        if len(params) != arity:
             raise DomainError(f"{self.kind} expects {arity} parameters, got {self.params!r}")
-        if self.kind == "exp-scale" and not 0 < self.params[0] < math.inf:
-            raise DomainError("exp-scale parameter must be positive and finite")
-        if self.kind == "power-odd" and not (self.params[0] >= 1 and self.params[0] % 2 == 1):
-            raise DomainError("power-odd exponent must be odd and positive")
+        if self.kind == "exp-scale":
+            params = _reals(params, "exp-scale parameters")
+            if not 0 < params[0] < math.inf:
+                raise DomainError("exp-scale parameter must be positive and finite")
+        if self.kind == "power-odd":
+            (k,) = params
+            real = isinstance(k, numbers.Real)
+            if not (isinstance(k, numbers.Integral) or real and float(k).is_integer()):
+                raise DomainError(f"power-odd exponent must be an integer, got {k!r}")
+            params = (int(k),)
+            if not (params[0] >= 1 and params[0] % 2 == 1):
+                raise DomainError("power-odd exponent must be odd and positive")
         if self.kind == "piecewise-linear":
-            bp, vals = self.params
+            bp, vals = _reals(params[0], "breakpoints"), _reals(params[1], "values")
             if len(bp) != len(vals) or len(bp) < 2:
                 raise DomainError("need at least two matching breakpoints and values")
-            if not np.isfinite(np.array([bp, vals], dtype=float)).all():
+            if not all(map(math.isfinite, bp + vals)):
                 raise DomainError("breakpoints and values must be finite")
             if not all(b2 > b1 for b1, b2 in zip(bp, bp[1:])):
                 raise DomainError("breakpoints must be strictly increasing")
             if not all(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
                 raise DomainError("values must be strictly increasing")
+            params = (bp, vals)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def identity(cls) -> "MonotoneDistortion":
@@ -145,20 +160,17 @@ class MonotoneDistortion:
 
     @classmethod
     def exp_scale(cls, alpha: float) -> "MonotoneDistortion":
-        return cls("exp-scale", (float(alpha),))
+        return cls("exp-scale", (alpha,))
 
     @classmethod
     def power_odd(cls, k: int) -> "MonotoneDistortion":
-        if not (isinstance(k, numbers.Integral) or float(k).is_integer()):
-            raise DomainError(f"power-odd exponent must be an integer, got {k!r}")
-        return cls("power-odd", (int(k),))
+        return cls("power-odd", (k,))
 
     @classmethod
     def piecewise_linear(
         cls, breakpoints: Sequence[float], values: Sequence[float]
     ) -> "MonotoneDistortion":
-        bp = tuple(float(b) for b in breakpoints)
-        return cls("piecewise-linear", (bp, tuple(float(v) for v in values)))
+        return cls("piecewise-linear", (breakpoints, values))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -185,6 +197,24 @@ class MonotoneDistortion:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _items(value, what: str) -> tuple:
+    """The items of a parameter sequence as a tuple; DomainError naming
+    `what` if the value has no items to give."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    """The items of a sequence of real numbers (numpy scalars included,
+    strings not) as Python floats; DomainError naming `what` otherwise."""
+    items = _items(values, what)
+    if not all(isinstance(v, numbers.Real) for v in items):
+        raise DomainError(f"{what} must be real numbers, got {values!r}")
+    return tuple(map(float, items))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +255,7 @@ def random_representation(
     resampled until the realized matrix is generic.  Deterministic per seed,
     which must be an integer >= 0 (a numpy integer will do).
     """
+    m, n, d = _integer(m, "m"), _integer(n, "n"), _integer(d, "d")
     if m < 1 or n < 1 or d < 1:
         raise DomainError("m, n, d must all be at least 1")
     if not isinstance(seed, numbers.Integral) or seed < 0:
@@ -279,10 +310,14 @@ def _max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]
     return -res.fun, res.x[:-1]
 
 
-def _enumerate_topes(rows: np.ndarray) -> SignVectorSet:
+def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSet:
     """Sign vectors s with some ||x||_inf <= 1 giving s_i (row_i · x) > margin
     for every row, found by extending sign prefixes one element at a time;
     the margin is _SEPARATION_MARGIN.
+
+    This is the tope oracles' one enumeration guard: more than `max_rows`
+    rows (the caller's `noun`, points or normals) is a ResourceLimitError
+    before any LP runs.
 
     Element 1 is fixed to + (the set is negation-closed).  A prefix is kept
     only if its separation LP has margin above `margin`; the prefix LP drops
@@ -295,6 +330,8 @@ def _enumerate_topes(rows: np.ndarray) -> SignVectorSet:
     elements, against 2^(m-1) for testing every sign half.
     """
     m = rows.shape[0]
+    if m > max_rows:
+        raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {max_rows}")
     margin = _SEPARATION_MARGIN
     # x = sign(row) solves the one-row LP, with margin ||row||_1
     level = [(np.ones(1), np.sign(rows[0]))] if np.abs(rows[0]).sum() > margin else []
@@ -328,12 +365,9 @@ def point_topes(
     sum_{0<k<m} sum_{i<=d} C(k-1, i) LPs (92 for 9 planar points) instead of
     2^(m-1).
     """
-    m = len(arrangement)
-    if m > max_points:
-        raise ResourceLimitError(f"{m} points exceeds enumeration guard {max_points}")
     # p · h - theta as one inner product with the lifted point (p, -1)
-    lifted = np.hstack([arrangement.points, -np.ones((m, 1))])
-    return _enumerate_topes(lifted)
+    lifted = np.hstack([arrangement.points, -np.ones((len(arrangement), 1))])
+    return _enumerate_topes(lifted, max_points, "points")
 
 
 def hyperplane_topes(
@@ -349,10 +383,7 @@ def hyperplane_topes(
     sum_{0<k<n} sum_{i<d} C(k-1, i) LPs (36 for 9 planar normals) instead of
     2^(n-1).
     """
-    n = len(arrangement)
-    if n > max_normals:
-        raise ResourceLimitError(f"{n} normals exceeds enumeration guard {max_normals}")
-    return _enumerate_topes(arrangement.normals)
+    return _enumerate_topes(arrangement.normals, max_normals, "normals")
 
 
 def point_circuits(
@@ -389,10 +420,11 @@ def point_circuits(
         raise DomainError(
             f"points {names} are not in general position (vanishing coefficient)"
         )
-    plus = np.zeros((len(subsets), m), dtype=bool)
-    minus = plus.copy()
-    np.put_along_axis(plus, subsets, null > 0, axis=1)
-    np.put_along_axis(minus, subsets, null <= 0, axis=1)
+    # the check above refused every zero coefficient, so each subset's
+    # entries are + or - and the rest of the row 0
+    signs = np.zeros((len(subsets), m))
+    np.put_along_axis(signs, subsets, null, axis=1)
+    plus, minus = signs > 0, signs < 0
     # a key's low m bits are the negative part (see the signs module)
     keys = _masks_from_bits(np.hstack([minus, plus])) + _masks_from_bits(np.hstack([plus, minus]))
     circuits = SignVectorSet._from_keys(m, sorted(keys))
@@ -604,9 +636,7 @@ def matrix_from_allowable(
     Accepts a validated AllowableSequence or any list of permutations of a
     common ground set (the construction itself needs no circular structure).
     """
-    perms = _check_permutations(sequence)
-    # column j is the inverse of permutation j, shifted to values 1..m
-    return np.argsort(perms, axis=1).T + 1.0
+    return _matrix_with_orders(_check_permutations(sequence))
 
 
 # -- point / permutation file formats ---------------------------------------

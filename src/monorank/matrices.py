@@ -3,17 +3,22 @@
 Matrices are plain float64 numpy arrays.  A Permutation is a tuple of
 1-based row indices; entry i of the tuple names the row holding the i-th
 smallest value of the column, so column orders are invariant under any
-strictly increasing per-column distortion.
+strictly increasing per-column distortion.  The convention runs both
+ways: column_permutations reads the orders of a matrix, and
+_matrix_with_orders builds the matrix of values 1..m with given orders.
 
 Every entry point that takes a numeric matrix passes it through one gate,
 _finite_matrix, and every tie tolerance through _tolerance.  Column orders
 are defined only for finite entries, and a NaN tolerance would call every
-pair untied.
+pair untied.  Sample sizes, ranks, d_max and the Hadamard order are read
+through _integer, so a float is a DomainError naming it rather than a
+TypeError from inside numpy or itertools.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +39,14 @@ def parse_matrix(text: str) -> np.ndarray:
     if not lines:
         raise FormatError("empty matrix input")
     start = 0
-    first = [f.strip() for f in lines[0].split(",")]
-    if not all(_is_number(f) for f in first):
+    # non-finite tokens count as numbers here so they reach the finiteness
+    # check as data instead of silently becoming a header
+    try:
+        [float(field.strip()) for field in lines[0].split(",")]
+    except ValueError:
         start = 1
         if len(lines) == 1:
-            raise FormatError("header row present but no data rows")
+            raise FormatError("header row present but no data rows") from None
     # float() ignores the same whitespace as strip() but for \x1c-\x1f, of
     # which splitlines() leaves only \x1f in a line.  A row that map(float)
     # refuses, or whose sum is not finite (a non-finite entry, or an
@@ -91,14 +99,14 @@ def _tolerance(tol: float) -> float:
     return float(tol)
 
 
-def _is_number(field: str) -> bool:
-    # non-finite tokens count as numeric here so they reach the finiteness
-    # check as data instead of silently becoming a header
+def _integer(value, what: str) -> int:
+    """The value as a Python int, read with operator.index, so numpy
+    integers pass and floats do not; otherwise DomainError naming `what`
+    and the value."""
     try:
-        float(field)
-    except ValueError:
-        return False
-    return True
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,6 +180,15 @@ def column_permutations(matrix: np.ndarray) -> list[Permutation]:
     """
     order = np.argsort(_require_generic(matrix), axis=0) + 1
     return [tuple(perm) for perm in order.T.tolist()]
+
+
+def _matrix_with_orders(orders) -> np.ndarray:
+    """The inverse of column_permutations: the float matrix with one column
+    per order, holding the values 1..m so that the row named at position i
+    receives value i.  Orders may be 1- or 0-based (their argsort is the
+    same), and must be permutations, so no two values tie.
+    """
+    return np.argsort(orders, axis=1).T + 1.0
 
 
 def perturb_ties(matrix: np.ndarray, tol: float = 0.0) -> np.ndarray:

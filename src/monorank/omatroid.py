@@ -104,7 +104,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, MonorankError, ResourceLimitError
-from .matrices import _require_generic
+from .matrices import _integer, _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
@@ -264,7 +264,7 @@ def _candidates(n: int, masks: list[int], rank: int) -> Iterator[tuple[int, list
     the rank must be in [1, n-1], since rank n leaves no support of size
     rank+1 and a matroid of rank 0 has no zero-free topes.
     """
-    if not 1 <= rank <= n - 1:
+    if not 1 <= _integer(rank, "rank") <= n - 1:
         raise DomainError(f"rank must be in [1, {n - 1}], got {rank}")
     supports = map(_mask, itertools.combinations(range(n), rank + 1))
     return ((support, _orthogonal_pairs(n, masks, support)) for support in supports)
@@ -659,7 +659,7 @@ def _om_rank(
 ) -> OmRankBound:
     """om_rank_lower_bound on the positive masks of a zero-free,
     negation-closed set on n elements."""
-    if d_max < 1:
+    if _integer(d_max, "d_max") < 1:
         raise DomainError("d_max must be at least 1")
     attempts: list[tuple[int, CompletionResult]] = []
     for d in range(1, min(d_max, n - 1) + 1):
@@ -715,6 +715,7 @@ def _completion_rank_of_masks(
     m-by-n matrix's threshold and difference topes, for callers that have
     built them already."""
     m, n = shape
+    _integer(d_max, "d_max")  # here, so a refusal names d_max and not d_max + 1
     thresh_bound = _om_rank(m, thresh, d_max + 1, max_ground=max_ground, max_nodes=max_nodes)
     diff_bound = _om_rank(n, diff, d_max, max_ground=max_ground, max_nodes=max_nodes)
     return MatrixCompletionRank(

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .matrices import _finite_matrix
+from .matrices import _finite_matrix, _integer, _matrix_with_orders
 from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
 
 # hadamard(n) holds 4^n int64 entries; the guard keeps it within this budget
@@ -66,6 +66,7 @@ def _forster(a: np.ndarray) -> float:
 def hadamard(n: int) -> np.ndarray:
     """The 2^n-by-2^n Sylvester Hadamard matrix, int64: n doublings
     H -> [[H, H], [H, -H]] of H = [[1]]."""
+    n = _integer(n, "hadamard order")
     if n < 0:
         raise DomainError("hadamard order must be nonnegative")
     if n > _HADAMARD_MAX:
@@ -100,10 +101,9 @@ def encode_signs_as_matrix(vectors: SignVectorSet) -> np.ndarray:
     Column j realizes vector sigma_j by ordering its rows with all minus
     rows (ascending index) below all plus rows, using values 1..m; the cut
     between the two blocks then reproduces sigma_j.  A stable argsort of
-    sigma_j's 0/1 row gives that order, and its inverse the values.
+    sigma_j's 0/1 row gives that order, and _matrix_with_orders the values.
     """
     if len(vectors) == 0:
         raise DomainError("cannot encode an empty sign-vector set")
     bits = _bits_from_masks(_zero_free_masks(vectors, "encoding"), vectors.ground_size)
-    order = np.argsort(bits, axis=1, kind="stable")
-    return np.argsort(order, axis=1).T + 1.0
+    return _matrix_with_orders(np.argsort(bits, axis=1, kind="stable"))

@@ -14,6 +14,7 @@ from monorank import (
     HyperplaneArrangement,
     MonotoneDistortion,
     PointArrangement,
+    ResourceLimitError,
     check_circuit_axioms,
     column_permutations,
     hyperplane_topes,
@@ -136,11 +137,22 @@ def test_piecewise_linear_validation():
         ("piecewise-linear", ((0.0,), (0.0,)), "at least two matching breakpoints"),
         ("cubic", (), "unknown distortion kind 'cubic'"),
         ("exp-scale", (), r"exp-scale expects 1 parameters, got \(\)"),
+        # parameters the constructor cannot normalise
+        ("exp-scale", ("2",), r"exp-scale parameters must be real numbers, got \('2',\)"),
+        ("exp-scale", (None,), "exp-scale parameters must be real numbers"),
+        ("exp-scale", (1 + 2j,), "exp-scale parameters must be real numbers"),
+        ("exp-scale", 2.0, "exp-scale parameters must be a sequence, got 2.0"),
+        ("power-odd", ("3",), "power-odd exponent must be an integer, got '3'"),
+        ("power-odd", (3.5,), "power-odd exponent must be an integer, got 3.5"),
+        ("piecewise-linear", ("ab", "cd"), "breakpoints must be real numbers, got 'ab'"),
+        ("piecewise-linear", ((0.0, 1.0), "cd"), "values must be real numbers, got 'cd'"),
+        ("piecewise-linear", (1.0, 2.0), "breakpoints must be a sequence, got 1.0"),
     ],
 )
 def test_distortion_constructor_checks_its_parameters(kind, params, message):
     # each would be a map that decreases somewhere, is constant, is not
-    # defined everywhere, or (an unknown kind) fails only when called
+    # defined everywhere, or (an unknown kind) fails only when called; the
+    # last rows once leaked a TypeError or ValueError instead
     with pytest.raises(DomainError, match=message):
         MonotoneDistortion(kind, params)
 
@@ -156,11 +168,71 @@ def test_distortion_classmethods_normalise_before_the_check():
         MonotoneDistortion.exp_scale(0)
 
 
-@pytest.mark.parametrize("k", [3.5, 1.9, -0.5, math.nan, math.inf, -math.inf, np.float64(2.5)])
+@pytest.mark.parametrize(
+    "k", [3.5, 1.9, -0.5, math.nan, math.inf, -math.inf, np.float64(2.5), "3", None]
+)
 def test_power_odd_refuses_an_exponent_that_is_not_an_integer(k):
     # truncating 3.5 to 3 would record an exponent the caller did not give
     with pytest.raises(DomainError, match="power-odd exponent must be an integer"):
         MonotoneDistortion.power_odd(k)
+
+
+@pytest.mark.parametrize(
+    "params, want",
+    [
+        ([1.0], (1.0,)),
+        ((np.float32(2.0),), (2.0,)),
+        ((np.int64(2),), (2.0,)),
+        (np.array([3.0]), (3.0,)),
+    ],
+)
+def test_distortion_constructor_normalises_an_exp_scale(params, want):
+    f = MonotoneDistortion("exp-scale", params)
+    assert f.params == want and type(f.params) is tuple and type(f.params[0]) is float
+    assert hash(f) == hash(MonotoneDistortion.exp_scale(want[0]))
+    assert json.dumps(f.as_dict()) == json.dumps(MonotoneDistortion.exp_scale(want[0]).as_dict())
+
+
+@pytest.mark.parametrize("k", [3, 3.0, np.int64(3), np.float64(3.0), np.int8(3)])
+def test_distortion_constructor_normalises_a_power_odd_exponent(k):
+    f = MonotoneDistortion("power-odd", (k,))
+    assert f.params == (3,) and type(f.params[0]) is int
+    assert hash(f) == hash(MonotoneDistortion.power_odd(3))
+    assert json.dumps(f.as_dict()) == '{"kind": "power-odd", "params": [3]}'
+
+
+def test_distortion_constructor_normalises_piecewise_linear_parameters():
+    for params in [([0, 1], [0, 2]), (np.array([0, 1]), (np.float32(0), 2)), [range(2), [0, 2]]]:
+        f = MonotoneDistortion("piecewise-linear", params)
+        assert f.params == ((0.0, 1.0), (0.0, 2.0))
+        assert all(type(x) is float for part in f.params for x in part)
+        assert hash(f) == hash(MonotoneDistortion.piecewise_linear([0.0, 1.0], [0.0, 2.0]))
+        assert json.loads(json.dumps(f.as_dict())) == {
+            "kind": "piecewise-linear",
+            "params": [[0.0, 1.0], [0.0, 2.0]],
+        }
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((2.0, 3, 2, 1), {}, "m must be an integer, got 2.0"),
+        ((2.0, 3, 2, 1), {"identity_distortions": True}, "m must be an integer, got 2.0"),
+        ((2, 3.0, 2, 1), {}, "n must be an integer, got 3.0"),
+        ((2, 3, 2.5, 1), {}, "d must be an integer, got 2.5"),
+        ((2, "3", 2, 1), {}, "n must be an integer, got '3'"),
+    ],
+)
+def test_random_representation_refuses_sizes_that_are_not_integers(args, kwargs, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        random_representation(*args, **kwargs)
+
+
+def test_random_representation_takes_numpy_integer_sizes():
+    a = random_representation(np.int64(4), np.int32(3), np.uint8(2), 7)
+    b = random_representation(4, 3, 2, 7)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert a.distortions == b.distortions
 
 
 # -- topes of arrangements ----------------------------------------------------
@@ -216,11 +288,36 @@ def test_threshold_topes_inside_point_topes():
 
 
 def test_tope_guard():
-    from monorank import ResourceLimitError
-
     pts = PointArrangement(1, np.arange(25.0).reshape(-1, 1))
-    with pytest.raises(ResourceLimitError):
-        point_topes(pts)
+    normals = HyperplaneArrangement(1, np.ones((25, 1)))
+    for oracle, option, arrangement, noun in [
+        (point_topes, "max_points", pts, "points"),
+        (hyperplane_topes, "max_normals", normals, "normals"),
+        (point_circuits, "max_points", pts, "points"),
+    ]:
+        with pytest.raises(ResourceLimitError) as info:
+            oracle(arrangement)
+        assert str(info.value) == f"25 {noun} exceeds enumeration guard 20"
+        assert len(oracle(arrangement, **{option: 25})) > 0
+
+
+_FIVE_POINTS = PointArrangement(2, [[0, 0], [1, 0], [0, 1], [1, 2], [3, 1]])
+_FIVE_NORMALS = HyperplaneArrangement(2, [[1, 0.2], [-0.3, 1], [1, 1], [2, -1], [0.5, 3]])
+_GUARDED = [
+    (point_topes, "max_points", "points", _FIVE_POINTS),
+    (hyperplane_topes, "max_normals", "normals", _FIVE_NORMALS),
+    (point_circuits, "max_points", "points", _FIVE_POINTS),
+]
+
+
+@pytest.mark.parametrize("oracle, option, noun, arrangement", _GUARDED)
+def test_oracle_guards_refuse_one_past_the_limit_and_pass_the_limit(
+    oracle, option, noun, arrangement
+):
+    with pytest.raises(ResourceLimitError) as info:
+        oracle(arrangement, **{option: 4})
+    assert str(info.value) == f"5 {noun} exceeds enumeration guard 4"
+    assert oracle(arrangement, **{option: 5}) == oracle(arrangement)
 
 
 # -- tope enumeration against the all-halves reference -------------------------
@@ -672,6 +769,16 @@ def test_matrix_from_allowable_roundtrip():
 def test_matrix_from_single_permutation():
     matrix = matrix_from_allowable([(1, 2, 3, 4)])
     assert np.array_equal(matrix[:, 0], [1.0, 2.0, 3.0, 4.0])
+
+
+def test_matrix_from_allowable_matches_the_former_inline_inverse():
+    rng = np.random.default_rng(25)
+    for m, k in [(1, 1), (2, 3), (5, 1), (7, 9), (12, 4)]:
+        perms = [tuple((rng.permutation(m) + 1).tolist()) for _ in range(k)]
+        got = matrix_from_allowable(perms)
+        want = np.argsort(perms, axis=1).T + 1.0
+        assert got.dtype == want.dtype and got.shape == want.shape == (m, k)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_matrix_from_allowable_rejects_garbage():

@@ -35,7 +35,7 @@ from monorank import (
     threshold_vector,
     vc_rank,
 )
-from monorank.matrices import _is_number, _require_generic
+from monorank.matrices import _matrix_with_orders, _require_generic
 
 from .fixtures import DISTORTION_A, a1_csv, oracle_matrices
 
@@ -86,9 +86,33 @@ def test_parse_nonfinite_error_text(text, message):
     assert str(info.value) == message
 
 
+def test_matrix_with_orders_inverts_column_permutations():
+    rng = np.random.default_rng(25)
+    for m, k in [(1, 1), (2, 5), (6, 3), (11, 11), (40, 2)]:
+        perms = [tuple((rng.permutation(m) + 1).tolist()) for _ in range(k)]
+        matrix = _matrix_with_orders(perms)
+        assert matrix.dtype == np.float64 and matrix.shape == (m, k)
+        assert column_permutations(matrix) == perms
+        # 0-based orders give the same matrix
+        zero_based = np.array(perms) - 1
+        assert _matrix_with_orders(zero_based).tobytes() == matrix.tobytes()
+        # and the values are 1..m in every column
+        assert (np.sort(matrix, axis=0) == np.arange(1.0, m + 1)[:, None]).all()
+
+
 def test_csv_roundtrip():
     m = np.array([[1.25, -3.5], [0.1, 2.0]])
     assert np.array_equal(parse_matrix(format_matrix_csv(m)), m)
+
+
+def _is_number(field: str) -> bool:
+    # the oracle's own header rule, kept apart from the parser it checks:
+    # non-finite tokens count as numbers, so they reach the finiteness check
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def field_loop_parse_matrix(text: str) -> np.ndarray:

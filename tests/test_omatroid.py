@@ -83,6 +83,34 @@ def test_potential_circuits_of_full_cube_empty():
             assert len(potential_circuits(full_cube(n), d)) == 0
 
 
+@pytest.mark.parametrize(
+    "search, value, message",
+    [
+        (potential_circuits, 1.5, "rank must be an integer, got 1.5"),
+        (uniform_completion, 1.5, "rank must be an integer, got 1.5"),
+        (uniform_completion, "2", "rank must be an integer, got '2'"),
+        (om_rank_lower_bound, 1.5, "d_max must be an integer, got 1.5"),
+        (om_rank_lower_bound, 2.0, "d_max must be an integer, got 2.0"),
+        # the threshold side runs at d_max + 1; the refusal names d_max itself
+        (om_completion_rank_of_matrix, 1.5, "d_max must be an integer, got 1.5"),
+    ],
+)
+def test_completion_refuses_ranks_that_are_not_integers(search, value, message):
+    topes = threshold_topes(RAD_STRICT)
+    with pytest.raises(DomainError) as info:
+        search(RAD_STRICT if search is om_completion_rank_of_matrix else topes, value)
+    assert str(info.value) == message
+
+
+def test_completion_takes_numpy_integer_ranks():
+    topes = threshold_topes(RAD_STRICT)
+    assert potential_circuits(topes, np.int64(3)) == potential_circuits(topes, 3)
+    assert uniform_completion(topes, np.int32(2)) == uniform_completion(topes, 2)
+    assert om_rank_lower_bound(topes, np.int64(3)) == om_rank_lower_bound(topes, 3)
+    got = om_completion_rank_of_matrix(RAD_STRICT, np.int64(2))
+    assert got == om_completion_rank_of_matrix(RAD_STRICT, 2)
+
+
 def test_potential_circuits_orthogonal_and_closed():
     topes = threshold_topes(RAD_STRICT)
     circuits = potential_circuits(topes, 3)

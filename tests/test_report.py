@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from monorank import (
+    DomainError,
     RankReport,
     SignVector,
     SignVectorSet,
@@ -166,3 +167,15 @@ def test_rank_report_is_slotted():
     assert dataclasses.replace(report, vc_rank=0).vc_rank == 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.vc_rank = 0
+
+
+@pytest.mark.parametrize("d_max", [1.5, 3.0, "3"])
+def test_build_report_refuses_a_complete_d_max_that_is_not_an_integer(d_max):
+    with pytest.raises(DomainError) as info:
+        build_report(RAD_STRICT, complete_d_max=d_max)
+    assert str(info.value) == f"d_max must be an integer, got {d_max!r}"
+
+
+def test_build_report_takes_a_numpy_integer_complete_d_max():
+    got = build_report(RAD_STRICT, complete_d_max=np.int64(3))
+    assert got == build_report(RAD_STRICT, complete_d_max=3)

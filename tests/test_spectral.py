@@ -174,6 +174,17 @@ def test_hadamard_rows_orthogonal():
     assert np.array_equal(gram, 8 * np.eye(8, dtype=np.int64))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+def test_hadamard_refuses_an_order_that_is_not_an_integer(n):
+    with pytest.raises(DomainError, match=f"hadamard order must be an integer, got {n!r}"):
+        hadamard(n)
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.uint8(3), True])
+def test_hadamard_takes_numpy_integer_orders(n):
+    assert np.array_equal(hadamard(n), hadamard(int(n)))
+
+
 def test_hadamard_guard():
     with pytest.raises(ResourceLimitError):
         hadamard(21)
@@ -268,6 +279,23 @@ def test_encode_matches_per_bit_reference_on_zero_free_sets(case):
     full = (1 << m) - 1
     vectors = SignVectorSet(m, (SignVector(m, p, full ^ p) for p in masks))
     assert_encoding_matches_reference(vectors)
+
+
+def test_encode_matches_the_former_inline_inverse():
+    # the construction before the column-order inverse moved to matrices:
+    # a stable argsort of each vector's 0/1 row, then its inverse
+    rng = np.random.default_rng(25)
+    for m, k in [(1, 2), (3, 5), (9, 12), (70, 6)]:
+        bits = rng.integers(0, 2, size=(k, m)).astype(bool)
+        masks = [sum(1 << i for i in np.flatnonzero(row).tolist()) for row in bits]
+        full = (1 << m) - 1
+        vectors = SignVectorSet(m, (SignVector(m, p, full ^ p) for p in masks))
+        rows = np.array([[v.pos >> i & 1 for i in range(m)] for v in vectors], dtype=bool)
+        order = np.argsort(rows, axis=1, kind="stable")
+        want = np.argsort(order, axis=1).T + 1.0
+        got = encode_signs_as_matrix(vectors)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_encode_rejects_zeros():
