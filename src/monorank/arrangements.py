@@ -10,7 +10,6 @@ permutations.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import operator
@@ -25,6 +24,7 @@ from .matrices import (
     _finite_matrix,
     _integer,
     _matrix_with_orders,
+    _subsets,
     check_generic,
     column_permutations,
     parse_matrix,
@@ -56,12 +56,6 @@ def _coordinates(rows, dimension: int, noun: str) -> np.ndarray:
             f"{noun}s have {a.shape[1]} coordinates, expected {dimension}"
         )
     return _finite_matrix(a, f"{noun} coordinates")
-
-
-def _subsets(m: int, k: int) -> np.ndarray:
-    """The k-subsets of range(m) as rows, in itertools.combinations order."""
-    subsets = list(itertools.combinations(range(m), k))
-    return np.array(subsets, dtype=np.intp).reshape(-1, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +117,7 @@ class MonotoneDistortion:
     params: tuple = ()
 
     def __post_init__(self):
-        arity = _DISTORTION_ARITY.get(self.kind)
+        arity = _DISTORTION_ARITY.get(self.kind) if isinstance(self.kind, str) else None
         if arity is None:
             raise DomainError(f"unknown distortion kind {self.kind!r}")
         params = _items(self.params, f"{self.kind} parameters")
@@ -136,11 +130,13 @@ class MonotoneDistortion:
         if self.kind == "power-odd":
             (k,) = params
             real = isinstance(k, numbers.Real)
-            if not (isinstance(k, numbers.Integral) or real and float(k).is_integer()):
+            integral = isinstance(k, numbers.Integral)
+            if not (integral or real and _float(k, "power-odd exponent").is_integer()):
                 raise DomainError(f"power-odd exponent must be an integer, got {k!r}")
             params = (int(k),)
             if not (params[0] >= 1 and params[0] % 2 == 1):
                 raise DomainError("power-odd exponent must be odd and positive")
+            _float(params[0], "power-odd exponent")  # numpy raises to it as a float
         if self.kind == "piecewise-linear":
             bp, vals = _reals(params[0], "breakpoints"), _reals(params[1], "values")
             if len(bp) != len(vals) or len(bp) < 2:
@@ -214,7 +210,17 @@ def _reals(values, what: str) -> tuple[float, ...]:
     items = _items(values, what)
     if not all(isinstance(v, numbers.Real) for v in items):
         raise DomainError(f"{what} must be real numbers, got {values!r}")
-    return tuple(map(float, items))
+    return tuple(_float(v, what) for v in items)
+
+
+def _float(value: numbers.Real, what: str) -> float:
+    """A real number as a Python float; DomainError naming `what` if it is
+    too large for one (an int or fraction past the float range).  The
+    message leaves the value out, as a long enough int has no repr."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} must fit in a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,8 @@ def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSe
 
     This is the tope oracles' one enumeration guard: more than `max_rows`
     rows (the caller's `noun`, points or normals) is a ResourceLimitError
-    before any LP runs.
+    before any LP runs, and a guard that is not an integer is a DomainError
+    naming the caller's option, max_points or max_normals.
 
     Element 1 is fixed to + (the set is negation-closed).  A prefix is kept
     only if its separation LP has margin above `margin`; the prefix LP drops
@@ -330,7 +337,7 @@ def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSe
     elements, against 2^(m-1) for testing every sign half.
     """
     m = rows.shape[0]
-    if m > max_rows:
+    if m > _integer(max_rows, f"max_{noun}"):
         raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {max_rows}")
     margin = _SEPARATION_MARGIN
     # x = sign(row) solves the one-row LP, with margin ||row||_1
@@ -399,7 +406,7 @@ def point_circuits(
     """
     pts = arrangement.points
     m, d = pts.shape
-    if m > max_points:
+    if m > _integer(max_points, "max_points"):
         raise ResourceLimitError(f"{m} points exceeds enumeration guard {max_points}")
     hom = np.hstack([pts, np.ones((m, 1))])
     subsets = _subsets(m, d + 2)

@@ -10,13 +10,15 @@ _matrix_with_orders builds the matrix of values 1..m with given orders.
 Every entry point that takes a numeric matrix passes it through one gate,
 _finite_matrix, and every tie tolerance through _tolerance.  Column orders
 are defined only for finite entries, and a NaN tolerance would call every
-pair untied.  Sample sizes, ranks, d_max and the Hadamard order are read
+pair untied.  Sample sizes, ranks, d_max, the Hadamard order and the
+resource guards (max_ground, max_nodes, max_points, max_normals) are read
 through _integer, so a float is a DomainError naming it rather than a
-TypeError from inside numpy or itertools.
+TypeError from inside numpy or itertools, or a guard compared as a float.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -107,6 +109,12 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) as rows, in itertools.combinations order."""
+    subsets = list(itertools.combinations(range(m), k))
+    return np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
 
 
 @dataclass(frozen=True, slots=True)

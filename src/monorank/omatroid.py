@@ -84,11 +84,15 @@ A witness is certified before the search returns it, by checks that share
 no code with the C4 scan: every circuit is orthogonal to the input, the
 circuits are those of one chirotope, and that chirotope meets every 3-term
 Grassmann–Plücker relation (see _certify_witness).  The chirotope check
-walks the (r+1)-supports in sorted order, from a list of its own rather
-than _modular_checks'; each support takes its sign from its basis without
-its largest element, which an earlier support has always signed, so no
-search for a spanning order is needed.  A witness that fails raises
-MonorankError; no check is an assert, so python -O keeps them all.  A
+is a walk over the (r+1)-supports in sorted order: each support takes its
+sign from its basis without its largest element, which an earlier support
+has always signed, so no search for a spanning order is needed.  The walk
+is the same for every witness of one (n, r), so _witness_tables lists its
+indices once per (n, r), in tables of its own rather than _modular_checks',
+and the certificate runs it as a few numpy operations on the circuits'
+0/1 rows; it reports the failure the walk would meet first, with the
+walk's message.  A witness that fails raises MonorankError; no check is
+an assert, so python -O keeps them all.  A
 certified witness is built once, unchecked: the certificate has proved
 one ± pair on every support and nothing else, which is all that
 CircuitCandidateSet's constructor would check again.
@@ -98,16 +102,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, MonorankError, ResourceLimitError
-from .matrices import _integer, _require_generic
+from .matrices import _integer, _require_generic, _subsets
 from .signs import (
     SignVector,
     SignVectorSet,
+    _bits_from_masks,
     _is_negation_closed,
     _mask,
     _mask_to_set,
@@ -473,12 +479,15 @@ def _completion(
     The search is depth first over the supports in sorted order, on an
     explicit stack of candidate positions, so its depth is not bounded by
     the interpreter's recursion limit.  A candidate is placed only when it
-    passes its support's row of _modular_checks.
+    passes its support's row of _modular_checks.  The two guards are read
+    here, where they are checked: max_nodes=None sets no budget.
     """
-    if n > max_ground:
+    if n > _integer(max_ground, "max_ground"):
         raise ResourceLimitError(
             f"ground set size {n} exceeds completion guard {max_ground}"
         )
+    if max_nodes is not None:
+        max_nodes = _integer(max_nodes, "max_nodes")
     candidates: dict[int, list[int]] = {}
     for support, reps in _candidates(n, masks, rank):
         if not reps:
@@ -543,6 +552,91 @@ def _first_violation(n: int, candidates: dict[int, list[int]]) -> AxiomViolation
     return violation
 
 
+@dataclass(frozen=True, slots=True)
+class _WitnessTables:
+    """What _certify_witness reads on n elements at rank r and that depends
+    on (n, r) alone; built by _witness_tables.  An incidence is a pair of a
+    support and one of its elements, numbered k·(r+1) + i for S_k and its
+    i-th smallest element s_i, the order in which the walk of
+    _certify_witness visits them.
+
+    elements: (N, r+1), the (r+1)-supports S_k in sorted (colexicographic)
+      order, each with its elements ascending.
+    binom: (n, r+2), C(j, p), so that a sorted set {c_0 < c_1 < ...} sits
+      at Σ_p C(c_p, p+1) in colexicographic order among the sets of its
+      size; capped at the number of supports or bases, whichever is
+      larger, which no term of an index reaches, so it fits in int64.
+    bases: (N, r+1), the index of the basis S_k ∖ s_i among the r-subsets.
+    first: each basis's first incidence, whose circuit signs it.
+    parent: each support's signer, the first incidence of S_k ∖ max S_k.
+    paths: (N, D), each support's path to the root of the tree that parent
+      spans: the support, its signer's support, that one's, and so on,
+      padded with the root, the first support, which signs its own parent
+      basis.
+    relations: (6, T), the bases Aab, Acd, Aac, Abd, Aad, Abc of each
+      3-term Grassmann–Plücker relation, one column per relation, in
+      itertools.combinations order of A and then of a < b < c < d outside A.
+    """
+
+    elements: np.ndarray
+    binom: np.ndarray
+    bases: np.ndarray
+    first: np.ndarray
+    parent: np.ndarray
+    paths: np.ndarray
+    relations: np.ndarray
+
+    def basis(self, b: int) -> list[int]:
+        """The 1-based elements of basis b, read off its first incidence."""
+        k, i = divmod(int(self.first[b]), self.elements.shape[1])
+        return [int(e) + 1 for e in np.delete(self.elements[k], i)]
+
+
+@functools.lru_cache(maxsize=64)
+def _witness_tables(n: int, rank: int) -> _WitnessTables:
+    """The certificate's tables on n elements at this rank (see
+    _WitnessTables).  They depend on (n, rank) alone, so certificates share
+    them; they share nothing with the search's _modular_checks."""
+    size = rank + 1
+    combos = _subsets(n, size)
+    elements = combos[np.lexsort(combos.T)]  # by largest element, then the next
+    count = len(elements)
+    cap = max(count, math.comb(n, rank))
+    binom = np.array(
+        [[min(math.comb(j, p), cap) for p in range(size + 1)] for j in range(n)], np.int64
+    )
+    keep = _subsets(size, rank)[::-1]  # row i drops position i
+    bases = _colex_index(binom, elements[:, keep])
+    _, first = np.unique(bases, return_index=True)
+    parent = first[bases[:, rank]]
+    # the signer of a support other than the first comes earlier in the
+    # walk, so every path reaches the first support, which is its own signer
+    up = parent // size
+    paths = [np.arange(count)]
+    while paths[-1].any():
+        paths.append(up[paths[-1]])
+    relations = np.empty((6, 0), np.intp)
+    if rank >= 2:
+        inner = _subsets(n, rank - 2)
+        outside = np.ones((len(inner), n), bool)
+        outside[np.arange(len(inner))[:, None], inner] = False
+        free = np.nonzero(outside)[1].reshape(len(inner), n - rank + 2)
+        quads = free[:, _subsets(n - rank + 2, 4)]
+        pairs = quads[:, :, [[0, 1], [2, 3], [0, 2], [1, 3], [0, 3], [1, 2]]]
+        sets = np.concatenate(
+            [np.broadcast_to(inner[:, None, None], (*pairs.shape[:3], rank - 2)), pairs], axis=-1
+        )
+        relations = _colex_index(binom, np.sort(sets, axis=-1)).reshape(-1, 6).T.copy()
+    paths = np.stack(paths, axis=1)
+    return _WitnessTables(elements, binom, bases, first, parent, paths, relations)
+
+
+def _colex_index(binom: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The index of each row of ascending elements among the sets of its
+    size in colexicographic order, Σ_p C(c_p, p+1), from a binom table."""
+    return binom[sets, np.arange(1, sets.shape[-1] + 1)].sum(axis=-1)
+
+
 def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -> int:
     """Check a completion witness by other means than the search's C4
     scan; return the number of Grassmann–Plücker relations checked.
@@ -574,65 +668,89 @@ def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -
     circuits read off it are those of a uniform rank-r oriented matroid.
     So a witness passes exactly when check_circuit_axioms accepts it.
     Failure means the search is at fault, hence the base error class.
-    """
-    full = (1 << n) - 1
-    for rep in reps:
-        support = (rep >> n | rep) & full
-        taken = {y & support for y in masks}
-        if rep >> n in taken or rep & full in taken:
-            raise MonorankError(
-                f"completion witness fails orthogonality: circuit {_vector(n, rep)} "
-                "conforms to an input vector"
-            )
 
-    # signs are parities (0 for +, 1 for -): χ(S ∖ s) = ε_S ^ t_S(s),
-    # t_S(s) = [C_S(s) = -] ^ (number of elements of S below s)
-    circuits = {(rep >> n | rep) & full: rep for rep in reps}
-    supports = sorted(map(_mask, itertools.combinations(range(n), rank + 1)))
-    bits = [1 << i for i in range(n)]
-    chi = {(1 << rank) - 1: 0}
-    for support in supports:
-        rep = circuits.get(support)
-        if rep is None:
-            raise MonorankError(
-                f"completion witness fails chirotope: no circuit on support "
-                f"{sorted(_mask_to_set(support))}"
-            )
-        neg = rep & full
-        top = 1 << (support.bit_length() - 1)
-        eps = chi[support ^ top] ^ (1 if neg & top else 0) ^ (rank & 1)
-        for i, s in enumerate(b for b in bits if support & b):
-            sign = eps ^ (1 if neg & s else 0) ^ (i & 1)
-            other = support ^ s
-            if chi.setdefault(other, sign) != sign:
-                raise MonorankError(
-                    f"completion witness fails chirotope: circuit {_vector(n, rep)} gives "
-                    f"basis {sorted(_mask_to_set(other))} the opposite sign"
-                )
-    if len(supports) != len(reps):
+    The walk's order is fixed, so every index in it comes from
+    _witness_tables, and each check is a few array operations on the
+    circuits' 0/1 rows.  Orthogonality is one product of the circuits'
+    ± rows with the inputs' ± rows: y·v is |S| or -|S| exactly when y ∩ S
+    is v+ or v-.  ε_S is the sign of S ∖ max S, read at that basis's first
+    incidence, times S's own term for max S, so it is the product of those
+    terms along S's path in the tree of those first incidences; χ is then
+    read at each basis's first incidence, and every incidence is compared with
+    it at once.  The Grassmann–Plücker relations are one gather of χ.
+    The failure reported is the one the walk meets first, with its
+    message: the first circuit in reps to fail orthogonality; then the
+    first support with no circuit or incidence that disagrees with χ, a
+    support before its own incidences (every sign up to that point
+    depends on earlier supports only, so it is the walk's); then the
+    count of circuits; then the first failing relation.  As in a walk
+    that files the circuits by support, the last circuit in reps on a
+    support is the one read there.
+    """
+    tables = _witness_tables(n, rank)
+    size = rank + 1
+    # one 0/1 row per circuit, column j < n holding bit j of v- and column
+    # n + j bit j of v+, and last a zero row, which a support with no
+    # circuit reads
+    bits = _bits_from_masks([*reps, 0], 2 * n)
+    neg, pos = bits[:, :n], bits[:, n:]
+    supports = neg | pos
+    sizes = supports.sum(axis=1)
+    # over ±1 rows, y·v is |S| or -|S| exactly when y ∩ S is v+ or v-
+    inputs = np.where(_bits_from_masks(masks, n), 1.0, -1.0)
+    dots = np.subtract(pos[:-1], neg[:-1], dtype=np.float64) @ inputs.T
+    bad = np.flatnonzero(np.abs(dots) == sizes[:-1, None])
+    if bad.size:
         raise MonorankError(
-            f"completion witness fails chirotope: {len(reps)} circuits for "
-            f"{len(supports)} supports"
+            "completion witness fails orthogonality: circuit "
+            f"{_vector(n, reps[bad[0] // len(masks)])} conforms to an input vector"
         )
 
-    relations = 0
-    if rank < 2:
-        return relations
-    for inner in itertools.combinations(range(n), rank - 2):
-        a_mask = _mask(inner)
-        free = [1 << i for i in range(n) if not a_mask >> i & 1]
-        for a, b, c, d in itertools.combinations(free, 4):
-            ab_cd = chi[a_mask | a | b] ^ chi[a_mask | c | d]
-            ac_bd = 1 ^ chi[a_mask | a | c] ^ chi[a_mask | b | d]
-            ad_bc = chi[a_mask | a | d] ^ chi[a_mask | b | c]
-            if ab_cd == ac_bd == ad_bc:
-                raise MonorankError(
-                    "completion witness fails Grassmann–Plücker: three-term "
-                    f"relation on {sorted(_mask_to_set(a_mask))} + "
-                    f"{sorted(_mask_to_set(a | b | c | d))}"
-                )
-            relations += 1
-    return relations
+    # signs are parities (0 for +, 1 for -): χ(S ∖ s_i) = ε_S ^ t_S(i),
+    # t_S(i) = [C_S(s_i) = -] ^ (i & 1)
+    on = np.flatnonzero(sizes == size)
+    owner = np.full(len(tables.elements), -1)
+    sets = np.nonzero(supports[on])[1].reshape(-1, size)
+    np.maximum.at(owner, _colex_index(tables.binom, sets), on)
+    t = neg[owner[:, None], tables.elements] ^ (np.arange(size, dtype=np.uint8) & 1)
+    # step: ε_S ^ ε of its signer's support, 0 for the first support, its
+    # own signer; ε_S is the XOR of the steps on S's path and of ε of the
+    # first support, which χ({1..r}) = +1 gives
+    step = t.ravel()[tables.parent] ^ t[:, rank]
+    eps = np.bitwise_xor.reduce(step[tables.paths], axis=1) ^ t[0, rank]
+    sign = eps[:, None] ^ t
+    chi = sign.ravel()[tables.first]
+    clash = np.flatnonzero(sign != chi[tables.bases])
+    missing = np.flatnonzero(owner < 0)
+    if missing.size and not (clash.size and clash[0] // size < missing[0]):
+        raise MonorankError(
+            "completion witness fails chirotope: no circuit on support "
+            f"{[int(e) + 1 for e in tables.elements[missing[0]]]}"
+        )
+    if clash.size:
+        k, i = divmod(int(clash[0]), size)
+        raise MonorankError(
+            f"completion witness fails chirotope: circuit {_vector(n, reps[owner[k]])} gives "
+            f"basis {tables.basis(tables.bases[k, i])} the opposite sign"
+        )
+    if len(tables.elements) != len(reps):
+        raise MonorankError(
+            f"completion witness fails chirotope: {len(reps)} circuits for "
+            f"{len(tables.elements)} supports"
+        )
+
+    # χ(Aab)χ(Acd) = -χ(Aac)χ(Abd) = χ(Aad)χ(Abc) exactly when both
+    # χ(Aab)χ(Acd)χ(Aac)χ(Abd) and χ(Aac)χ(Abd)χ(Aad)χ(Abc) are -1
+    ab, cd, ac, bd, ad, bc = chi[tables.relations]
+    middle = ac ^ bd
+    bad = np.flatnonzero((ab ^ cd ^ middle) & (middle ^ ad ^ bc))
+    if bad.size:
+        left, right = (set(tables.basis(b)) for b in tables.relations[:2, bad[0]])
+        raise MonorankError(
+            "completion witness fails Grassmann–Plücker: three-term relation on "
+            f"{sorted(left & right)} + {sorted(left ^ right)}"
+        )
+    return tables.relations.shape[1]
 
 
 def om_rank_lower_bound(

@@ -33,8 +33,9 @@ packs 0/1 rows into little-endian byte rows, and _decode is the one
 reader of byte rows, for _masks_from_bits, the tope kernels and _keys():
 rows of up to 8 bytes are read as uint64 words in bulk, wider ones with
 int.from_bytes, so every mask is an exact Python int at any width and no
-other code knows the machine word.  The way back goes through
-int.to_bytes (_bits_from_masks, _packed).
+other code knows the machine word.  _bits_from_masks is its mirror
+image: masks of up to 8 bytes become uint64 words in bulk, wider ones go
+through int.to_bytes, as _packed's keys do.
 """
 
 from __future__ import annotations
@@ -217,10 +218,16 @@ def _masks_from_bits(bits: np.ndarray) -> list[int]:
 
 
 def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
-    """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array."""
+    """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array.
+    The mirror image of _decode: masks of up to 8 bytes are written as
+    uint64 words in bulk, wider ones one at a time."""
     nbytes = (width + 7) // 8
-    raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    if nbytes <= 8:
+        words = np.array(masks, dtype="<u8")
+        packed = words.view(np.uint8).reshape(len(masks), 8)[:, :nbytes]
+    else:
+        raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 

@@ -147,6 +147,14 @@ def test_piecewise_linear_validation():
         ("piecewise-linear", ("ab", "cd"), "breakpoints must be real numbers, got 'ab'"),
         ("piecewise-linear", ((0.0, 1.0), "cd"), "values must be real numbers, got 'cd'"),
         ("piecewise-linear", (1.0, 2.0), "breakpoints must be a sequence, got 1.0"),
+        # a kind that is not a string, and integers past the float range,
+        # which leaked TypeError and OverflowError (power-odd only when called)
+        (["x"], (), r"unknown distortion kind \['x'\]"),
+        (None, (), "unknown distortion kind None"),
+        ("exp-scale", (10**400,), "exp-scale parameters must fit in a float"),
+        ("piecewise-linear", ((0, 10**400), (0, 1)), "breakpoints must fit in a float"),
+        ("piecewise-linear", ((0, 1), (0, 10**5000)), "values must fit in a float"),
+        ("power-odd", (10**400 + 1,), "power-odd exponent must fit in a float"),
     ],
 )
 def test_distortion_constructor_checks_its_parameters(kind, params, message):
@@ -308,6 +316,18 @@ _GUARDED = [
     (hyperplane_topes, "max_normals", "normals", _FIVE_NORMALS),
     (point_circuits, "max_points", "points", _FIVE_POINTS),
 ]
+
+
+@pytest.mark.parametrize("oracle, option, noun, arrangement", _GUARDED)
+@pytest.mark.parametrize("limit", ["9", 4.5, 9.0, None])
+def test_oracle_guards_that_are_not_integers_are_domain_errors(
+    oracle, option, noun, arrangement, limit
+):
+    # these leaked TypeError from the comparison, or were compared as floats
+    with pytest.raises(DomainError) as info:
+        oracle(arrangement, **{option: limit})
+    assert str(info.value) == f"{option} must be an integer, got {limit!r}"
+    assert oracle(arrangement, **{option: np.int64(5)}) == oracle(arrangement)
 
 
 @pytest.mark.parametrize("oracle, option, noun, arrangement", _GUARDED)

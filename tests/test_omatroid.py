@@ -14,6 +14,7 @@ from monorank import (
     ResourceLimitError,
     SignVector,
     SignVectorSet,
+    build_report,
     check_circuit_axioms,
     difference_topes,
     is_rank2_topes,
@@ -30,11 +31,14 @@ from monorank import (
 from monorank.errors import MonorankError
 from monorank.omatroid import (
     _certify_witness,
+    _colex_index,
     _first_violation,
     _is_rank2_masks,
     _modular_checks,
     _modular_violation,
+    _witness_tables,
 )
+from monorank.signs import _mask, _mask_to_set, _vector
 
 from .fixtures import (
     POTENTIAL_CIRCUITS_RAD_STRICT,
@@ -226,6 +230,40 @@ def test_completion_guard():
         uniform_completion(vectors, 2)
     with pytest.raises(DomainError):
         uniform_completion(full_cube(3), 3)
+
+
+_SEARCHES = {
+    "uniform_completion": lambda **guards: uniform_completion(RANK2_CYCLE, 2, **guards),
+    "om_rank_lower_bound": lambda **guards: om_rank_lower_bound(RANK2_CYCLE, 2, **guards),
+    "build_report": lambda **guards: build_report(RAD_STRICT, complete_d_max=2, **guards),
+}
+
+
+@pytest.mark.parametrize(
+    "search, option, value",
+    [
+        (search, "max_ground", value)
+        for search in _SEARCHES
+        for value in ("10", "9", 10.5, 10.0, None)
+    ]
+    + [
+        (search, "max_nodes", value)
+        for search in ("uniform_completion", "om_rank_lower_bound")
+        for value in ("3", 3.0)
+    ],
+)
+def test_completion_guards_that_are_not_integers_are_domain_errors(search, option, value):
+    # these leaked TypeError from the comparison, or were compared as floats
+    with pytest.raises(DomainError) as info:
+        _SEARCHES[search](**{option: value})
+    assert str(info.value) == f"{option} must be an integer, got {value!r}"
+
+
+def test_completion_guards_take_integers_and_no_budget():
+    for guards in ({"max_ground": np.int64(3)}, {"max_nodes": np.int64(100)}, {"max_nodes": None}):
+        assert uniform_completion(RANK2_CYCLE, 2, **guards) == uniform_completion(RANK2_CYCLE, 2)
+    with pytest.raises(ResourceLimitError, match="ground set size 3 exceeds completion guard 2"):
+        uniform_completion(RANK2_CYCLE, 2, max_ground=np.int64(2))
 
 
 def test_completion_node_budget_sets_timeout():
@@ -1240,6 +1278,235 @@ def certificate_verdict(n, rank, reps):
     return "ok"
 
 
+def sequential_certify_witness(n, rank, reps, masks):
+    """_certify_witness as the walk it describes, one support and one
+    relation at a time (the library's form before its index tables): the
+    oracle for the table-driven certificate, with the same checks, order
+    of failures and messages."""
+    full = (1 << n) - 1
+    for rep in reps:
+        support = (rep >> n | rep) & full
+        taken = {y & support for y in masks}
+        if rep >> n in taken or rep & full in taken:
+            raise MonorankError(
+                f"completion witness fails orthogonality: circuit {_vector(n, rep)} "
+                "conforms to an input vector"
+            )
+
+    # signs are parities (0 for +, 1 for -): χ(S ∖ s) = ε_S ^ t_S(s),
+    # t_S(s) = [C_S(s) = -] ^ (number of elements of S below s)
+    circuits = {(rep >> n | rep) & full: rep for rep in reps}
+    supports = sorted(map(_mask, itertools.combinations(range(n), rank + 1)))
+    bits = [1 << i for i in range(n)]
+    chi = {(1 << rank) - 1: 0}
+    for support in supports:
+        rep = circuits.get(support)
+        if rep is None:
+            raise MonorankError(
+                f"completion witness fails chirotope: no circuit on support "
+                f"{sorted(_mask_to_set(support))}"
+            )
+        neg = rep & full
+        top = 1 << (support.bit_length() - 1)
+        eps = chi[support ^ top] ^ (1 if neg & top else 0) ^ (rank & 1)
+        for i, s in enumerate(b for b in bits if support & b):
+            sign = eps ^ (1 if neg & s else 0) ^ (i & 1)
+            other = support ^ s
+            if chi.setdefault(other, sign) != sign:
+                raise MonorankError(
+                    f"completion witness fails chirotope: circuit {_vector(n, rep)} gives "
+                    f"basis {sorted(_mask_to_set(other))} the opposite sign"
+                )
+    if len(supports) != len(reps):
+        raise MonorankError(
+            f"completion witness fails chirotope: {len(reps)} circuits for "
+            f"{len(supports)} supports"
+        )
+
+    relations = 0
+    if rank < 2:
+        return relations
+    for inner in itertools.combinations(range(n), rank - 2):
+        a_mask = _mask(inner)
+        free = [1 << i for i in range(n) if not a_mask >> i & 1]
+        for a, b, c, d in itertools.combinations(free, 4):
+            ab_cd = chi[a_mask | a | b] ^ chi[a_mask | c | d]
+            ac_bd = 1 ^ chi[a_mask | a | c] ^ chi[a_mask | b | d]
+            ad_bc = chi[a_mask | a | d] ^ chi[a_mask | b | c]
+            if ab_cd == ac_bd == ad_bc:
+                raise MonorankError(
+                    "completion witness fails Grassmann–Plücker: three-term "
+                    f"relation on {sorted(_mask_to_set(a_mask))} + "
+                    f"{sorted(_mask_to_set(a | b | c | d))}"
+                )
+            relations += 1
+    return relations
+
+
+def certificate_outcome(certify, n, rank, reps, masks):
+    """What a certificate returns, or the text of the MonorankError it
+    raises."""
+    try:
+        return certify(n, rank, reps, masks)
+    except MonorankError as exc:
+        assert type(exc) is MonorankError
+        return str(exc)
+
+
+def corrupted_witness(rng, n, rank, fault):
+    """(keys of one circuit per ± pair, input masks) of a realizable
+    witness on n elements at this rank with one fault of the given kind."""
+    bases = list(itertools.combinations(range(n), rank))
+    vectors = rng.standard_normal((n, rank))
+
+    def chi(basis):
+        return 1 if np.linalg.det(vectors[list(basis)]) > 0 else -1
+
+    if fault == "bases flipped":
+        flips = rng.choice(len(bases), size=min(2, len(bases)), replace=False)
+        chi = flipped_chi(chi, {bases[k] for k in flips})
+    reps = chirotope_reps(n, rank, chi)
+    # topes of the vector configuration, orthogonal to its circuits
+    positive = vectors @ rng.standard_normal((rank, rng.integers(0, 4))) > 0
+    masks = [sum(1 << i for i in range(n) if row[i]) for row in positive.T.tolist()]
+    k = rng.integers(len(reps))
+    support = [i for i in range(n) if reps[k].support_mask >> i & 1]
+    if fault == "circuits swapped":
+        for k in rng.choice(len(reps), size=min(2, len(reps)), replace=False):
+            support = [i for i in range(n) if reps[k].support_mask >> i & 1]
+            others = [v for v in support_pair_reps(n, support) if v != reps[k]]
+            reps[k] = others[rng.integers(len(others))]
+    elif fault == "circuit dropped":
+        del reps[k]
+    elif fault == "circuit moved to a wrong-size support":
+        outside = [i for i in range(n) if i not in support]
+        grow = outside and rng.integers(2)
+        wrong = support + [int(rng.choice(outside))] if grow else support[:-1]
+        reps[k] = SignVector.from_signs(
+            [0 if i not in wrong else 1 - 2 * int(rng.integers(2)) for i in range(n)]
+        )
+    elif fault == "circuit doubled on a support":
+        others = [v for v in support_pair_reps(n, support) if v != reps[k]]
+        reps.insert(int(rng.integers(len(reps) + 1)), others[rng.integers(len(others))])
+    elif fault == "input conforms to a circuit":
+        v = reps[k]
+        side = v.pos if rng.integers(2) else v.neg
+        masks.insert(int(rng.integers(len(masks) + 1)), side | int(rng.integers(1 << n)) & ~v.support_mask)
+    if rng.integers(2):
+        reps = [reps[i] for i in rng.permutation(len(reps))]
+    return keys(reps), masks
+
+
+CERTIFICATE_FAULTS = (
+    "none",
+    "circuits swapped",
+    "bases flipped",
+    "circuit dropped",
+    "circuit moved to a wrong-size support",
+    "circuit doubled on a support",
+    "input conforms to a circuit",
+)
+
+
+def test_certificate_matches_the_sequential_walk_on_corrupted_witnesses():
+    rng = np.random.default_rng(31)
+    outcomes = []
+    for n in range(3, 9):
+        for rank in range(1, n):
+            for trial in range(6):
+                for fault in CERTIFICATE_FAULTS:
+                    reps, masks = corrupted_witness(rng, n, rank, fault)
+                    got = certificate_outcome(_certify_witness, n, rank, reps, masks)
+                    want = certificate_outcome(sequential_certify_witness, n, rank, reps, masks)
+                    assert got == want, (n, rank, fault, reps, masks)
+                    outcomes.append(got)
+    assert len(outcomes) == 27 * 6 * 7 >= 1000
+    texts = [out for out in outcomes if isinstance(out, str)]
+    for failure in (
+        "orthogonality",
+        "chirotope: no circuit on support",
+        "the opposite sign",
+        "circuits for",
+        "Grassmann–Plücker",
+    ):
+        assert sum(failure in text for text in texts) >= 20, failure
+    assert len(outcomes) - len(texts) >= 200
+
+
+def brute_force_witness_tables(n, rank):
+    """The certificate's tables from their definitions, by walking the
+    supports as sets: (elements, bases, first, parent, paths, relations)
+    as nested lists."""
+    size = rank + 1
+    supports = sorted(map(_mask, itertools.combinations(range(n), size)))
+    index = {b: j for j, b in enumerate(sorted(map(_mask, itertools.combinations(range(n), rank))))}
+    elements = [[i for i in range(n) if support >> i & 1] for support in supports]
+    bases = [[index[s ^ 1 << e] for e in row] for s, row in zip(supports, elements)]
+    first = {}
+    for k, row in enumerate(bases):
+        for i, b in enumerate(row):
+            first.setdefault(b, k * size + i)
+    parent = [first[row[rank]] for row in bases]
+    paths = []
+    for k in range(len(supports)):
+        path = [k]
+        while path[-1]:
+            path.append(parent[path[-1]] // size)
+        paths.append(path)
+    width = max(map(len, paths))
+    paths = [path + [0] * (width - len(path)) for path in paths]
+    relations = []
+    for inner in itertools.combinations(range(n), rank - 2) if rank >= 2 else ():
+        a_mask = _mask(inner)
+        free = [1 << i for i in range(n) if not a_mask >> i & 1]
+        for a, b, c, d in itertools.combinations(free, 4):
+            pairs = [a | b, c | d, a | c, b | d, a | d, b | c]
+            relations.append([index[a_mask | pair] for pair in pairs])
+    relations = [list(column) for column in zip(*relations)] or [[] for _ in range(6)]
+    return elements, bases, [first[b] for b in range(len(index))], parent, paths, relations
+
+
+def test_witness_tables_match_their_definitions():
+    for n in range(2, 9):
+        for rank in range(1, n):
+            tables = _witness_tables(n, rank)
+            elements, bases, first, parent, paths, relations = brute_force_witness_tables(n, rank)
+            assert tables.elements.tolist() == elements
+            assert tables.bases.tolist() == bases
+            assert tables.first.tolist() == first
+            assert tables.parent.tolist() == parent
+            assert tables.paths.tolist() == paths
+            assert tables.relations.tolist() == relations
+            assert tables.relations.shape == (6, gp_relations(n, rank))
+            # the index the certificate puts each circuit's support at
+            assert _colex_index(tables.binom, tables.elements).tolist() == list(range(len(elements)))
+            assert _witness_tables(n, rank) is tables
+
+
+def test_certificate_takes_ground_sets_past_the_machine_word():
+    # rank one on 66 elements: 2,145 circuits whose keys take 132 bits
+    n, rng = 66, np.random.default_rng(37)
+    x = rng.standard_normal(n)
+    reps = chirotope_reps(n, 1, lambda basis: 1 if x[basis[0]] > 0 else -1)
+    plus = _mask(i for i in range(n) if x[i] > 0)
+    masks = [plus, plus ^ ((1 << n) - 1)]
+    assert _certify_witness(n, 1, keys(reps), masks) == 0
+    assert sequential_certify_witness(n, 1, keys(reps), masks) == 0
+    (other,) = (v for v in support_pair_reps(n, [n - 2, n - 1]) if v != reps[-1])
+    flipped = reps[:-1] + [other]
+    conforming = [plus ^ (1 << (n - 1))]
+    for corrupt, input_masks, failure in [
+        (flipped, [], "opposite sign"),
+        (reps, conforming, "orthogonality"),
+        (reps[:-1], masks, "no circuit on support [65, 66]"),
+    ]:
+        with pytest.raises(MonorankError) as info:
+            _certify_witness(n, 1, keys(corrupt), input_masks)
+        assert failure in str(info.value)
+        want = certificate_outcome(sequential_certify_witness, n, 1, keys(corrupt), input_masks)
+        assert str(info.value) == want
+
+
 def test_certificate_matches_reference_scan_on_corrupted_witnesses():
     rng = np.random.default_rng(23)
     verdicts = []
@@ -1285,8 +1552,10 @@ def test_certificate_accepts_search_witnesses():
         if result.feasible:
             n = vectors.ground_size
             masks = [v.pos for v in vectors]
-            relations = _certify_witness(n, rank, keys(witness_reps(result.witness)), masks)
+            reps = keys(witness_reps(result.witness))
+            relations = _certify_witness(n, rank, reps, masks)
             assert relations == gp_relations(n, rank)
+            assert relations == sequential_certify_witness(n, rank, reps, masks)
             certified += 1
     assert certified >= 300
 

@@ -323,6 +323,29 @@ def test_mask_packing_round_trips_at_word_boundaries(width):
     assert empty.dtype == np.uint8 and empty.shape == (0, width)
 
 
+def bytewise_bits_from_masks(masks, width):
+    """_bits_from_masks through int.to_bytes at every width, the path it
+    took for all widths before masks of up to 8 bytes went through words."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+@pytest.mark.parametrize("width", WORD_WIDTHS)
+def test_bits_from_masks_matches_the_bytewise_path(width):
+    full = (1 << width) - 1
+    rng = random.Random(width)
+    masks = [0, full, 1, 1 << (width - 1), full >> 1] + [rng.getrandbits(width) for _ in range(20)]
+    for chosen in (masks, masks[:1], masks[1:2], []):
+        got = _bits_from_masks(chosen, width)
+        want = bytewise_bits_from_masks(chosen, width)
+        assert got.dtype == want.dtype == np.uint8
+        assert got.shape == want.shape == (len(chosen), width)
+        assert np.array_equal(got, want)
+    assert _masks_from_bits(_bits_from_masks(masks, width)) == masks
+
+
 @pytest.mark.parametrize("width", WORD_WIDTHS)
 def test_negation_closure_at_word_boundaries(width):
     masks = _masks_from_bits(word_boundary_bits(width))
