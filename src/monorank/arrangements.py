@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, FormatError, ResourceLimitError
+from .errors import DimensionMismatchError, DomainError, FormatError, ResourceLimitError, _shown
 from .matrices import (
     Permutation,
     _finite_matrix,
@@ -119,10 +119,10 @@ class MonotoneDistortion:
     def __post_init__(self):
         arity = _DISTORTION_ARITY.get(self.kind) if isinstance(self.kind, str) else None
         if arity is None:
-            raise DomainError(f"unknown distortion kind {self.kind!r}")
+            raise DomainError(f"unknown distortion kind {_shown(self.kind)}")
         params = _items(self.params, f"{self.kind} parameters")
         if len(params) != arity:
-            raise DomainError(f"{self.kind} expects {arity} parameters, got {self.params!r}")
+            raise DomainError(f"{self.kind} expects {arity} parameters, got {_shown(self.params)}")
         if self.kind == "exp-scale":
             params = _reals(params, "exp-scale parameters")
             if not 0 < params[0] < math.inf:
@@ -132,7 +132,7 @@ class MonotoneDistortion:
             real = isinstance(k, numbers.Real)
             integral = isinstance(k, numbers.Integral)
             if not (integral or real and _float(k, "power-odd exponent").is_integer()):
-                raise DomainError(f"power-odd exponent must be an integer, got {k!r}")
+                raise DomainError(f"power-odd exponent must be an integer, got {_shown(k)}")
             params = (int(k),)
             if not (params[0] >= 1 and params[0] % 2 == 1):
                 raise DomainError("power-odd exponent must be odd and positive")
@@ -201,7 +201,7 @@ def _items(value, what: str) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise DomainError(f"{what} must be a sequence, got {value!r}") from None
+        raise DomainError(f"{what} must be a sequence, got {_shown(value)}") from None
 
 
 def _reals(values, what: str) -> tuple[float, ...]:
@@ -209,7 +209,7 @@ def _reals(values, what: str) -> tuple[float, ...]:
     strings not) as Python floats; DomainError naming `what` otherwise."""
     items = _items(values, what)
     if not all(isinstance(v, numbers.Real) for v in items):
-        raise DomainError(f"{what} must be real numbers, got {values!r}")
+        raise DomainError(f"{what} must be real numbers, got {_shown(values)}")
     return tuple(_float(v, what) for v in items)
 
 
@@ -265,7 +265,7 @@ def random_representation(
     if m < 1 or n < 1 or d < 1:
         raise DomainError("m, n, d must all be at least 1")
     if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+        raise DomainError(f"seed must be an integer >= 0, got {_shown(seed)}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         pts = PointArrangement(d, rng.standard_normal((m, d)))
@@ -337,8 +337,9 @@ def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSe
     elements, against 2^(m-1) for testing every sign half.
     """
     m = rows.shape[0]
-    if m > _integer(max_rows, f"max_{noun}"):
-        raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {max_rows}")
+    max_rows = _integer(max_rows, f"max_{noun}")
+    if m > max_rows:
+        raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {_shown(max_rows)}")
     margin = _SEPARATION_MARGIN
     # x = sign(row) solves the one-row LP, with margin ||row||_1
     level = [(np.ones(1), np.sign(rows[0]))] if np.abs(rows[0]).sum() > margin else []
@@ -406,8 +407,9 @@ def point_circuits(
     """
     pts = arrangement.points
     m, d = pts.shape
-    if m > _integer(max_points, "max_points"):
-        raise ResourceLimitError(f"{m} points exceeds enumeration guard {max_points}")
+    max_points = _integer(max_points, "max_points")
+    if m > max_points:
+        raise ResourceLimitError(f"{m} points exceeds enumeration guard {_shown(max_points)}")
     hom = np.hstack([pts, np.ones((m, 1))])
     subsets = _subsets(m, d + 2)
     # one (d+1) x (d+2) matrix per subset, its lifted points as columns
@@ -465,9 +467,9 @@ def _check_permutations(perms: Iterable[Permutation]) -> tuple[Permutation, ...]
         try:
             p = tuple(map(operator.index, p))
         except TypeError:
-            raise DomainError(f"{p} has an entry that is not an integer") from None
+            raise DomainError(f"{_shown(p)} has an entry that is not an integer") from None
         if tuple(sorted(p)) != ground:
-            raise DomainError(f"{p} is not a permutation of 1..{len(ground)}")
+            raise DomainError(f"{_shown(p)} is not a permutation of 1..{len(ground)}")
         checked.append(p)
     return tuple(checked)
 

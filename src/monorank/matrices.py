@@ -10,10 +10,12 @@ _matrix_with_orders builds the matrix of values 1..m with given orders.
 Every entry point that takes a numeric matrix passes it through one gate,
 _finite_matrix, and every tie tolerance through _tolerance.  Column orders
 are defined only for finite entries, and a NaN tolerance would call every
-pair untied.  Sample sizes, ranks, d_max, the Hadamard order and the
-resource guards (max_ground, max_nodes, max_points, max_normals) are read
-through _integer, so a float is a DomainError naming it rather than a
-TypeError from inside numpy or itertools, or a guard compared as a float.
+pair untied.  Sample sizes, ranks, d_max, the Hadamard order, the
+resource guards (max_ground, max_nodes, max_points, max_normals) and the
+1-based indices of threshold_vector, difference_vector, shatters and
+SignVector.sign are read through _integer, so a float is a DomainError
+naming it rather than a TypeError from inside numpy or itertools, an
+IndexError from numpy, or a guard compared as a float.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, GenericityError
+from .errors import DomainError, FormatError, GenericityError, _shown
 
 Permutation = tuple[int, ...]
 
@@ -95,9 +97,14 @@ def _finite_matrix(matrix: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def _tolerance(tol: float) -> float:
-    """The tie tolerance, which must be a finite number >= 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    """The tie tolerance, which must be a finite number >= 0: a string, or
+    an int or fraction past the float range, is not."""
+    try:
+        finite = math.isfinite(tol)
+    except (TypeError, OverflowError):
+        finite = False
+    if not (finite and tol >= 0):
+        raise DomainError(f"tolerance must be a finite number >= 0, got {_shown(tol)}")
     return float(tol)
 
 
@@ -108,7 +115,7 @@ def _integer(value, what: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        raise DomainError(f"{what} must be an integer, got {_shown(value)}") from None
 
 
 def _subsets(m: int, k: int) -> np.ndarray:

@@ -108,7 +108,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MonorankError, ResourceLimitError
+from .errors import DomainError, MonorankError, ResourceLimitError, _shown
 from .matrices import _integer, _require_generic, _subsets
 from .signs import (
     SignVector,
@@ -270,8 +270,9 @@ def _candidates(n: int, masks: list[int], rank: int) -> Iterator[tuple[int, list
     the rank must be in [1, n-1], since rank n leaves no support of size
     rank+1 and a matroid of rank 0 has no zero-free topes.
     """
-    if not 1 <= _integer(rank, "rank") <= n - 1:
-        raise DomainError(f"rank must be in [1, {n - 1}], got {rank}")
+    rank = _integer(rank, "rank")
+    if not 1 <= rank <= n - 1:
+        raise DomainError(f"rank must be in [1, {n - 1}], got {_shown(rank)}")
     supports = map(_mask, itertools.combinations(range(n), rank + 1))
     return ((support, _orthogonal_pairs(n, masks, support)) for support in supports)
 
@@ -482,9 +483,10 @@ def _completion(
     passes its support's row of _modular_checks.  The two guards are read
     here, where they are checked: max_nodes=None sets no budget.
     """
-    if n > _integer(max_ground, "max_ground"):
+    max_ground = _integer(max_ground, "max_ground")
+    if n > max_ground:
         raise ResourceLimitError(
-            f"ground set size {n} exceeds completion guard {max_ground}"
+            f"ground set size {n} exceeds completion guard {_shown(max_ground)}"
         )
     if max_nodes is not None:
         max_nodes = _integer(max_nodes, "max_nodes")

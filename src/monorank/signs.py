@@ -11,12 +11,13 @@ Text form: one character per entry, '+', '-' or '0', no separators.
 The key of a vector of length n is the int pos << n | neg.  Its numeric
 order is the canonical (pos, neg) order, and Z+ ⊆ A+ with Z- ⊆ A- reads
 z & ~a == 0.  Keys are the one stored form of a set: a SignVectorSet
-holds its sorted, distinct keys, each n // 4 + 1 big-endian bytes, in one
-bytes string, and builds a SignVector only when one is asked for.  The
-completion layer works on keys throughout.  This module owns the format:
-SignVectorSet._from_keys builds a set from sorted keys, _keys() reads
-them back, and _vector and _negated turn a key into a vector or into the
-key of its negation.
+holds its sorted, distinct keys in one bytes string, one little-endian
+row of n // 4 + 1 bytes per key, and builds a SignVector only when one is
+asked for.  The completion layer works on keys throughout.  This module
+owns the format: _packed writes the rows with _encode, and _rows() is the
+one reader of them, for _keys() (through _decode), len() and strings().
+SignVectorSet._from_keys builds a set from sorted keys, and _vector and
+_negated turn a key into a vector or into the key of its negation.
 
 A zero-free vector is determined by its positive mask alone, so the bulk
 kernels (topes, VC dimension, sign matrices, rank-two recognition,
@@ -28,26 +29,27 @@ _zero_free_set over _negation_closure encodes masks into a set; neither
 builds an object per member.  _is_negation_closed is the one closure test
 on such a sorted list, for the VC and completion layers.
 
-The word-size rule: bit rows become ints through bytes.  np.packbits
-packs 0/1 rows into little-endian byte rows, and _decode is the one
-reader of byte rows, for _masks_from_bits, the tope kernels and _keys():
-rows of up to 8 bytes are read as uint64 words in bulk, wider ones with
-int.from_bytes, so every mask is an exact Python int at any width and no
-other code knows the machine word.  _bits_from_masks is its mirror
-image: masks of up to 8 bytes become uint64 words in bulk, wider ones go
-through int.to_bytes, as _packed's keys do.
+The word-size rule: ints and bit rows meet only as little-endian byte
+rows.  _decode is the one reader of byte rows, for _masks_from_bits, the
+tope kernels and _keys(): rows of up to 8 bytes are read as uint64 words
+in bulk, wider ones with int.from_bytes.  _encode is its mirror image and
+the one writer, for _bits_from_masks and _packed: masks of up to 8 bytes
+are written as uint64 words in bulk, wider ones with int.to_bytes.  So
+every mask is an exact Python int at any width and no other code knows
+the machine word; np.packbits and np.unpackbits turn byte rows into 0/1
+rows and back.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, FormatError
+from .errors import DimensionMismatchError, DomainError, FormatError, _shown
+from .matrices import _integer
 
 _CHARS = {"+", "-", "0"}
 
@@ -119,8 +121,9 @@ class SignVector:
 
     def sign(self, element: int) -> int:
         """Sign at 1-based ground element ∈ {-1, 0, +1}."""
+        element = _integer(element, "element")
         if not 1 <= element <= self.length:
-            raise IndexError(f"element {element} outside ground set [1..{self.length}]")
+            raise IndexError(f"element {_shown(element)} outside ground set [1..{self.length}]")
         bit = 1 << (element - 1)
         return 1 if self.pos & bit else -1 if self.neg & bit else 0
 
@@ -217,18 +220,21 @@ def _masks_from_bits(bits: np.ndarray) -> list[int]:
     return _decode(np.packbits(bits, axis=1, bitorder="little"))
 
 
-def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
-    """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array.
-    The mirror image of _decode: masks of up to 8 bytes are written as
+def _encode(masks: Iterable[int], nbytes: int) -> np.ndarray:
+    """The mirror image of _decode: one little-endian row of nbytes bytes
+    per mask, as a 2-D uint8 array.  Masks of up to 8 bytes are written as
     uint64 words in bulk, wider ones one at a time."""
-    nbytes = (width + 7) // 8
     if nbytes <= 8:
-        words = np.array(masks, dtype="<u8")
-        packed = words.view(np.uint8).reshape(len(masks), 8)[:, :nbytes]
-    else:
-        raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+        words = np.fromiter(masks, dtype="<u8")
+        return words.view(np.uint8).reshape(-1, 8)[:, :nbytes]
+    raw = b"".join(p.to_bytes(nbytes, "little") for p in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
+
+
+def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
+    """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array."""
+    rows = _encode(masks, (width + 7) // 8)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
 
 def _negation_closure(masks: Iterable[int], width: int) -> list[int]:
@@ -281,7 +287,10 @@ def _negated(n: int, key: int) -> int:
 
 
 def _packed(n: int, keys: Iterable[int]) -> bytes:
-    return b"".join(key.to_bytes(n // 4 + 1, "big") for key in keys)
+    """The stored form of the ascending keys of a set on n elements: the
+    rows _encode writes, n // 4 + 1 bytes each (SignVectorSet._rows reads
+    them)."""
+    return _encode(keys, n // 4 + 1).tobytes()
 
 
 def _mask(elements: Iterable[int]) -> int:
@@ -340,10 +349,14 @@ class SignVectorSet:
         object.__setattr__(out, "_data", _packed(ground_size, keys))
         return out
 
+    def _rows(self) -> np.ndarray:
+        """The stored form as a read-only 2-D uint8 array: one
+        little-endian key row per member, ascending (see _packed)."""
+        return np.frombuffer(self._data, np.uint8).reshape(-1, self.ground_size // 4 + 1)
+
     def _keys(self) -> list[int]:
         """The members' keys, ascending, as Python ints."""
-        rows = np.frombuffer(self._data, np.uint8).reshape(-1, self.ground_size // 4 + 1)
-        return _decode(rows[:, ::-1])  # stored big-endian
+        return _decode(self._rows())
 
     @classmethod
     def from_strings(cls, strings: Iterable[str], ground_size: int | None = None):
@@ -358,15 +371,13 @@ class SignVectorSet:
         return (_vector(self.ground_size, key) for key in self._keys())
 
     def __len__(self) -> int:
-        return len(self._data) // (self.ground_size // 4 + 1)
+        return len(self._rows())
 
     def __contains__(self, v: object) -> bool:
+        # decoding the keys is linear, so a scan of them costs no more than a bisect
         if not isinstance(v, SignVector) or v.length != self.ground_size:
             return False
-        w = v.length // 4 + 1
-        target = (v.pos << v.length | v.neg).to_bytes(w, "big")
-        i = bisect_left(range(len(self)), target, key=lambda i: self._data[i * w : i * w + w])
-        return self._data[i * w : i * w + w] == target
+        return (v.pos << v.length | v.neg) in self._keys()
 
     def __repr__(self) -> str:
         return f"SignVectorSet({self.ground_size}, {self.strings()})"
@@ -376,17 +387,15 @@ class SignVectorSet:
 
     def is_negation_closed(self) -> bool:
         n, keys = self.ground_size, set(self._keys())
-        full = (1 << n) - 1
-        return {(key & full) << n | key >> n for key in keys} == keys  # the negations' keys
+        return {_negated(n, key) for key in keys} == keys
 
     def is_zero_free(self) -> bool:
         return all(v.is_zero_free() for v in self)
 
     def strings(self) -> list[str]:
-        n = self.ground_size
-        rows = np.frombuffer(self._data, np.uint8).reshape(-1, n // 4 + 1)
+        n, rows = self.ground_size, self._rows()
         # bit j of each key, from the low end: the negative part, then the positive
-        bits = np.unpackbits(rows[:, ::-1], axis=1, count=2 * n, bitorder="little")
+        bits = np.unpackbits(rows, axis=1, count=2 * n, bitorder="little")
         chars = np.where(bits[:, n:], ord("+"), np.where(bits[:, :n], ord("-"), ord("0")))
         raw = chars.astype(np.uint8).tobytes().decode("ascii")
         return [raw[k * n : (k + 1) * n] for k in range(len(rows))]

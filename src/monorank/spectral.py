@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _shown
 from .matrices import _finite_matrix, _integer, _matrix_with_orders
 from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
 
@@ -70,7 +70,7 @@ def hadamard(n: int) -> np.ndarray:
     if n < 0:
         raise DomainError("hadamard order must be nonnegative")
     if n > _HADAMARD_MAX:
-        raise ResourceLimitError(f"hadamard order {n} exceeds guard {_HADAMARD_MAX}")
+        raise ResourceLimitError(f"hadamard order {_shown(n)} exceeds guard {_HADAMARD_MAX}")
     h = np.ones((1, 1), dtype=np.int64)
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])

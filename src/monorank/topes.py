@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, GenericityError
-from .matrices import _finite_matrix, _require_generic
+from .errors import DomainError, GenericityError, _shown
+from .matrices import _finite_matrix, _integer, _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
@@ -31,10 +31,10 @@ from .signs import (
 
 
 def _one_based(index: int, size: int, what: str) -> int:
-    """The 0-based position of a 1-based index, which must lie in
+    """The 0-based position of a 1-based index, an int that must lie in
     [1..size]: numpy would read 0 as the last entry."""
     if not 1 <= index <= size:
-        raise IndexError(f"{what} {index} outside [1..{size}]")
+        raise IndexError(f"{what} {_shown(index)} outside [1..{size}]")
     return index - 1
 
 
@@ -47,6 +47,7 @@ def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVecto
     if np.isnan(theta):
         raise DomainError("threshold must not be NaN")
     a = _finite_matrix(matrix)
+    column = _integer(column, "column")
     col = a[:, _one_based(column, a.shape[1], "column")]
     if np.any(col == theta):
         raise GenericityError(f"threshold {theta} hits an entry of column {column}")
@@ -84,6 +85,7 @@ def _threshold_masks(a: np.ndarray) -> list[int]:
 def difference_vector(matrix: np.ndarray, i: int, k: int) -> SignVector:
     """Row-comparison vector sign(a_i - a_k) across columns; i, k 1-based."""
     a = _finite_matrix(matrix)
+    i, k = _integer(i, "row"), _integer(k, "row")
     if i == k:
         raise ValueError("row indices must differ")
     m = a.shape[0]

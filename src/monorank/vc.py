@@ -35,7 +35,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .matrices import _require_generic
+from .errors import _shown
+from .matrices import _integer, _require_generic
 from .signs import (
     SignVectorSet,
     _bits_from_masks,
@@ -51,10 +52,10 @@ def shatters(vectors: SignVectorSet, subset: Iterable[int]) -> bool:
     """True iff restricting to the given 1-based index set realizes all
     2^|subset| sign patterns.  The empty set is shattered by any nonempty
     family."""
-    idx = sorted(set(subset))
+    idx = sorted({_integer(i, "subset element") for i in subset})
     if idx and (idx[0] < 1 or idx[-1] > vectors.ground_size):
         raise IndexError(
-            f"subset {idx} outside ground set [1..{vectors.ground_size}]"
+            f"subset {_shown(idx)} outside ground set [1..{vectors.ground_size}]"
         )
     patterns = _zero_free_masks(vectors, "VC dimension")
     if not patterns:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,16 @@ from hypothesis import strategies as st
 
 import monorank
 from monorank import (
+    AllowableSequence,
     DomainError,
     FormatError,
     GenericityError,
     HyperplaneArrangement,
+    MonotoneDistortion,
     PointArrangement,
+    ResourceLimitError,
+    SignVector,
+    SignVectorSet,
     TieReport,
     build_report,
     check_generic,
@@ -25,16 +31,21 @@ from monorank import (
     difference_vector,
     format_matrix_csv,
     forster_bound,
+    hadamard,
     om_completion_rank_of_matrix,
     parse_matrix,
     perturb_ties,
     radon_rank,
+    random_representation,
+    shatters,
     singular_values,
     spectral_norm,
     threshold_topes,
     threshold_vector,
+    uniform_completion,
     vc_rank,
 )
+from monorank.errors import _shown
 from monorank.matrices import _matrix_with_orders, _require_generic
 
 from .fixtures import DISTORTION_A, a1_csv, oracle_matrices
@@ -479,7 +490,12 @@ def test_entry_points_reject_a_matrix_that_is_not_finite_2d_nonempty(entry, case
             MATRIX_ENTRY_POINTS[entry](NOT_A_FINITE_MATRIX[case])
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "tol",
+    [-1.0, float("nan"), float("inf"), -float("inf")]
+    # past the float range, or not a number: these leaked OverflowError or TypeError
+    + [10**400, -(10**400), Fraction(10**400, 3), "0.1", None],
+)
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     # a NaN tolerance used to call an exact tie untied
     tied = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -500,3 +516,92 @@ def test_perturb_ties_refuses_to_overflow():
             perturb_ties(np.array([[1.0, 1e308], [2.0, 1e308]]), 1e308)
         fixed = perturb_ties(np.array([[1e308], [1e308]]), 1e307)
     assert np.isfinite(fixed).all() and check_generic(fixed, 1e307).is_generic
+
+
+BIG = 10**5000  # past the 4,300 digits Python prints of an int
+_STRINGS = SignVectorSet.from_strings(["++-", "--+", "+-+", "-+-"])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: MonotoneDistortion(BIG),
+            DomainError,
+            "unknown distortion kind an integer of 5001 digits",
+        ),
+        (
+            lambda: hadamard(BIG),
+            ResourceLimitError,
+            "hadamard order an integer of 5001 digits exceeds guard 12",
+        ),
+        (
+            lambda: uniform_completion(_STRINGS, BIG),
+            DomainError,
+            "rank must be in [1, 2], got an integer of 5001 digits",
+        ),
+        (
+            lambda: random_representation(3, 3, 2, -BIG),
+            DomainError,
+            "seed must be an integer >= 0, got a negative integer of 5001 digits",
+        ),
+        (
+            lambda: uniform_completion(_STRINGS, 2, max_ground=-BIG),
+            ResourceLimitError,
+            "ground set size 3 exceeds completion guard a negative integer of 5001 digits",
+        ),
+        (
+            lambda: MonotoneDistortion("identity", (BIG,)),
+            DomainError,
+            "identity expects 0 parameters, got a tuple holding an integer too long to print",
+        ),
+        (
+            lambda: hadamard(Fraction(BIG, 3)),
+            DomainError,
+            "hadamard order must be an integer, "
+            "got a Fraction holding an integer too long to print",
+        ),
+        (
+            lambda: AllowableSequence([(1, BIG)]),
+            DomainError,
+            "a tuple holding an integer too long to print is not a permutation of 1..2",
+        ),
+        (
+            lambda: check_generic(DISTORTION_A, BIG),
+            DomainError,
+            "tolerance must be a finite number >= 0, got an integer of 5001 digits",
+        ),
+        (
+            lambda: threshold_vector(DISTORTION_A, BIG, 0.0),
+            IndexError,
+            "column an integer of 5001 digits outside [1..3]",
+        ),
+        (
+            lambda: SignVector.from_string("+-").sign(-BIG),
+            IndexError,
+            "element a negative integer of 5001 digits outside ground set [1..2]",
+        ),
+        (
+            lambda: shatters(_STRINGS, [1, BIG]),
+            IndexError,
+            "subset a list holding an integer too long to print outside ground set [1..3]",
+        ),
+    ],
+)
+def test_refusals_show_an_integer_too_long_to_print_by_its_digits(call, error, message):
+    # each leaked "ValueError: Exceeds the limit (4300 digits) for integer
+    # string conversion" from formatting its message
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_shown_values_are_their_repr_where_python_prints_them():
+    limit = sys.get_int_max_str_digits()
+    for value in (0, -7, 10**limit - 1, -(10**limit - 1), 1.5, "3", None, (1, 2), np.int64(3)):
+        assert _shown(value) == repr(value)
+    for digits in (limit + 1, limit + 2, 5001, 6021):
+        for value in (10 ** (digits - 1), 10**digits - 1, -(10 ** (digits - 1))):
+            sign = "a negative" if value < 0 else "an"
+            assert _shown(value) == f"{sign} integer of {digits} digits"
+    assert _shown(2**20000) == "an integer of 6021 digits"

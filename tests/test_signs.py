@@ -81,6 +81,23 @@ def test_sign_vector_refuses_float_fields(fields):
         SignVector(*fields)
 
 
+@pytest.mark.parametrize("element", [1.5, 1.0, "1", None])
+def test_sign_refuses_an_element_that_is_not_an_integer(element):
+    # these leaked a TypeError from a bit shift or a comparison
+    with pytest.raises(DomainError) as info:
+        sv("+-0").sign(element)
+    assert str(info.value) == f"element must be an integer, got {element!r}"
+
+
+def test_sign_reads_integer_elements_as_before():
+    v = sv("+-0")
+    assert [v.sign(i) for i in (1, 2, 3)] == [v.sign(np.int64(i)) for i in (1, 2, 3)] == [1, -1, 0]
+    for element in (0, 4, -1):
+        with pytest.raises(IndexError) as info:
+            v.sign(element)
+        assert str(info.value) == f"element {element} outside ground set [1..3]"
+
+
 def test_from_signs_refuses_nan():
     with pytest.raises(DomainError, match="position 1 "):
         SignVector.from_signs([float("nan"), 1])
@@ -511,3 +528,82 @@ def test_zero_free_set_and_masks_round_trip(n):
     assert _zero_free_masks(vectors, "test") == masks
     assert _zero_free_set(n, _zero_free_masks(vectors, "test")) == vectors
     assert _zero_free_set(n, []) == SignVectorSet(n, [])
+
+
+# -- the stored rows against the former big-endian store ------------------
+# A stored row is n // 4 + 1 bytes: it widens between n = 27 and 28, and
+# crosses the 8 bytes of a uint64 word between n = 31 and 32.
+STORED_SIZES = (0, 1, 2, 27, 28, 31, 32, 33, 63, 64, 65)
+
+
+class BigEndianStore:
+    """The stored form of a SignVectorSet before _encode wrote its rows:
+    the ascending keys, each n // 4 + 1 big-endian bytes from one
+    int.to_bytes, and membership by a bisect over byte slices.  The test
+    oracle for the little-endian rows."""
+
+    def __init__(self, n, members):
+        self.n, self.width = n, n // 4 + 1
+        keys = sorted({v.pos << n | v.neg for v in members})
+        self.data = b"".join(key.to_bytes(self.width, "big") for key in keys)
+
+    def row(self, i):
+        return self.data[i * self.width : (i + 1) * self.width]
+
+    def __len__(self):
+        return len(self.data) // self.width
+
+    def keys(self):
+        return [int.from_bytes(self.row(i), "big") for i in range(len(self))]
+
+    def strings(self):
+        n = self.n
+        return [
+            "".join("+" if key >> n + i & 1 else "-" if key >> i & 1 else "0" for i in range(n))
+            for key in self.keys()
+        ]
+
+    def __contains__(self, v):
+        if not isinstance(v, SignVector) or v.length != self.n:
+            return False
+        target = (v.pos << v.length | v.neg).to_bytes(self.width, "big")
+        i = bisect_left(range(len(self)), target, key=self.row)
+        return self.row(i) == target
+
+    def __eq__(self, other):
+        return (self.n, self.data) == (other.n, other.data)
+
+
+def wrong_lengths(v):
+    """v cut to one element fewer and padded to one more."""
+    shorter = [SignVector(v.length - 1, v.pos >> 1, v.neg >> 1)] if v.length else []
+    return shorter + [SignVector(v.length + 1, v.pos, v.neg)]
+
+
+@pytest.mark.parametrize("n", STORED_SIZES)
+def test_stored_rows_match_the_big_endian_store(n):
+    lists = member_lists(n)
+    sets = [SignVectorSet(n, members) for members in lists]
+    stores = [BigEndianStore(n, members) for members in lists]
+    rng = random.Random(n + 1000)
+    strangers = [random_vector(rng, n, zero_free) for zero_free in (False, True) * 4]
+    for got, want, members in zip(sets, stores, lists):
+        assert got._keys() == want.keys()
+        assert got.strings() == want.strings()
+        assert len(got) == len(want)
+        old_rows = np.frombuffer(want.data, np.uint8).reshape(-1, n // 4 + 1)
+        assert np.array_equal(got._rows(), old_rows[:, ::-1])  # each row reversed
+        for v in members + strangers:
+            assert (v in got) == (v in want)
+            for w in wrong_lengths(v):
+                assert w not in got and w not in want
+        assert SignVectorSet._from_keys(n, iter(want.keys())) == got
+    for i, (a, want_a) in enumerate(zip(sets, stores)):
+        for b, want_b in zip(sets[i:], stores[i:]):
+            assert (a == b) == (want_a == want_b)
+            if a == b:
+                assert hash(a) == hash(b)
+    # member lists in another order, with their duplicates, store the same
+    for got, members in zip(sets, lists):
+        again = SignVectorSet(n, members[::-1] + members[:2])
+        assert again == got and hash(again) == hash(got)

@@ -43,6 +43,36 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _attribute_owners(attrs: set[str]) -> set[str]:
+    """module.function.attr for every use of one of these attribute names
+    in the library, naming the innermost function it sits in."""
+    found = set()
+    for path, tree in _library_sources():
+        owner = {}
+        # ast.walk is breadth first, so an inner function overwrites its outer one
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found |= {
+            f"{path.stem}.{owner.get(id(node), '<module>')}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in attrs
+        }
+    return found
+
+
+def test_ints_meet_bytes_only_in_the_signs_codec():
+    # one writer and one reader own the byte order and the machine word
+    assert _attribute_owners({"to_bytes", "from_bytes"}) == {
+        "signs._encode.to_bytes",
+        "signs._decode.from_bytes",
+    }
+
+
+def test_a_sign_vector_sets_stored_bytes_have_one_reader():
+    assert _attribute_owners({"_data"}) == {"signs._rows._data"}
+
+
 def _is_dataclass_decorator(node: ast.expr) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     if isinstance(target, ast.Attribute):

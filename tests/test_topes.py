@@ -141,6 +141,35 @@ def test_threshold_vector_rejects_column_outside_range(column):
         threshold_vector(DISTORTION_A, column, 3.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a: threshold_vector(a, 1.5, 0.0), "column must be an integer, got 1.5"),
+        (lambda a: threshold_vector(a, 2.0, 0.0), "column must be an integer, got 2.0"),
+        (lambda a: threshold_vector(a, "1", 0.0), "column must be an integer, got '1'"),
+        (lambda a: difference_vector(a, 1.5, 2), "row must be an integer, got 1.5"),
+        (
+            lambda a: difference_vector(a, 1, np.float64(2.0)),
+            f"row must be an integer, got {np.float64(2.0)!r}",
+        ),
+        (lambda a: difference_vector(a, 1.5, 1.5), "row must be an integer, got 1.5"),
+    ],
+)
+def test_indices_that_are_not_integers_are_domain_errors(call, message):
+    # these leaked numpy's IndexError, or (equal rows) called 1.5 a repeated row
+    with pytest.raises(DomainError) as info:
+        call(DISTORTION_A)
+    assert str(info.value) == message
+
+
+def test_numpy_integer_indices_read_as_ints():
+    a = DISTORTION_A
+    assert threshold_vector(a, np.int64(2), 3.0) == threshold_vector(a, 2, 3.0)
+    assert difference_vector(a, np.uint8(1), np.int32(3)) == difference_vector(a, 1, 3)
+    with pytest.raises(IndexError, match=r"^column 4 outside \[1\.\.3\]$"):
+        threshold_vector(DISTORTION_A, np.int64(4), 3.0)
+
+
 def test_single_column_chain_cardinality():
     rng = np.random.default_rng(0)
     for m in range(1, 8):

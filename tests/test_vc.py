@@ -128,6 +128,21 @@ def test_shatters_out_of_range():
         shatters(SignVectorSet.from_strings(["+-"]), {3})
 
 
+@pytest.mark.parametrize("subset, shown", [([1.5], "1.5"), ({1, 2.0}, "2.0"), (["1"], "'1'")])
+def test_shatters_refuses_subset_elements_that_are_not_integers(subset, shown):
+    # these leaked a TypeError from a bit shift
+    with pytest.raises(DomainError) as info:
+        shatters(SignVectorSet.from_strings(["+-", "-+"]), subset)
+    assert str(info.value) == f"subset element must be an integer, got {shown}"
+
+
+def test_shatters_reads_numpy_integer_elements_as_ints():
+    topes = SignVectorSet.from_strings(["+-", "-+", "++", "--"])
+    assert shatters(topes, [np.int64(1), np.uint8(2)]) and shatters(topes, np.array([1, 2]))
+    with pytest.raises(IndexError, match=r"^subset \[0, 1\] outside ground set \[1\.\.2\]$"):
+        shatters(topes, [np.int64(1), 0])
+
+
 def test_shatters_rejects_zeros():
     with pytest.raises(DomainError):
         shatters(SignVectorSet.from_strings(["+0"]), {1})
