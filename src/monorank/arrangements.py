@@ -22,6 +22,7 @@ from .errors import DimensionMismatchError, DomainError, FormatError, ResourceLi
 from .matrices import (
     Permutation,
     _finite_matrix,
+    _float,
     _integer,
     _matrix_with_orders,
     _subsets,
@@ -33,10 +34,12 @@ from .omatroid import CircuitCandidateSet
 from .signs import (
     SignVectorSet,
     _content_lines,
+    _keys_of_signs,
     _masks_from_bits,
     _negation_closure,
     _zero_free_set,
 )
+from .spectral import _HADAMARD_BYTES
 
 DEFAULT_ENUM_GUARD = 20
 _DISTORTION_ARITY = {"identity": 0, "exp-scale": 1, "power-odd": 1, "piecewise-linear": 2}
@@ -128,15 +131,16 @@ class MonotoneDistortion:
             if not 0 < params[0] < math.inf:
                 raise DomainError("exp-scale parameter must be positive and finite")
         if self.kind == "power-odd":
-            (k,) = params
+            (k,), what = params, "power-odd exponent"
             real = isinstance(k, numbers.Real)
             integral = isinstance(k, numbers.Integral)
-            if not (integral or real and _float(k, "power-odd exponent").is_integer()):
+            # exact: the float of a fraction next to an integer can be that integer
+            if not (integral or real and math.isfinite(_float(k, what)) and k == int(k)):
                 raise DomainError(f"power-odd exponent must be an integer, got {_shown(k)}")
             params = (int(k),)
             if not (params[0] >= 1 and params[0] % 2 == 1):
                 raise DomainError("power-odd exponent must be odd and positive")
-            _float(params[0], "power-odd exponent")  # numpy raises to it as a float
+            _float(params[0], what)  # numpy raises to it as a float
         if self.kind == "piecewise-linear":
             bp, vals = _reals(params[0], "breakpoints"), _reals(params[1], "values")
             if len(bp) != len(vals) or len(bp) < 2:
@@ -213,16 +217,6 @@ def _reals(values, what: str) -> tuple[float, ...]:
     return tuple(_float(v, what) for v in items)
 
 
-def _float(value: numbers.Real, what: str) -> float:
-    """A real number as a Python float; DomainError naming `what` if it is
-    too large for one (an int or fraction past the float range).  The
-    message leaves the value out, as a long enough int has no repr."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{what} must fit in a float") from None
-
-
 # ---------------------------------------------------------------------------
 # realization
 
@@ -259,13 +253,20 @@ def random_representation(
 ) -> RandomRepresentation:
     """Standard-normal points and normals with random per-column distortions,
     resampled until the realized matrix is generic.  Deterministic per seed,
-    which must be an integer >= 0 (a numpy integer will do).
+    which must be an integer >= 0 (a numpy integer will do).  Sizes whose
+    float64 matrix or coordinate arrays would exceed hadamard's byte
+    budget are a ResourceLimitError.
     """
     m, n, d = _integer(m, "m"), _integer(n, "n"), _integer(d, "d")
     if m < 1 or n < 1 or d < 1:
         raise DomainError("m, n, d must all be at least 1")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {_shown(seed)}")
+    if 8 * max(m * n, m * d, n * d) > _HADAMARD_BYTES:
+        raise ResourceLimitError(
+            f"m={_shown(m)}, n={_shown(n)}, d={_shown(d)} exceed the "
+            f"{_HADAMARD_BYTES}-byte array guard"
+        )
     rng = np.random.default_rng(seed)
     for _ in range(100):
         pts = PointArrangement(d, rng.standard_normal((m, d)))
@@ -433,9 +434,7 @@ def point_circuits(
     # entries are + or - and the rest of the row 0
     signs = np.zeros((len(subsets), m))
     np.put_along_axis(signs, subsets, null, axis=1)
-    plus, minus = signs > 0, signs < 0
-    # a key's low m bits are the negative part (see the signs module)
-    keys = _masks_from_bits(np.hstack([minus, plus])) + _masks_from_bits(np.hstack([plus, minus]))
+    keys = _keys_of_signs(signs) + _keys_of_signs(-signs)
     circuits = SignVectorSet._from_keys(m, sorted(keys))
     return CircuitCandidateSet(ground_size=m, circuits=circuits, uniform_rank=d + 1)
 

@@ -15,13 +15,17 @@ resource guards (max_ground, max_nodes, max_points, max_normals) and the
 1-based indices of threshold_vector, difference_vector, shatters and
 SignVector.sign are read through _integer, so a float is a DomainError
 naming it rather than a TypeError from inside numpy or itertools, an
-IndexError from numpy, or a guard compared as a float.
+IndexError from numpy, or a guard compared as a float.  A caller's real
+number (the threshold of threshold_vector, the parameters of a
+MonotoneDistortion) is read through _float, so a string, None or an int
+past the float range is a DomainError naming it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -116,6 +120,18 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {_shown(value)}") from None
+
+
+def _float(value, what: str) -> float:
+    """The value as a Python float if it is a real number (numpy scalars
+    included, strings not); otherwise, or if it is past the float range
+    (an int or fraction too large for one), DomainError naming `what`."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} must fit in a float") from None
 
 
 def _subsets(m: int, k: int) -> np.ndarray:

@@ -90,7 +90,7 @@ has always signed, so no search for a spanning order is needed.  The walk
 is the same for every witness of one (n, r), so _witness_tables lists its
 indices once per (n, r), in tables of its own rather than _modular_checks',
 and the certificate runs it as a few numpy operations on the circuits'
-0/1 rows; it reports the failure the walk would meet first, with the
+signed rows; it reports the failure the walk would meet first, with the
 walk's message.  A witness that fails raises MonorankError; no check is
 an assert, so python -O keeps them all.  A
 certified witness is built once, unchecked: the certificate has proved
@@ -113,12 +113,13 @@ from .matrices import _integer, _require_generic, _subsets
 from .signs import (
     SignVector,
     SignVectorSet,
-    _bits_from_masks,
     _is_negation_closed,
     _mask,
     _mask_to_set,
     _negated,
     _negation_closure,
+    _sign_matrix,
+    _signed_rows,
     _vector,
     _zero_free_masks,
 )
@@ -673,7 +674,7 @@ def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -
 
     The walk's order is fixed, so every index in it comes from
     _witness_tables, and each check is a few array operations on the
-    circuits' 0/1 rows.  Orthogonality is one product of the circuits'
+    circuits' -1/0/+1 rows.  Orthogonality is one product of the circuits'
     ± rows with the inputs' ± rows: y·v is |S| or -|S| exactly when y ∩ S
     is v+ or v-.  ε_S is the sign of S ∖ max S, read at that basis's first
     incidence, times S's own term for max S, so it is the product of those
@@ -691,16 +692,12 @@ def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -
     """
     tables = _witness_tables(n, rank)
     size = rank + 1
-    # one 0/1 row per circuit, column j < n holding bit j of v- and column
-    # n + j bit j of v+, and last a zero row, which a support with no
-    # circuit reads
-    bits = _bits_from_masks([*reps, 0], 2 * n)
-    neg, pos = bits[:, :n], bits[:, n:]
-    supports = neg | pos
-    sizes = supports.sum(axis=1)
+    # one -1/0/+1 row per circuit, and last a zero row, which a support
+    # with no circuit reads
+    signed = _signed_rows([*reps, 0], n)
+    sizes = np.count_nonzero(signed, axis=1)
     # over ±1 rows, y·v is |S| or -|S| exactly when y ∩ S is v+ or v-
-    inputs = np.where(_bits_from_masks(masks, n), 1.0, -1.0)
-    dots = np.subtract(pos[:-1], neg[:-1], dtype=np.float64) @ inputs.T
+    dots = signed[:-1] @ _sign_matrix(masks, n).T
     bad = np.flatnonzero(np.abs(dots) == sizes[:-1, None])
     if bad.size:
         raise MonorankError(
@@ -712,9 +709,9 @@ def _certify_witness(n: int, rank: int, reps: Sequence[int], masks: list[int]) -
     # t_S(i) = [C_S(s_i) = -] ^ (i & 1)
     on = np.flatnonzero(sizes == size)
     owner = np.full(len(tables.elements), -1)
-    sets = np.nonzero(supports[on])[1].reshape(-1, size)
+    sets = np.nonzero(signed[on])[1].reshape(-1, size)
     np.maximum.at(owner, _colex_index(tables.binom, sets), on)
-    t = neg[owner[:, None], tables.elements] ^ (np.arange(size, dtype=np.uint8) & 1)
+    t = (signed[owner[:, None], tables.elements] < 0) ^ (np.arange(size, dtype=np.uint8) & 1)
     # step: ε_S ^ ε of its signer's support, 0 for the first support, its
     # own signer; ε_S is the XOR of the steps on S's path and of ε of the
     # first support, which χ({1..r}) = +1 gives

@@ -32,10 +32,9 @@ from .omatroid import (
     _completion_rank_of_masks,
     _is_rank2_masks,
 )
-from .signs import SignVectorSet, _zero_free_set
+from .signs import SignVectorSet, _sign_matrix, _zero_free_set
 from .spectral import (
     _forster,
-    _sign_matrix,
     _singular_values,
     forster_bound,
     sign_matrix_with_columns,

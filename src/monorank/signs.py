@@ -15,18 +15,27 @@ holds its sorted, distinct keys in one bytes string, one little-endian
 row of n // 4 + 1 bytes per key, and builds a SignVector only when one is
 asked for.  The completion layer works on keys throughout.  This module
 owns the format: _packed writes the rows with _encode, and _rows() is the
-one reader of them, for _keys() (through _decode), len() and strings().
+one reader of them, for _keys() (through _decode) and len().
 SignVectorSet._from_keys builds a set from sorted keys, and _vector and
 _negated turn a key into a vector or into the key of its negation.
+
+Between keys and signed rows there is one codec, and no other module
+splits a key into its halves: _signed_rows writes keys as int8 rows of
+-1/0/+1, and _keys_of_signs reads the key of each row of a real array
+(> 0 as +, < 0 as -).  The text form of str() and strings() is one
+lookup of those rows (_strings), the completion certificate reads its
+circuits' rows, and point_circuits writes its keys from the signs of its
+null vectors.
 
 A zero-free vector is determined by its positive mask alone, so the bulk
 kernels (topes, VC dimension, sign matrices, rank-two recognition,
 completion) work on lists of positive masks and convert between those and
-0/1 numpy rows with the packing helpers below.  Sorted ascending, such a
-list is in the canonical SignVectorSet order.  _zero_free_masks decodes a
-zero-free SignVectorSet into its masks, checking it is zero-free, and
-_zero_free_set over _negation_closure encodes masks into a set; neither
-builds an object per member.  _is_negation_closed is the one closure test
+0/1 numpy rows with the packing helpers below; _sign_matrix is their
+±1 matrix, for the Forster bounds and the completion certificate.
+Sorted ascending, such a list is in the canonical SignVectorSet order.
+_zero_free_masks decodes a zero-free SignVectorSet into its masks,
+checking it is zero-free, and _zero_free_set over _negation_closure
+encodes masks into a set; neither builds an object per member.  _is_negation_closed is the one closure test
 on such a sorted list, for the VC and completion layers.
 
 The word-size rule: ints and bit rows meet only as little-endian byte
@@ -52,6 +61,7 @@ from .errors import DimensionMismatchError, DomainError, FormatError, _shown
 from .matrices import _integer
 
 _CHARS = {"+", "-", "0"}
+_GLYPHS = np.frombuffer(b"-0+", np.uint8)  # indexed by sign + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,10 +177,7 @@ class SignVector:
         return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
-        return "".join(
-            "+" if self.pos >> i & 1 else "-" if self.neg >> i & 1 else "0"
-            for i in range(self.length)
-        )
+        return _strings([self.pos << self.length | self.neg], self.length)[0]
 
     def __repr__(self) -> str:
         return f"SignVector.from_string({str(self)!r})"
@@ -231,10 +238,34 @@ def _encode(masks: Iterable[int], nbytes: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
 
 
-def _bits_from_masks(masks: list[int], width: int) -> np.ndarray:
+def _bits_from_masks(masks: Iterable[int], width: int) -> np.ndarray:
     """Inverse of _masks_from_bits: a (len(masks), width) uint8 0/1 array."""
     rows = _encode(masks, (width + 7) // 8)
     return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def _signed_rows(keys: Iterable[int], n: int) -> np.ndarray:
+    """One int8 row of -1/0/+1 per key of a vector of length n: entry i is
+    the sign of ground element i+1."""
+    bits = _bits_from_masks(keys, 2 * n).view(np.int8)
+    return bits[:, n:] - bits[:, :n]
+
+
+def _keys_of_signs(signs: np.ndarray) -> list[int]:
+    """The key of each row of a 2-D real array, > 0 read as + and < 0 as -;
+    the inverse of _signed_rows."""
+    return _masks_from_bits(np.concatenate([signs < 0, signs > 0], axis=1))
+
+
+def _strings(keys: list[int], n: int) -> list[str]:
+    """The text form of the vector of length n with each of these keys."""
+    raw = _GLYPHS[_signed_rows(keys, n) + 1].tobytes().decode("ascii")
+    return [raw[k * n : (k + 1) * n] for k in range(len(keys))]
+
+
+def _sign_matrix(masks: list[int], width: int) -> np.ndarray:
+    """±1 matrix with one row per positive mask: +1 at its set bits."""
+    return np.where(_bits_from_masks(masks, width), 1.0, -1.0)
 
 
 def _negation_closure(masks: Iterable[int], width: int) -> list[int]:
@@ -393,12 +424,7 @@ class SignVectorSet:
         return all(v.is_zero_free() for v in self)
 
     def strings(self) -> list[str]:
-        n, rows = self.ground_size, self._rows()
-        # bit j of each key, from the low end: the negative part, then the positive
-        bits = np.unpackbits(rows, axis=1, count=2 * n, bitorder="little")
-        chars = np.where(bits[:, n:], ord("+"), np.where(bits[:, :n], ord("-"), ord("0")))
-        raw = chars.astype(np.uint8).tobytes().decode("ascii")
-        return [raw[k * n : (k + 1) * n] for k in range(len(rows))]
+        return _strings(self._keys(), self.ground_size)
 
 
 # -- sign-vector file format ----------------------------------------------

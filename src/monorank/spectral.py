@@ -5,8 +5,8 @@ is its first value.  On top of them sit the Forster sign-rank bound, the
 recursive (Sylvester) Hadamard family, and the encoding that plants a set
 of sign vectors inside the threshold topes of a small integer matrix.
 
-±1 matrices of zero-free vectors are built by _sign_matrix from their
-positive masks, which build_report passes directly;
+±1 matrices of zero-free vectors are built from their positive masks by
+the signs module's _sign_matrix, which build_report calls directly;
 sign_matrix_with_columns and sign_matrix_with_rows are its adapters for a
 SignVectorSet.  The public functions check their input; _singular_values
 and _forster are the same computations for callers whose arrays are
@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, _shown
 from .matrices import _finite_matrix, _integer, _matrix_with_orders
-from .signs import SignVectorSet, _bits_from_masks, _zero_free_masks
+from .signs import SignVectorSet, _bits_from_masks, _sign_matrix, _zero_free_masks
 
-# hadamard(n) holds 4^n int64 entries; the guard keeps it within this budget
+# hadamard(n) holds 4^n int64 entries; the guard keeps it within this
+# budget, as random_representation's keeps its float64 arrays
 _HADAMARD_BYTES = 128 << 20
 _HADAMARD_MAX = ((_HADAMARD_BYTES // 8).bit_length() - 1) // 2
 
@@ -87,11 +88,6 @@ def sign_matrix_with_columns(vectors: SignVectorSet) -> np.ndarray:
 def sign_matrix_with_rows(vectors: SignVectorSet) -> np.ndarray:
     """±1 matrix whose rows are the given zero-free vectors."""
     return sign_matrix_with_columns(vectors).T
-
-
-def _sign_matrix(masks: list[int], width: int) -> np.ndarray:
-    """±1 matrix with one row per positive mask: +1 at its set bits."""
-    return np.where(_bits_from_masks(masks, width), 1.0, -1.0)
 
 
 def encode_signs_as_matrix(vectors: SignVectorSet) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, GenericityError, _shown
-from .matrices import _finite_matrix, _integer, _require_generic
+from .matrices import _finite_matrix, _float, _integer, _require_generic
 from .signs import (
     SignVector,
     SignVectorSet,
@@ -41,17 +41,19 @@ def _one_based(index: int, size: int, what: str) -> int:
 def threshold_vector(matrix: np.ndarray, column: int, theta: float) -> SignVector:
     """The cut vector of one column: sign(a_ij - theta) over rows i.
 
-    `column` is 1-based.  The threshold must miss every entry; a NaN
-    threshold, which compares false with every entry, is a DomainError.
+    `column` is 1-based.  The threshold is any real number that misses
+    every entry, ±inf included; one that is not real or past the float
+    range, or NaN, which compares false with every entry, is a DomainError.
     """
-    if np.isnan(theta):
+    cut = _float(theta, "threshold")
+    if np.isnan(cut):
         raise DomainError("threshold must not be NaN")
     a = _finite_matrix(matrix)
     column = _integer(column, "column")
     col = a[:, _one_based(column, a.shape[1], "column")]
-    if np.any(col == theta):
+    if np.any(col == cut):
         raise GenericityError(f"threshold {theta} hits an entry of column {column}")
-    return SignVector.from_signs(np.sign(col - theta))
+    return SignVector.from_signs(np.sign(col - cut))
 
 
 def threshold_topes(matrix: np.ndarray) -> SignVectorSet:

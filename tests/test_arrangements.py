@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from monorank import (
 
 from monorank import CircuitCandidateSet, SignVector, SignVectorSet, arrangements
 from monorank.arrangements import _POSITION_TOL
+from monorank.spectral import _HADAMARD_BYTES
 
 from .fixtures import DISTORTION_A, DISTORTION_B, NORMALS_B, POINTS_B
 
@@ -177,7 +179,12 @@ def test_distortion_classmethods_normalise_before_the_check():
 
 
 @pytest.mark.parametrize(
-    "k", [3.5, 1.9, -0.5, math.nan, math.inf, -math.inf, np.float64(2.5), "3", None]
+    "k",
+    [
+        *(3.5, 1.9, -0.5, math.nan, math.inf, -math.inf, np.float64(2.5), "3", None),
+        # their floats are 1.0 and 3.0
+        *(Fraction(10**30 + 1, 10**30), Fraction(3 * 10**20 + 1, 10**20)),
+    ],
 )
 def test_power_odd_refuses_an_exponent_that_is_not_an_integer(k):
     # truncating 3.5 to 3 would record an exponent the caller did not give
@@ -201,7 +208,7 @@ def test_distortion_constructor_normalises_an_exp_scale(params, want):
     assert json.dumps(f.as_dict()) == json.dumps(MonotoneDistortion.exp_scale(want[0]).as_dict())
 
 
-@pytest.mark.parametrize("k", [3, 3.0, np.int64(3), np.float64(3.0), np.int8(3)])
+@pytest.mark.parametrize("k", [3, 3.0, np.int64(3), np.float64(3.0), np.int8(3), Fraction(3)])
 def test_distortion_constructor_normalises_a_power_odd_exponent(k):
     f = MonotoneDistortion("power-odd", (k,))
     assert f.params == (3,) and type(f.params[0]) is int
@@ -234,6 +241,22 @@ def test_distortion_constructor_normalises_piecewise_linear_parameters():
 def test_random_representation_refuses_sizes_that_are_not_integers(args, kwargs, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         random_representation(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "m, n, d",
+    [
+        (10**30, 3, 2),
+        # 8 bytes past the budget in each of the three arrays
+        (_HADAMARD_BYTES // 8 + 1, 1, 1),
+        (1, _HADAMARD_BYTES // 8 + 1, 1),
+        (1, 1, _HADAMARD_BYTES // 8 + 1),
+    ],
+)
+def test_random_representation_refuses_sizes_past_the_array_budget(m, n, d):
+    # refused before numpy allocates anything, or fails to
+    with pytest.raises(ResourceLimitError, match=f"{_HADAMARD_BYTES}-byte array guard"):
+        random_representation(m, n, d, 0)
 
 
 def test_random_representation_takes_numpy_integer_sizes():

@@ -32,8 +32,10 @@ from monorank.signs import (
     _bits_from_masks,
     _content_lines,
     _is_negation_closed,
+    _keys_of_signs,
     _masks_from_bits,
     _negation_closure,
+    _signed_rows,
     _zero_free_masks,
     _zero_free_set,
 )
@@ -361,6 +363,39 @@ def test_bits_from_masks_matches_the_bytewise_path(width):
         assert got.shape == want.shape == (len(chosen), width)
         assert np.array_equal(got, want)
     assert _masks_from_bits(_bits_from_masks(masks, width)) == masks
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
+def test_signed_rows_round_trip(n):
+    # from n = 32 on a key's 2n bits cross the 8-byte word
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    vectors = [SignVector(n, 0, 0), SignVector(n, full, 0), SignVector(n, 0, full)]
+    for _ in range(30):
+        support = rng.getrandbits(n) if n else 0
+        pos = rng.getrandbits(n) & support if n else 0
+        vectors.append(SignVector(n, pos, support ^ pos))
+    keys = [v.pos << n | v.neg for v in vectors]
+    rows = _signed_rows(keys, n)
+    assert rows.dtype == np.int8 and rows.shape == (len(keys), n)
+    assert rows.tolist() == [[v.sign(i) for i in range(1, n + 1)] for v in vectors]
+    assert _keys_of_signs(rows) == keys
+    assert all(type(key) is int for key in _keys_of_signs(rows))
+    assert _keys_of_signs(rows.astype(float) * 2.5) == keys
+    # the text form against a per-entry loop
+    glyph = {1: "+", -1: "-", 0: "0"}
+    texts = ["".join(glyph[v.sign(i)] for i in range(1, n + 1)) for v in vectors]
+    assert [str(v) for v in vectors] == texts
+    stored = SignVectorSet._from_keys(n, sorted(set(keys)))
+    assert stored.strings() == [str(v) for v in stored] == sorted(set(texts), key=sv)
+    assert _keys_of_signs(np.zeros((0, n))) == []
+    assert _signed_rows([], n).shape == (0, n)
+
+
+def test_keys_of_signs_reads_the_sign_of_any_real():
+    assert _keys_of_signs(np.array([[0.5, -2.0, 0.0, -0.0, np.inf, -np.inf]])) == [
+        0b010001 << 6 | 0b100010
+    ]
 
 
 @pytest.mark.parametrize("width", WORD_WIDTHS)

@@ -43,9 +43,10 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _attribute_owners(attrs: set[str]) -> set[str]:
-    """module.function.attr for every use of one of these attribute names
-    in the library, naming the innermost function it sits in."""
+def _owners(names: set[str]) -> set[str]:
+    """module.function.name for every use of one of these names in the
+    library, as an attribute or as the name a call calls, naming the
+    innermost function it sits in."""
     found = set()
     for path, tree in _library_sources():
         owner = {}
@@ -53,24 +54,39 @@ def _attribute_owners(attrs: set[str]) -> set[str]:
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(node), func.name) for node in ast.walk(func))
-        found |= {
-            f"{path.stem}.{owner.get(id(node), '<module>')}.{node.attr}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in attrs
-        }
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else None
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                name = node.func.id
+            if name in names:
+                found.add(f"{path.stem}.{owner.get(id(node), '<module>')}.{name}")
     return found
 
 
 def test_ints_meet_bytes_only_in_the_signs_codec():
     # one writer and one reader own the byte order and the machine word
-    assert _attribute_owners({"to_bytes", "from_bytes"}) == {
+    assert _owners({"to_bytes", "from_bytes"}) == {
         "signs._encode.to_bytes",
         "signs._decode.from_bytes",
     }
 
 
 def test_a_sign_vector_sets_stored_bytes_have_one_reader():
-    assert _attribute_owners({"_data"}) == {"signs._rows._data"}
+    assert _owners({"_data"}) == {"signs._rows._data"}
+
+
+def test_keys_meet_signed_rows_only_in_the_signs_codec():
+    # outside signs only the mask kernels turn masks into 0/1 rows and back;
+    # a key's two halves are split and joined by _signed_rows and
+    # _keys_of_signs alone
+    uses = _owners({"_bits_from_masks", "_masks_from_bits"})
+    assert {use for use in uses if not use.startswith("signs.")} == {
+        "topes._difference_masks._masks_from_bits",
+        "vc._vc_of_masks._bits_from_masks",
+        "vc._vc_of_masks._masks_from_bits",
+        "spectral.encode_signs_as_matrix._bits_from_masks",
+        "arrangements._enumerate_topes._masks_from_bits",
+    }
 
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:

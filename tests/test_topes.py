@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,25 @@ def test_threshold_vector_rejects_a_nan_threshold():
     # NaN compares false with every entry, so its cut used to read "00"
     with pytest.raises(DomainError, match="NaN"):
         threshold_vector(np.array([[1.0], [2.0]]), 1, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        (10**400, "threshold must fit in a float"),
+        ("0.5", "threshold must be a real number, got '0.5'"),
+        (None, "threshold must be a real number, got None"),
+    ],
+)
+def test_threshold_vector_refuses_a_threshold_that_is_not_a_float(theta, message):
+    # each leaked numpy's TypeError from np.isnan
+    with pytest.raises(DomainError, match=re.escape(message)):
+        threshold_vector(np.array([[1.0], [2.0]]), 1, theta)
+
+
+@pytest.mark.parametrize("theta", [1.5, Fraction(3, 2), np.float32(1.5), np.float64(1.5)])
+def test_threshold_vector_reads_any_real_threshold(theta):
+    assert str(threshold_vector(np.array([[1.0], [2.0]]), 1, theta)) == "-+"
 
 
 @pytest.mark.parametrize("column", [0, 4])
