@@ -44,6 +44,10 @@ from .spectral import _HADAMARD_BYTES
 DEFAULT_ENUM_GUARD = 20
 _DISTORTION_ARITY = {"identity": 0, "exp-scale": 1, "power-odd": 1, "piecewise-linear": 2}
 _SEPARATION_MARGIN = 1e-7
+# separation problems per linprog call: HiGHS's time per block stops
+# falling at a few hundred blocks and rises in the thousands, and the cap
+# bounds the LP's memory at the enumeration guard
+_LP_BLOCKS = 256
 _POSITION_TOL = 1e-9
 
 
@@ -299,22 +303,40 @@ def _random_distortion(rng: np.random.Generator) -> MonotoneDistortion:
 # topes of realized arrangements (incremental search over sign prefixes)
 
 
-def _max_margin(rows: np.ndarray, signs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest t with sign_i (row_i · x) >= t over the box ||x||_inf <= 1,
-    and an x attaining it."""
-    from scipy.optimize import linprog  # on first use: scipy is slow to import
+def _max_margins(rows: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row b of a (B, k) stack of sign prefixes over the k rows,
+    the largest t_b with signs[b, i] (row_i · x_b) >= t_b over the box
+    ||x_b||_inf <= 1, and an x_b attaining it: the arrays t (B,) and x (B, cols).
 
-    k, cols = rows.shape
-    a_ub = np.empty((k, cols + 1))
-    a_ub[:, :cols] = -signs[:, None] * rows
-    a_ub[:, cols] = 1.0
-    c = np.zeros(cols + 1)
-    c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * cols + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
+    One LP for the whole stack, so scipy's per-call cost is paid once: the
+    constraints are block diagonal, block b being [-signs[b, i] row_i | 1]
+    on the variables (x_b, t_b), and the objective -sum_b t_b is separable,
+    so every block sits at its own optimum.
+    """
+    from scipy.optimize import linprog  # on first use: scipy is slow to import
+    from scipy.sparse import csc_array
+
+    blocks, k = signs.shape
+    cols = rows.shape[1]
+    width = cols + 1
+    # column-major blocks: column j of block b holds its k constraint rows
+    entries = np.ones((blocks, width, k))
+    entries[:, :cols] = -signs[:, None, :] * rows.T
+    row_index = np.broadcast_to(np.arange(blocks * k).reshape(blocks, 1, k), entries.shape)
+    a_ub = csc_array(
+        (entries.ravel(), row_index.ravel(), np.arange(0, entries.size + 1, k)),
+        shape=(blocks * k, blocks * width),
+    )
+    c = np.zeros(blocks * width)
+    c[cols::width] = -1.0
+    box = np.array([(-1.0, 1.0)] * cols + [(-np.inf, np.inf)])
+    res = linprog(
+        c, A_ub=a_ub, b_ub=np.zeros(blocks * k), bounds=np.tile(box, (blocks, 1)), method="highs"
+    )
     if res.status != 0:
         raise DomainError(f"separation LP failed: {res.message}")
-    return -res.fun, res.x[:-1]
+    solution = res.x.reshape(blocks, width)
+    return solution[:, cols], solution[:, :cols]
 
 
 def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSet:
@@ -328,37 +350,38 @@ def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSe
     naming the caller's option, max_points or max_normals.
 
     Element 1 is fixed to + (the set is negation-closed).  A prefix is kept
-    only if its separation LP has margin above `margin`; the prefix LP drops
-    constraints of every extension over the same box, so no tope is pruned.
-    Each kept prefix carries a solution x with margin t > `margin` on its
-    rows.  Of its two children, the one agreeing with sign(row · x) keeps x,
-    with margin min(t, |row · x|), and needs no LP when |row · x| > margin;
-    the other child gets one LP.  In general position the search takes one
-    LP per kept prefix: sum_{k<m} T_k / 2 for T_k topes on the first k
-    elements, against 2^(m-1) for testing every sign half.
+    only if its separation problem has margin above `margin`; the prefix
+    drops constraints of every extension over the same box, so no tope is
+    pruned.  Each kept prefix carries a solution x with margin t > `margin`
+    on its rows.  Of its two children, the one agreeing with sign(row · x)
+    keeps x, with margin min(t, |row · x|), and needs no LP when
+    |row · x| > margin; the other child's separation problem is solved.  In
+    general position that is one problem per kept prefix: sum_{k<m} T_k / 2
+    for T_k topes on the first k elements, against 2^(m-1) for testing every
+    sign half.  The problems of one level go to _max_margins together, at
+    most _LP_BLOCKS at a time, so the search makes at most one linprog call
+    per level below that width.
     """
     m = rows.shape[0]
     max_rows = _integer(max_rows, f"max_{noun}")
     if m > max_rows:
         raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {_shown(max_rows)}")
     margin = _SEPARATION_MARGIN
-    # x = sign(row) solves the one-row LP, with margin ||row||_1
-    level = [(np.ones(1), np.sign(rows[0]))] if np.abs(rows[0]).sum() > margin else []
+    # x = sign(row) solves the one-row problem, with margin ||row||_1
+    keep = [np.abs(rows[0]).sum() > margin]
+    signs, xs = np.ones((1, 1))[keep], np.sign(rows[:1])[keep]
     for k in range(1, m):
-        grown = []
-        for signs, x in level:
-            value = float(rows[k] @ x)
-            for sign in (1.0, -1.0):
-                child = np.append(signs, sign)
-                if sign * value > margin:
-                    grown.append((child, x))
-                    continue
-                t, x_child = _max_margin(rows[: k + 1], child)
-                if t > margin:
-                    grown.append((child, x_child))
-        level = grown
-    plus = np.array([signs > 0 for signs, _ in level], dtype=bool).reshape(-1, m)
-    return _zero_free_set(m, _negation_closure(_masks_from_bits(plus), m))
+        # each prefix's + child, then its - child
+        signs = np.hstack([np.repeat(signs, 2, axis=0), np.tile([[1.0], [-1.0]], (len(signs), 1))])
+        xs = np.repeat(xs, 2, axis=0)
+        keep = signs[:, k] * (xs @ rows[k]) > margin
+        solve = np.flatnonzero(~keep)
+        for start in range(0, len(solve), _LP_BLOCKS):
+            batch = solve[start : start + _LP_BLOCKS]
+            t, xs[batch] = _max_margins(rows[: k + 1], signs[batch])
+            keep[batch] = t > margin
+        signs, xs = signs[keep], xs[keep]
+    return _zero_free_set(m, _negation_closure(_masks_from_bits(signs > 0), m))
 
 
 def point_topes(
@@ -370,9 +393,10 @@ def point_topes(
     separating the + points from the - points.
 
     Searched incrementally over sign prefixes (see `_enumerate_topes`): for m
-    points in general position in R^d that takes
-    sum_{0<k<m} sum_{i<=d} C(k-1, i) LPs (92 for 9 planar points) instead of
-    2^(m-1).
+    points in general position in R^d that solves
+    sum_{0<k<m} sum_{i<=d} C(k-1, i) separation problems instead of
+    2^(m-1), one `linprog` call per level of up to _LP_BLOCKS of them: 92
+    problems in 8 calls for 9 planar points.
     """
     # p · h - theta as one inner product with the lifted point (p, -1)
     lifted = np.hstack([arrangement.points, -np.ones((len(arrangement), 1))])
@@ -388,9 +412,10 @@ def hyperplane_topes(
     hyperplane of the central arrangement.
 
     Searched incrementally over sign prefixes (see `_enumerate_topes`): for n
-    normals in general position in R^d that takes
-    sum_{0<k<n} sum_{i<d} C(k-1, i) LPs (36 for 9 planar normals) instead of
-    2^(n-1).
+    normals in general position in R^d that solves
+    sum_{0<k<n} sum_{i<d} C(k-1, i) separation problems instead of
+    2^(n-1), one `linprog` call per level of up to _LP_BLOCKS of them: 36
+    problems in 8 calls for 9 planar normals.
     """
     return _enumerate_topes(arrangement.normals, max_normals, "normals")
 

@@ -15,14 +15,16 @@ holds its sorted, distinct keys in one bytes string, one little-endian
 row of n // 4 + 1 bytes per key, and builds a SignVector only when one is
 asked for.  The completion layer works on keys throughout.  This module
 owns the format: _packed writes the rows with _encode, and _rows() is the
-one reader of them, for _keys() (through _decode) and len().
+one reader of them, for _keys() (through _decode), len() and strings()
+(through _signs_of_rows, with no ints in between).
 SignVectorSet._from_keys builds a set from sorted keys, and _vector and
 _negated turn a key into a vector or into the key of its negation.
 
 Between keys and signed rows there is one codec, and no other module
 splits a key into its halves: _signed_rows writes keys as int8 rows of
 -1/0/+1, and _keys_of_signs reads the key of each row of a real array
-(> 0 as +, < 0 as -).  The text form of str() and strings() is one
+(> 0 as +, < 0 as -); _signs_of_rows writes the same int8 rows straight
+from the byte rows of keys.  The text form of str() and strings() is one
 lookup of those rows (_strings), the completion certificate reads its
 circuits' rows, and point_circuits writes its keys from the signs of its
 null vectors.
@@ -177,7 +179,7 @@ class SignVector:
         return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
-        return _strings([self.pos << self.length | self.neg], self.length)[0]
+        return _strings(_signed_rows([self.pos << self.length | self.neg], self.length))[0]
 
     def __repr__(self) -> str:
         return f"SignVector.from_string({str(self)!r})"
@@ -247,7 +249,14 @@ def _bits_from_masks(masks: Iterable[int], width: int) -> np.ndarray:
 def _signed_rows(keys: Iterable[int], n: int) -> np.ndarray:
     """One int8 row of -1/0/+1 per key of a vector of length n: entry i is
     the sign of ground element i+1."""
-    bits = _bits_from_masks(keys, 2 * n).view(np.int8)
+    return _signs_of_rows(_encode(keys, n // 4 + 1), n)
+
+
+def _signs_of_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """_signed_rows of the keys in the little-endian byte rows _encode
+    writes, such as a SignVectorSet's stored rows, without reading them
+    into ints."""
+    bits = np.unpackbits(rows, axis=1, count=2 * n, bitorder="little").view(np.int8)
     return bits[:, n:] - bits[:, :n]
 
 
@@ -257,10 +266,11 @@ def _keys_of_signs(signs: np.ndarray) -> list[int]:
     return _masks_from_bits(np.concatenate([signs < 0, signs > 0], axis=1))
 
 
-def _strings(keys: list[int], n: int) -> list[str]:
-    """The text form of the vector of length n with each of these keys."""
-    raw = _GLYPHS[_signed_rows(keys, n) + 1].tobytes().decode("ascii")
-    return [raw[k * n : (k + 1) * n] for k in range(len(keys))]
+def _strings(signed: np.ndarray) -> list[str]:
+    """The text form of each int8 row of -1/0/+1."""
+    count, n = signed.shape
+    raw = _GLYPHS[signed + 1].tobytes().decode("ascii")
+    return [raw[k * n : (k + 1) * n] for k in range(count)]
 
 
 def _sign_matrix(masks: list[int], width: int) -> np.ndarray:
@@ -424,7 +434,7 @@ class SignVectorSet:
         return all(v.is_zero_free() for v in self)
 
     def strings(self) -> list[str]:
-        return _strings(self._keys(), self.ground_size)
+        return _strings(_signs_of_rows(self._rows(), self.ground_size))
 
 
 # -- sign-vector file format ----------------------------------------------

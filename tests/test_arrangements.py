@@ -368,26 +368,29 @@ def test_oracle_guards_refuse_one_past_the_limit_and_pass_the_limit(
 _FLIP = str.maketrans("+-", "-+")
 
 
+def one_margin(rows, signs):
+    """The largest t with s_i (row_i · x) >= t over the box ||x||_inf <= 1,
+    from one LP over one sign vector."""
+    k, cols = rows.shape
+    a_ub = np.hstack([-signs[:, None] * rows, np.ones((k, 1))])
+    c = np.zeros(cols + 1)
+    c[-1] = -1.0
+    bounds = [(-1.0, 1.0)] * cols + [(None, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 def reference_topes(rows, affine, margin=1e-7):
     """Tope strings from one separation LP per sign half (last element +):
     the largest t with s_i (row_i · h - theta) >= t over the box
     ||(h, theta)||_inf <= 1 must exceed `margin`."""
-    m, d = rows.shape
-    cols = d + 1 + (1 if affine else 0)
-    c = np.zeros(cols)
-    c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * (cols - 1) + [(None, None)]
+    if affine:
+        rows = np.hstack([rows, -np.ones((len(rows), 1))])
     found = set()
-    for rest in itertools.product((1.0, -1.0), repeat=m - 1):
+    for rest in itertools.product((1.0, -1.0), repeat=len(rows) - 1):
         signs = np.array(rest + (1.0,))
-        a_ub = np.zeros((m, cols))
-        a_ub[:, :d] = -signs[:, None] * rows
-        if affine:
-            a_ub[:, d] = signs
-        a_ub[:, -1] = 1.0
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(m), bounds=bounds, method="highs")
-        assert res.status == 0
-        if -res.fun > margin:
+        if one_margin(rows, signs) > margin:
             tope = "".join("+" if s > 0 else "-" for s in signs)
             found |= {tope, tope.translate(_FLIP)}
     return found
@@ -435,23 +438,78 @@ def test_topes_match_reference_degenerate(arrangement):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tope_search_lp_count(monkeypatch, d):
-    # general position: at most 1 + sum_{k<m} T_k / 2 LPs for T_k topes on k elements
+    # general position: one linprog call per level that needs any, and at
+    # most 1 + sum_{k<m} T_k / 2 separation problems for T_k topes on k elements
     for arrangement in _random_arrangements(d):
-        solved = []
+        rows, affine = _rows(arrangement)
+        width = rows.shape[1] + affine + 1  # each problem's (x, t)
+        problems, prefix_lengths = [], []
 
-        def counting_linprog(*args, **kwargs):
-            solved.append(1)
-            return linprog(*args, **kwargs)
+        def counting_linprog(c, A_ub, **kwargs):
+            problems.append(A_ub.shape[1] // width)
+            prefix_lengths.append(A_ub.shape[0] // problems[-1])
+            return linprog(c, A_ub=A_ub, **kwargs)
 
         monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
         _topes(arrangement)
         monkeypatch.undo()
+        m = len(rows)
+        assert len(prefix_lengths) <= m - 1
+        assert prefix_lengths == sorted(set(prefix_lengths))
+        assert set(prefix_lengths) <= set(range(2, m + 1))
         kind = type(arrangement)
-        rows, _ = _rows(arrangement)
-        prefix_halves = sum(
-            len(_topes(kind(d, rows[:k]))) // 2 for k in range(1, len(rows))
-        )
-        assert len(solved) <= 1 + prefix_halves
+        prefix_halves = sum(len(_topes(kind(d, rows[:k]))) // 2 for k in range(1, m))
+        assert sum(problems) <= 1 + prefix_halves
+
+
+def test_tope_search_splits_a_level_into_batches(monkeypatch):
+    # a level with more problems than one call takes gets several calls
+    monkeypatch.setattr(arrangements, "_LP_BLOCKS", 3)
+    problems = []
+
+    def counting_linprog(c, **kwargs):
+        problems.append(len(c) // 4)  # planar points: (x, t) has 4 entries
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+    arrangement = PointArrangement(2, np.random.default_rng(102).standard_normal((8, 2)))
+    topes = set(point_topes(arrangement).strings())
+    monkeypatch.undo()
+    assert max(problems) == 3 and len(problems) > 7
+    assert topes == reference_topes(*_rows(arrangement))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_max_margins_match_one_problem_lps(d):
+    # every block of the batched LP sits at its own problem's optimum
+    rng = np.random.default_rng(300 + d)
+    margin = arrangements._SEPARATION_MARGIN
+    for k, blocks in [(2, 1), (3, 1), (2, 4), (4, 17), (6, 40)]:
+        rows = rng.standard_normal((k, d + 1))
+        rows[:, -1] = -1.0  # lifted points, so some sign vectors separate
+        if k > 2:
+            rows[-1] = rows[0]  # a repeated point: margin 0 where they differ
+        signs = rng.choice([1.0, -1.0], size=(blocks, k))
+        t, x = arrangements._max_margins(rows, signs)
+        assert t.shape == (blocks,) and x.shape == (blocks, d + 1)
+        expected = np.array([one_margin(rows, s) for s in signs])
+        np.testing.assert_allclose(t, expected, rtol=0, atol=1e-9)
+        assert np.array_equal(t > margin, expected > margin)
+        # each x is in the box and attains its t
+        assert np.all(np.abs(x) <= 1 + 1e-9)
+        assert np.all(signs * (x @ rows.T) >= t[:, None] - 1e-9)
+
+
+def test_failed_separation_lp_is_a_domain_error(monkeypatch):
+    def failing_linprog(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.status, res.message = 4, "Numerical difficulties encountered."
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+    pts = PointArrangement(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match=r"^separation LP failed: Numerical difficulties"):
+        point_topes(pts)
 
 
 def test_planar_point_topes_are_sweep_prefixes():
