@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.optimize import linprog
+from scipy.optimize import linprog, milp
 
 from monorank import (
     AllowableSequence,
@@ -422,14 +423,17 @@ def test_topes_match_reference_random(d):
         assert set(_topes(arrangement).strings()) == expected
 
 
+_DEGENERATE = [
+    PointArrangement(1, [[0.0], [1.0], [2.0]]),
+    PointArrangement(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    HyperplaneArrangement(2, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    HyperplaneArrangement(3, [[1.0, 2.0, 0.5], [0.0, 1.0, 0.0], [1.0, 2.0, 0.5]]),
+]
+
+
 @pytest.mark.parametrize(
     "arrangement",
-    [
-        PointArrangement(1, [[0.0], [1.0], [2.0]]),
-        PointArrangement(2, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-        HyperplaneArrangement(2, [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        HyperplaneArrangement(3, [[1.0, 2.0, 0.5], [0.0, 1.0, 0.0], [1.0, 2.0, 0.5]]),
-    ],
+    _DEGENERATE,
     ids=["collinear-triple", "square", "coincident-planar", "coincident-3d"],
 )
 def test_topes_match_reference_degenerate(arrangement):
@@ -438,28 +442,34 @@ def test_topes_match_reference_degenerate(arrangement):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_tope_search_lp_count(monkeypatch, d):
-    # general position: one linprog call per level that needs any, and at
-    # most 1 + sum_{k<m} T_k / 2 separation problems for T_k topes on k elements
+    # general position: no prefix of r rows or fewer reaches an LP (its
+    # least-norm witness separates it), one LP call per level that needs
+    # any, and at most 1 + sum_{k<m} T_k / 2 separation problems for T_k
+    # topes on k elements
+    calls = 0
     for arrangement in _random_arrangements(d):
         rows, affine = _rows(arrangement)
-        width = rows.shape[1] + affine + 1  # each problem's (x, t)
+        rank = rows.shape[1] + affine
+        width = rank + 1  # each problem's (x, t)
         problems, prefix_lengths = [], []
 
-        def counting_linprog(c, A_ub, **kwargs):
-            problems.append(A_ub.shape[1] // width)
-            prefix_lengths.append(A_ub.shape[0] // problems[-1])
-            return linprog(c, A_ub=A_ub, **kwargs)
+        def counting_milp(c, *, constraints, **kwargs):
+            problems.append(constraints.A.shape[1] // width)
+            prefix_lengths.append(constraints.A.shape[0] // problems[-1])
+            return milp(c, constraints=constraints, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+        monkeypatch.setattr(scipy.optimize, "milp", counting_milp)
         _topes(arrangement)
         monkeypatch.undo()
         m = len(rows)
-        assert len(prefix_lengths) <= m - 1
+        # one call per prefix length, and only lengths past the rank
         assert prefix_lengths == sorted(set(prefix_lengths))
-        assert set(prefix_lengths) <= set(range(2, m + 1))
+        assert set(prefix_lengths) <= set(range(rank + 1, m + 1))
         kind = type(arrangement)
         prefix_halves = sum(len(_topes(kind(d, rows[:k]))) // 2 for k in range(1, m))
         assert sum(problems) <= 1 + prefix_halves
+        calls += len(problems)
+    assert calls > 0  # the spy sees the search's LPs
 
 
 def test_tope_search_splits_a_level_into_batches(monkeypatch):
@@ -467,15 +477,16 @@ def test_tope_search_splits_a_level_into_batches(monkeypatch):
     monkeypatch.setattr(arrangements, "_LP_BLOCKS", 3)
     problems = []
 
-    def counting_linprog(c, **kwargs):
+    def counting_milp(c, **kwargs):
         problems.append(len(c) // 4)  # planar points: (x, t) has 4 entries
-        return linprog(c, **kwargs)
+        return milp(c, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+    monkeypatch.setattr(scipy.optimize, "milp", counting_milp)
     arrangement = PointArrangement(2, np.random.default_rng(102).standard_normal((8, 2)))
     topes = set(point_topes(arrangement).strings())
     monkeypatch.undo()
-    assert max(problems) == 3 and len(problems) > 7
+    # levels 3 to 7 reach an LP, and split into calls of at most 3 problems
+    assert max(problems) == 3 and problems.count(3) > 5
     assert topes == reference_topes(*_rows(arrangement))
 
 
@@ -501,15 +512,58 @@ def test_max_margins_match_one_problem_lps(d):
 
 
 def test_failed_separation_lp_is_a_domain_error(monkeypatch):
-    def failing_linprog(*args, **kwargs):
-        res = linprog(*args, **kwargs)
+    def failing_milp(*args, **kwargs):
+        res = milp(*args, **kwargs)
         res.status, res.message = 4, "Numerical difficulties encountered."
         return res
 
-    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
-    pts = PointArrangement(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    monkeypatch.setattr(scipy.optimize, "milp", failing_milp)
+    # five planar points: the fourth point's prefixes reach an LP
     with pytest.raises(DomainError, match=r"^separation LP failed: Numerical difficulties"):
-        point_topes(pts)
+        point_topes(_FIVE_POINTS)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_topes_do_not_depend_on_row_scale(scale):
+    # a positive factor per row changes no sign, so it changes no tope
+    rng = np.random.default_rng(404)
+    for arrangement in [*_random_arrangements(2), *_DEGENERATE]:
+        rows, affine = _rows(arrangement)
+        if affine:
+            rows = np.hstack([rows, -np.ones((len(rows), 1))])
+        factors = np.where(rng.random((len(rows), 1)) < 0.5, scale, 1.0)
+        want = arrangements._enumerate_topes(rows, 20, "rows")
+        assert arrangements._enumerate_topes(rows * factors, 20, "rows") == want
+    # unscaled, the first lost every tope and the second failed its LP
+    assert len(hyperplane_topes(HyperplaneArrangement(2, [[1e-150, 0], [0, 1]]))) == 4
+    assert len(point_topes(PointArrangement(2, [[1e300, 0], [0, 1e300], [1, 1]]))) == 8
+
+
+@pytest.mark.parametrize("shift", [1e4, -1e6])
+def test_point_topes_do_not_depend_on_translation(shift):
+    # moving every point by one vector changes no tope
+    for arrangement in [*_random_arrangements(2), *_random_arrangements(3), *_DEGENERATE]:
+        if isinstance(arrangement, PointArrangement):
+            moved = PointArrangement(arrangement.dimension, arrangement.points + shift)
+            assert point_topes(moved) == point_topes(arrangement)
+    # a unit triangle far out, where the reference LP on the raw coordinates
+    # still finds all 8 topes; dividing each lifted row by its max-norm alone
+    # would cut their margins to about 1e-8 and lose half of them
+    triangle = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]) + [1e4, 0.0]
+    assert set(point_topes(PointArrangement(2, triangle)).strings()) == reference_topes(
+        triangle, True
+    )
+    assert len(point_topes(PointArrangement(2, triangle + shift))) == 8
+
+
+def test_hyperplane_arrangement_refuses_only_zero_normals():
+    with pytest.raises(DomainError, match="^zero normal vector$"):
+        HyperplaneArrangement(2, [[1.0, 0.0], [0.0, 0.0]])
+    # the norms of these underflow to 0 and overflow to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for normals in ([[1e-200, 0.0], [0.0, 1.0]], [[1e300, 1e300], [0.0, 1.0]]):
+            assert len(hyperplane_topes(HyperplaneArrangement(2, normals))) == 4
 
 
 def test_planar_point_topes_are_sweep_prefixes():
