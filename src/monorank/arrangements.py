@@ -340,16 +340,24 @@ def _max_margins(rows: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.nd
     return solution[:, cols], solution[:, :cols]
 
 
+def _enumeration_guard(m: int, guard: int, noun: str) -> None:
+    """The three oracles' one enumeration guard: more than `guard` of the
+    caller's `noun` (m of them, points or normals) is a ResourceLimitError,
+    and a guard that is not an integer is a DomainError naming the
+    caller's option, max_points or max_normals."""
+    guard = _integer(guard, f"max_{noun}")
+    if m > guard:
+        raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {_shown(guard)}")
+
+
 def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSet:
     """Sign vectors s with some ||x||_inf <= 1 giving s_i (row_i · x) > margin
     for every row, found by extending sign prefixes one element at a time;
     the margin is _SEPARATION_MARGIN and each row is first scaled to unit
     max-norm, which changes no sign.
 
-    This is the tope oracles' one enumeration guard: more than `max_rows`
-    rows (the caller's `noun`, points or normals) is a ResourceLimitError
-    before any LP runs, and a guard that is not an integer is a DomainError
-    naming the caller's option, max_points or max_normals.
+    More than `max_rows` rows (the caller's `noun`, points or normals) is a
+    ResourceLimitError before any LP runs (see _enumeration_guard).
 
     Element 1 is fixed to + (the set is negation-closed).  A prefix is kept
     only if it has some x in the box with margin above `margin`; the prefix
@@ -368,9 +376,7 @@ def _enumerate_topes(rows: np.ndarray, max_rows: int, noun: str) -> SignVectorSe
     makes at most one LP call per level below that width.
     """
     m = rows.shape[0]
-    max_rows = _integer(max_rows, f"max_{noun}")
-    if m > max_rows:
-        raise ResourceLimitError(f"{m} {noun} exceeds enumeration guard {_shown(max_rows)}")
+    _enumeration_guard(m, max_rows, noun)
     margin = _SEPARATION_MARGIN
     # no row is zero (the callers see to it), and scaling leaves the LP
     # coefficients and the margin on one scale whatever the rows' lengths
@@ -460,9 +466,7 @@ def point_circuits(
     """
     pts = arrangement.points
     m, d = pts.shape
-    max_points = _integer(max_points, "max_points")
-    if m > max_points:
-        raise ResourceLimitError(f"{m} points exceeds enumeration guard {_shown(max_points)}")
+    _enumeration_guard(m, max_points, "points")
     hom = np.hstack([pts, np.ones((m, 1))])
     subsets = _subsets(m, d + 2)
     # one (d+1) x (d+2) matrix per subset, its lifted points as columns

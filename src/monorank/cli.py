@@ -2,7 +2,11 @@
 
 Subcommands: analyze, generate, hadamard, encode, isrank2, complete, sweep.
 JSON goes to stdout.  Every input file is read as UTF-8 through _read,
-which drops a leading byte-order mark.
+which drops a leading byte-order mark, and every output file is written
+through _write.  Click only parses: paths reach _read and _write
+unchecked, and --tol reaches the library's tolerance check, so a missing
+or directory input, an output that cannot be written and a negative
+tolerance all take the one error path.
 The group is the one error boundary: a MonorankError from any subcommand
 becomes a JSON error on stderr and the exit code of its class, 1
 (internal fault), 2 (input format), 3 (genericity) or 4 (resource guard);
@@ -82,7 +86,7 @@ def main():
 
 
 @main.command()
-@click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("matrix_file")
 @click.option("--complete", "complete_d_max", type=int, default=None,
               help="Also run the completion-rank search up to this rank.")
 @click.option("--svd", is_flag=True, help="Include singular values.")
@@ -91,7 +95,7 @@ def main():
               help="Break tied column entries (at --tol) by row order "
                    "(deterministic jitter) instead of failing; exploratory "
                    "use only.")
-@click.option("--tol", type=click.FloatRange(min=0), default=0.0, show_default=True,
+@click.option("--tol", type=float, default=0.0, show_default=True,
               help="Tie tolerance for the genericity check.")
 def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
     """Emit a JSON rank report for a CSV matrix."""
@@ -117,9 +121,9 @@ def analyze(matrix_file, complete_d_max, svd, topes, perturb, tol):
 @click.option("--seed", type=int, required=True)
 @click.option("--distortion", type=click.Choice(["random", "identity"]),
               default="random", show_default=True)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
+@click.option("-o", "--output", metavar="PATH", default=None,
               help="Write the matrix CSV here instead of stdout.")
-@click.option("--provenance", type=click.Path(dir_okay=False), default=None,
+@click.option("--provenance", metavar="PATH", default=None,
               help="Write the generating points/normals/distortions as JSON.")
 def generate(m, n, d, seed, distortion, output, provenance):
     """Sample a random rank-d representation and write its matrix."""
@@ -145,7 +149,7 @@ def generate(m, n, d, seed, distortion, output, provenance):
 
 @main.command()
 @click.argument("n", type=int)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
+@click.option("-o", "--output", metavar="PATH", default=None)
 def hadamard(n, output):
     """Write the 2^n-by-2^n ±1 Hadamard matrix as CSV."""
     h = spectral.hadamard(n)
@@ -153,8 +157,8 @@ def hadamard(n, output):
 
 
 @main.command()
-@click.argument("signs_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None,
+@click.argument("signs_file")
+@click.option("-o", "--output", metavar="PATH", default=None,
               help="Write the encoded matrix CSV here.")
 @click.option("--json", "as_json", is_flag=True,
               help="Emit a JSON report (with the matrix) instead of bare CSV.")
@@ -175,7 +179,7 @@ def encode(signs_file, output, as_json):
 
 
 @main.command()
-@click.argument("signs_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("signs_file")
 def isrank2(signs_file):
     """Decide rank-two oriented-matroid completability of a sign file."""
     vectors = signs.parse_sign_file(_read(signs_file))
@@ -183,7 +187,7 @@ def isrank2(signs_file):
 
 
 @main.command()
-@click.argument("signs_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("signs_file")
 @click.argument("rank", type=int)
 def complete(signs_file, rank):
     """Run the uniform completion search at one rank.
@@ -201,7 +205,7 @@ def complete(signs_file, rank):
 
 
 @main.command()
-@click.argument("points_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("points_file")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 def sweep(points_file, as_json):
     """Sweep permutations of a planar point set (CSV, one point per row)."""

@@ -11,11 +11,13 @@ Every entry point that takes a numeric matrix passes it through one gate,
 _finite_matrix, and every tie tolerance through _tolerance.  Column orders
 are defined only for finite entries, and a NaN tolerance would call every
 pair untied.  Sample sizes, ranks, d_max, the Hadamard order, the
-resource guards (max_ground, max_nodes, max_points, max_normals) and the
-1-based indices of threshold_vector, difference_vector, shatters and
-SignVector.sign are read through _integer, so a float is a DomainError
-naming it rather than a TypeError from inside numpy or itertools, an
-IndexError from numpy, or a guard compared as a float.  A caller's real
+ground size of a SignVectorSet, the uniform_rank of a
+CircuitCandidateSet, the resource guards (max_ground, max_nodes,
+max_points, max_normals) and the 1-based indices of threshold_vector,
+difference_vector, shatters and SignVector.sign are read through
+_integer, so a float is a DomainError naming it rather than a TypeError
+from inside numpy or itertools, an IndexError from numpy, or a guard
+compared as a float.  A caller's real
 number (the threshold of threshold_vector, the parameters of a
 MonotoneDistortion) is read through _float, so a string, None or an int
 past the float range is a DomainError naming it.
@@ -28,6 +30,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -252,30 +255,18 @@ def _next_untied(start: float, below: float, tol: float) -> float:
 
     Stepping up one float at a time finds it, but when |below| is much
     larger than the result, the difference rounds far more coarsely than
-    the floats step, and the walk can take billions of steps.  The computed
-    difference never decreases as the float grows, so after trying the
-    next float, which mostly suffices, this bisects the order of the
-    floats: at most 64 more tests.
+    the floats step, and the walk can take billions of steps.  Instead:
+    the difference rounds above tol exactly when its true value passes
+    tol + ulp(tol)/2, or rounds up to even on reaching it.  So a float is
+    untied when it is above the exact sum below + tol + ulp(tol)/2, or is
+    that sum and rounds up, and the float nearest the sum is the smallest
+    untied float or the one just below it.  A sum past the float range
+    leaves only inf untied.
     """
-    lo, hi = _float_rank(start), _float_rank(math.inf)  # hi is untied
-    mid = lo + 1
-    while hi - lo > 1:
-        if _rank_float(mid) - below > tol:
-            hi = mid
-        else:
-            lo = mid
-        mid = (lo + hi) // 2
-    return _rank_float(hi)
-
-
-def _float_rank(x: float) -> int:
-    """The position of x in the order of the floats, 0 at +-0.0: adjacent
-    floats have adjacent ranks."""
-    bits = int(np.float64(x).view(np.int64))
-    return bits if bits >= 0 else -(1 << 63) - bits
-
-
-def _rank_float(rank: int) -> float:
-    """Inverse of _float_rank."""
-    bits = rank if rank >= 0 else -(1 << 63) - rank
-    return float(np.int64(bits).view(np.float64))
+    try:
+        x = float(Fraction(below) + Fraction(tol) + Fraction(math.ulp(tol)) / 2)
+    except OverflowError:
+        return math.inf
+    if x - below <= tol:
+        x = math.nextafter(x, math.inf)
+    return max(x, math.nextafter(start, math.inf)) + 0.0  # never -0.0

@@ -138,8 +138,8 @@ class CircuitCandidateSet:
 
     When uniform_rank is set, every support has size uniform_rank + 1 and
     carries at most one ± pair, as in a uniform oriented matroid.  The
-    constructor checks both; only a certified completion witness skips
-    the checks (_certified).
+    constructor checks both, and stores uniform_rank as an int >= 0; only
+    a certified completion witness skips the checks (_certified).
     """
 
     ground_size: int
@@ -152,13 +152,17 @@ class CircuitCandidateSet:
         if not self.circuits.is_negation_closed():
             raise DomainError("circuit candidate set must be negation-closed")
         if self.uniform_rank is not None:
-            n, size = self.ground_size, self.uniform_rank + 1
+            rank = _integer(self.uniform_rank, "uniform_rank")
+            if rank < 0:
+                raise DomainError(f"uniform_rank must be an integer >= 0, got {_shown(rank)}")
+            object.__setattr__(self, "uniform_rank", rank)
+            n, size = self.ground_size, rank + 1
             per_support: dict[int, int] = {}
             for key in self.circuits._keys():
                 support = (key >> n | key) & ((1 << n) - 1)
                 if support.bit_count() != size:
                     raise DomainError(
-                        f"uniform rank {self.uniform_rank} requires supports of "
+                        f"uniform rank {rank} requires supports of "
                         f"size {size}, got {_vector(n, key)}"
                     )
                 per_support[support] = per_support.get(support, 0) + 1
@@ -199,14 +203,6 @@ class AxiomViolation:
         if self.element is not None:
             out["element"] = self.element
         return out
-
-    def __str__(self) -> str:
-        parts = [self.axiom, f"X={self.x}"]
-        if self.y is not None:
-            parts.append(f"Y={self.y}")
-        if self.element is not None:
-            parts.append(f"e={self.element}")
-        return " ".join(parts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -357,7 +357,7 @@ class SignVectorSet:
 
     Iteration order is canonical (lexicographic on (pos, neg) masks), so
     serialized output is deterministic.  The members are stored as packed
-    keys (see the module docstring).
+    keys (see the module docstring).  ground_size must be an integer >= 0.
     """
 
     ground_size: int
@@ -369,6 +369,9 @@ class SignVectorSet:
         members: Iterable[SignVector] = (),
         negation_closed: bool = False,
     ):
+        ground_size = _integer(ground_size, "ground_size")
+        if ground_size < 0:
+            raise DomainError(f"ground_size must be an integer >= 0, got {_shown(ground_size)}")
         keys = set()
         for v in members:
             if v.length != ground_size:

@@ -200,11 +200,23 @@ def test_hadamard_output_file(runner, tmp_path):
     assert np.array_equal(parse_matrix(out.read_text()), hadamard(2))
 
 
-def test_analyze_negative_tolerance_is_a_usage_error(runner, tmp_path):
+def test_analyze_negative_tolerance_is_a_json_error(runner, tmp_path):
+    # the library's tolerance check is the only one, as for nan and inf
     path = write(tmp_path, "a1.csv", a1_csv())
     result = runner.invoke(main, ["analyze", path, "--tol", "-1"])
-    assert result.exit_code == 2
-    assert "--tol" in result.stderr
+    assert result.exit_code == 2 and result.stdout == ""
+    assert json.loads(result.stderr)["error"] == {
+        "kind": "DomainError",
+        "message": "tolerance must be a finite number >= 0, got -1.0",
+    }
+
+
+def test_analyze_tolerance_that_is_not_a_number_is_a_usage_error(runner, tmp_path):
+    # parsing the option is click's job, not a library rule
+    path = write(tmp_path, "a1.csv", a1_csv())
+    result = runner.invoke(main, ["analyze", path, "--tol", "abc"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "Invalid value for '--tol'" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -557,14 +569,42 @@ def test_undecodable_byte_after_a_byte_order_mark_is_named_at_its_file_offset(ru
     ],
     ids=["generate-o", "generate-provenance", "hadamard-o", "encode-o", "encode-json-o"],
 )
-def test_output_that_cannot_be_written_is_a_json_error(runner, tmp_path, args):
+@pytest.mark.parametrize(
+    "target, kind",
+    [("missing_dir/out", "FileNotFoundError"), (".", "IsADirectoryError")],
+    ids=["missing-dir", "directory"],
+)
+def test_output_that_cannot_be_written_is_a_json_error(runner, tmp_path, args, target, kind):
     signs_file = write(tmp_path, "s.txt", "++-\n--+\n")
-    missing = tmp_path / "missing_dir" / "out"
-    result = runner.invoke(main, [a.format(missing, signs=signs_file) for a in args])
+    out = tmp_path / target
+    result = runner.invoke(main, [a.format(out, signs=signs_file) for a in args])
     assert result.exit_code == 2 and result.stdout == ""
     error = json.loads(result.stderr)["error"]
-    assert error["kind"] == "FileNotFoundError"
-    assert str(missing) in error["message"]
+    assert error["kind"] == kind
+    assert str(out) in error["message"]
+
+
+INPUT_COMMANDS = {
+    "analyze": ["analyze", "{}"],
+    "encode": ["encode", "{}"],
+    "isrank2": ["isrank2", "{}"],
+    "complete": ["complete", "{}", "2"],
+    "sweep": ["sweep", "{}"],
+}
+
+
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+@pytest.mark.parametrize(
+    "target, kind",
+    [("missing.csv", "FileNotFoundError"), (".", "IsADirectoryError")],
+    ids=["missing", "directory"],
+)
+def test_missing_or_directory_input_is_a_json_error(runner, tmp_path, command, target, kind):
+    path = tmp_path / target
+    result = runner.invoke(main, [a.format(path) for a in INPUT_COMMANDS[command]])
+    assert result.exit_code == 2 and result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == kind and str(path) in error["message"]
 
 
 @pytest.mark.parametrize(

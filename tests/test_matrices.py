@@ -1,5 +1,7 @@
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 import warnings
@@ -46,7 +48,7 @@ from monorank import (
     vc_rank,
 )
 from monorank.errors import _shown
-from monorank.matrices import _matrix_with_orders, _require_generic
+from monorank.matrices import _matrix_with_orders, _next_untied, _require_generic
 
 from .fixtures import DISTORTION_A, a1_csv, oracle_matrices
 
@@ -410,6 +412,61 @@ def test_perturb_ties_does_not_crawl(entry, tol, want):
         timeout=60,
     )
     assert float(out.stdout) == want
+
+
+def _float_rank(x: float) -> int:
+    """The position of x in the order of the floats, 0 at +-0.0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(1 << 63) - bits
+
+
+def _rank_float(rank: int) -> float:
+    bits = rank if rank >= 0 else -(1 << 63) - rank
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def bisecting_next_untied(start: float, below: float, tol: float) -> float:
+    """Reference oracle: the former search, which bisects the order of the
+    floats above `start` for the first whose computed difference from
+    `below` exceeds tol; unlike the stepping loop it never crawls."""
+    lo, hi = _float_rank(start), _float_rank(math.inf)  # hi is untied
+    mid = lo + 1
+    while hi - lo > 1:
+        if _rank_float(mid) - below > tol:
+            hi = mid
+        else:
+            lo = mid
+        mid = (lo + hi) // 2
+    return _rank_float(hi)
+
+
+def test_next_untied_matches_the_bisection():
+    rng = random.Random(31)
+    big = sys.float_info.max
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 0.5, 1.0, -1.0, 1.7e308, -1.7e308, big, -big]
+
+    def number():
+        r = rng.random()
+        if r < 0.2:
+            return rng.choice(special)
+        if r < 0.5:  # decimal magnitudes over the whole range
+            return rng.choice([-1, 1]) * rng.random() * 10.0 ** rng.randint(-320, 308)
+        if r < 0.7:  # small multiples of powers of two, where ties round to even
+            return rng.randint(-5, 5) * 2.0 ** rng.randint(-1074, 1000)
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        return x if math.isfinite(x) else 0.0
+
+    # both crawl cases of test_perturb_ties_does_not_crawl, as perturb_ties asks
+    triples = [(-1.0 + 0.9999999, -1.0, 0.9999999), (-1e6 + 999999.9999, -1e6, 999999.9999)]
+    while len(triples) < 50_000:
+        below, tol = number(), abs(number())
+        # perturb_ties starts at below + tol; other starts test the max
+        start = below + tol if rng.random() < 0.6 else rng.choice([below, number()])
+        triples.append((start, below, tol))
+    for start, below, tol in triples:
+        want = bisecting_next_untied(start, below, tol)
+        got = _next_untied(start, below, tol)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), (start, below, tol)
 
 
 def test_perturb_ties_breaks_ties_preserving_order():

@@ -1617,6 +1617,27 @@ def test_circuit_candidate_set_rejects_malformed_sets():
     assert len(CircuitCandidateSet(3, wide)) == len(CircuitCandidateSet(3, doubled)) == 4
 
 
+@pytest.mark.parametrize(
+    "rank, message",
+    [
+        (1.5, "uniform_rank must be an integer, got 1.5"),
+        ("1", "uniform_rank must be an integer, got '1'"),
+        (-3, "uniform_rank must be an integer >= 0, got -3"),
+    ],
+)
+def test_circuit_candidate_set_reads_uniform_rank_as_an_integer(rank, message):
+    # 1.5 asked for supports of size 2.5, "1" leaked a TypeError, and an
+    # empty set took any of them
+    pair = SignVectorSet.from_strings(["+-0", "-+0"])
+    for circuits in (pair, SignVectorSet(3, [])):
+        with pytest.raises(DomainError) as info:
+            CircuitCandidateSet(3, circuits, uniform_rank=rank)
+        assert str(info.value) == message
+    for value in (True, np.int64(1)):
+        stored = CircuitCandidateSet(3, pair, uniform_rank=value).uniform_rank
+        assert type(stored) is int and stored == 1
+
+
 def test_certificate_rejects_what_the_constructor_rejects():
     # three circuits for the three supports of rank one on three elements,
     # but one on a support of the wrong size, or two pairs on {1, 2}: the

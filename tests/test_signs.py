@@ -242,6 +242,25 @@ def test_set_membership_empty():
     assert SignVectorSet(3, [], negation_closed=True) == empty
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (2.5, "ground_size must be an integer, got 2.5"),
+        ("3", "ground_size must be an integer, got '3'"),
+        (-1, "ground_size must be an integer >= 0, got -1"),
+    ],
+)
+def test_set_reads_its_ground_size_as_an_integer(size, message):
+    # 2.5 leaked a TypeError from slicing, and -1 built a set that len(),
+    # repr() and iteration then failed on inside numpy
+    for build in (lambda: SignVectorSet(size, []), lambda: SignVectorSet.from_strings([], size)):
+        with pytest.raises(DomainError) as info:
+            build()
+        assert str(info.value) == message
+    sset = SignVectorSet(np.int64(2), [sv("+-")])
+    assert type(sset.ground_size) is int and sset == SignVectorSet.from_strings(["+-"])
+
+
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(sign_vectors(n), max_size=12)))
 def test_set_membership_matches_list(vectors):
     n = vectors[0].length if vectors else 1
